@@ -21,17 +21,17 @@ import numpy as np
 from . import hitting_laws as hl
 from . import sampling as smp
 from . import verify as vf
-from .distributions import (alpha_cauchy_density, alpha_rayleigh_survival,
-                            linnik_density, meixner_density, z_density)
+from .distributions import (alpha_rayleigh_survival, linnik_density,
+                            meixner_density, z_density)
 from .errors import (BracketError, ConsistencyError, DegenerateDenominator,
                      DomainError, NonConvergence, NumericInstability,
-                     TableBuildError)
+                     TableBuildError, UnknownSuite)
 from .numerics import laplace_invert_cdf
 from .resolvent import potential_kernel, resolvent_density, transition_density
 
 _NUMERIC_ERRORS = (DomainError, NonConvergence, NumericInstability,
                    BracketError, ConsistencyError, DegenerateDenominator,
-                   TableBuildError)
+                   TableBuildError, OverflowError)
 
 
 def _fmt(v) -> str:
@@ -173,22 +173,20 @@ def _cmd_sample(args) -> int:
 
 # ------------------------------------------------------------------ invert
 
-INVERT_KINDS = {
-    "lt-T": lambda p: (lambda q: hl.lt_hit_point(
-        hl.HittingQuery(p["alpha"], float(q), x=p.get("x", 0.0), a=p["a"]))),
-    "lt-G": lambda p: (lambda q: hl.lt_last_exit(p["alpha"], float(q), p["a"])),
-    "lt-Xi": lambda p: (lambda q: hl.lt_post_exit(p["alpha"], float(q), p["a"])),
-    "lt-T-abs": lambda p: (lambda q: hl.lt_hit_abs(p["alpha"], float(q), p["a"])),
-    "lt-G-abs": lambda p: (lambda q: hl.lt_last_exit_abs(p["alpha"], float(q), p["a"])),
-    "lt-Xi-abs": lambda p: (lambda q: hl.lt_post_exit_abs(p["alpha"], float(q), p["a"])),
-}
+# the eval kinds that are Laplace transforms in q of a hitting-type time
+_INVERT_CHOICES = sorted(kind for kind, (required, _, _) in EVAL_KINDS.items()
+                         if required == ("alpha", "q", "a"))
 
 
 def _cmd_invert(args) -> int:
-    params = {"alpha": float(args.alpha), "a": float(args.a)}
+    _, optional, fn = EVAL_KINDS[args.kind]
+    params = {**optional, "alpha": float(args.alpha), "a": float(args.a)}
     if args.x is not None:
         params["x"] = float(args.x)
-    phi = INVERT_KINDS[args.kind](params)
+
+    def phi(q):
+        return fn({**params, "q": float(q)})
+
     t_grid = sorted(float(v) for v in args.t.split(","))
     _emit(["t", "p", "note"])
     rows = []
@@ -216,7 +214,7 @@ def _cmd_verify(args) -> int:
     try:
         reports = vf.run_suite(args.suite, idx_grid=idx_grid, seed=args.seed,
                                n_samples=args.n)
-    except Exception as exc:  # UnknownSuite is a usage error
+    except UnknownSuite as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(vf.report_to_csv(reports))
@@ -230,6 +228,16 @@ def _cmd_verify(args) -> int:
 
 
 # -------------------------------------------------------------------- main
+
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -247,14 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     sa.add_argument("dist", choices=sorted(SAMPLE_DISTS))
     for flag in ("alpha", "beta", "gamma", "a", "b", "t", "terms"):
         sa.add_argument(f"--{flag}")
-    sa.add_argument("-n", type=int, default=10)
+    sa.add_argument("-n", type=_positive_int, default=10)
     sa.add_argument("--seed", type=int, default=0)
-    sa.add_argument("--streams", type=int, default=1)
+    sa.add_argument("--streams", type=_positive_int, default=1)
     sa.add_argument("--summary", action="store_true")
 
     iv = sub.add_parser("invert", help="numerically invert a hitting-law "
                                        "transform into P(T < t)")
-    iv.add_argument("kind", choices=sorted(INVERT_KINDS))
+    iv.add_argument("kind", choices=_INVERT_CHOICES)
     iv.add_argument("--alpha", required=True)
     iv.add_argument("--a", required=True)
     iv.add_argument("--x")

@@ -16,10 +16,9 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .numerics import (DEFAULT_SPEC, QuadSpec, _as_vectorized,
-                       _cos_panel_series, integrate_adaptive,
+from .numerics import (_as_vectorized, _cos_panel_series, integrate_adaptive,
                        integrate_oscillatory_cos)
-from .resolvent import as_index, transition_density
+from .resolvent import _u1, as_index, transition_density
 
 
 def beta_prime_density(a: float, b: float, x: float) -> float:
@@ -40,22 +39,22 @@ def alpha_cauchy_density(alpha: float, x: float) -> float:
     return c / (1.0 + abs(x) ** alpha)
 
 
-def linnik_density(alpha: float, x: float, spec: QuadSpec = DEFAULT_SPEC) -> float:
+def linnik_density(alpha: float, x: float) -> float:
     """Density of the law with characteristic function 1/(1+|theta|^alpha),
-    by cosine inversion: (1/pi) int_0^inf cos(x theta) / (1+theta^alpha) dtheta."""
+    (1/pi) int_0^inf cos(x theta) / (1+theta^alpha) dtheta.  This is the
+    resolvent density u_1(x), so it is the cached kernel ``resolvent._u1``
+    (by quadrature at alpha = 2 too, unlike ``resolvent_density``)."""
     if not 0.0 < alpha <= 2.0:
         raise DomainError("Linnik index must lie in (0, 2]")
-    return integrate_oscillatory_cos(
-        lambda th: 1.0 / (1.0 + th ** alpha), x, spec) / math.pi
+    return _u1(float(alpha), abs(float(x)))
 
 
-def alpha_cauchy_charfn(alpha: float, theta: float,
-                        spec: QuadSpec = DEFAULT_SPEC) -> float:
+def alpha_cauchy_charfn(alpha: float, theta: float) -> float:
     """E[e^{i theta C_alpha}] by cosine quadrature of the density."""
     if alpha <= 1.0:
         raise DomainError("alpha-Cauchy requires alpha > 1")
     return 2.0 * integrate_oscillatory_cos(
-        lambda x: alpha_cauchy_density(alpha, x), theta, spec)
+        lambda x: alpha_cauchy_density(alpha, x), theta)
 
 
 def relation_r_constant(alpha: float) -> float:
@@ -82,7 +81,7 @@ def z_density(a: float, x: float) -> float:
                     + a * y - 2.0 * a * _softplus(y))
 
 
-def z_levy_exponent(a: float, theta: float, spec: QuadSpec = DEFAULT_SPEC) -> float:
+def z_levy_exponent(a: float, theta: float) -> float:
     """Levy exponent Phi_a of the symmetric z-process:
     2 int_0^inf (1 - cos(theta u)) e^{-a pi u} / (u (1 - e^{-pi u})) du.
 
@@ -107,18 +106,17 @@ def z_levy_exponent(a: float, theta: float, spec: QuadSpec = DEFAULT_SPEC) -> fl
     # effective support of the envelope, then oscillation count
     u_max = 45.0 / (a * math.pi) + 2.0
     if th * u_max / (2.0 * math.pi) <= 8.0:
-        return 2.0 * integrate_adaptive(integrand, 0.0, math.inf, spec)
+        return 2.0 * integrate_adaptive(integrand, 0.0, math.inf)
     k_cut = 2
     z = (k_cut + 0.5) * math.pi / th
-    head = integrate_adaptive(integrand, 0.0, z, spec)
-    flat = integrate_adaptive(lambda u: envelope(u), z, math.inf, spec)
+    head = integrate_adaptive(integrand, 0.0, z)
+    flat = integrate_adaptive(lambda u: envelope(u), z, math.inf)
     cos_tail = _cos_panel_series(_as_vectorized(envelope), th, k_cut + 1,
-                                 spec, base=head + flat)
+                                 base=head + flat)
     return 2.0 * (head + flat - cos_tail)
 
 
-def meixner_density(beta: float, t: float, x: float,
-                    spec: QuadSpec = DEFAULT_SPEC) -> float:
+def meixner_density(beta: float, t: float, x: float) -> float:
     """Meixner density at time t with asymmetry beta in (-pi, pi):
     (2 cos(beta/2))^t B(t/2, t/2) / (2 pi) * e^{beta x - Phi_{t/2}(pi x)}.
 
@@ -131,15 +129,13 @@ def meixner_density(beta: float, t: float, x: float,
         raise DomainError("t must be positive")
     log_norm = (t * math.log(2.0 * math.cos(0.5 * beta))
                 + special.betaln(0.5 * t, 0.5 * t) - math.log(2.0 * math.pi))
-    return math.exp(log_norm + beta * x - z_levy_exponent(0.5 * t, math.pi * x, spec))
+    return math.exp(log_norm + beta * x - z_levy_exponent(0.5 * t, math.pi * x))
 
 
-def alpha_rayleigh_survival(alpha: float, x: float,
-                            spec: QuadSpec | None = None) -> float:
+def alpha_rayleigh_survival(alpha: float, x: float) -> float:
     """P(R_alpha > x) = p_1(x) / p_1(0), clamped to [0, 1]."""
     idx = as_index(alpha)
     if x < 0:
         raise DomainError("x must be nonnegative")
-    ratio = (transition_density(idx, 1.0, x, spec)
-             / transition_density(idx, 1.0, 0.0, spec))
+    ratio = transition_density(idx, 1.0, x) / transition_density(idx, 1.0, 0.0)
     return min(1.0, max(0.0, ratio))

@@ -16,7 +16,6 @@ independent of G_a.  The same objects for |X| hit the set {a, -a}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,10 +50,6 @@ class HittingQuery:
 
     def u(self, y: float) -> float:
         return resolvent_density(self.idx, self.q, y)
-
-
-def _query(idx, q, x=0.0, a=1.0, b=None, r=None) -> HittingQuery:
-    return HittingQuery(as_index(idx), q, x, a, b, r)
 
 
 def lt_hit_point(query: HittingQuery) -> float:
@@ -98,14 +93,14 @@ def prob_hit_before(idx, x: float, a: float, b: float) -> float:
 
 def lt_last_exit(idx, q: float, a: float) -> float:
     """E[e^{-q G_a}] = (u(0)^2 - u(a)^2) / (2 h(a) u(0))."""
-    query = _query(idx, q, a=_nonzero(a))
+    query = HittingQuery(idx, q, a=_nonzero(a))
     u0, ua = query.u(0.0), query.u(a)
     return (u0 * u0 - ua * ua) / (2.0 * potential_kernel(query.idx, a) * u0)
 
 
 def lt_post_exit(idx, q: float, a: float) -> float:
     """E[e^{-q (T_a - G_a)}] = 2 h(a) u(a) / (u(0)^2 - u(a)^2)."""
-    query = _query(idx, q, a=_nonzero(a))
+    query = HittingQuery(idx, q, a=_nonzero(a))
     u0, ua = query.u(0.0), query.u(a)
     return 2.0 * potential_kernel(query.idx, a) * ua / (u0 * u0 - ua * ua)
 
@@ -120,7 +115,7 @@ def excursion_hit_lt(idx, q: float, a: float, r: Optional[float] = None) -> floa
     """n[e^{-q T_a - r (zeta - T_a)}; T_a < zeta]
     = (u_r(a)/u_r(0)) u_q(a) / (u_q(0)^2 - u_q(a)^2); r = None takes r -> 0+,
     where the leading ratio tends to 1."""
-    query = _query(idx, q, a=_nonzero(a), r=r)
+    query = HittingQuery(idx, q, a=_nonzero(a), r=r)
     u0, ua = query.u(0.0), query.u(a)
     out = ua / (u0 * u0 - ua * ua)
     if r is not None:
@@ -131,7 +126,7 @@ def excursion_hit_lt(idx, q: float, a: float, r: Optional[float] = None) -> floa
 
 def lt_hit_abs(idx, q: float, a: float) -> float:
     """E[e^{-q T_a(|X|)}] = 2 u(a) / (u(0) + u(2a))."""
-    query = _query(idx, q, a=_nonzero(a))
+    query = HittingQuery(idx, q, a=_nonzero(a))
     return 2.0 * query.u(a) / (query.u(0.0) + query.u(2.0 * a))
 
 
@@ -144,7 +139,7 @@ def lt_hit_abs_series(idx, q: float, a: float, n_terms: int):
     """
     if n_terms < 2:
         raise DomainError("need n_terms >= 2")
-    query = _query(idx, q, a=_nonzero(a))
+    query = HittingQuery(idx, q, a=_nonzero(a))
     u0 = query.u(0.0)
     phi_a = query.u(a) / u0
     phi_2a = query.u(2.0 * a) / u0
@@ -169,13 +164,13 @@ def leg_decomposition_gap(idx, q: float, a: float, n: int) -> float:
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    query = _query(idx, q, a=_nonzero(a))
+    query = HittingQuery(idx, q, a=_nonzero(a))
     u = query.u
     u0 = u(0.0)
     direct = (u((2 * n + 1) * a) / u0
               - (u((2 * n - 1) * a) / u0) * (u(2.0 * a) / u0))
-    before = lt_hit_before(_query(idx, q, x=0.0, a=(2 * n + 1) * a,
-                                  b=(2 * n - 1) * a))
+    before = lt_hit_before(HittingQuery(idx, q, x=0.0, a=(2 * n + 1) * a,
+                                        b=(2 * n - 1) * a))
     routed = before * (1.0 - (u(2.0 * a) / u0) ** 2)
     if abs(direct - routed) > 1e-9:
         raise ConsistencyError(
@@ -193,7 +188,7 @@ def _v_q(query: HittingQuery) -> float:
 
 def lt_hit_three(idx, q: float, x: float, a: float) -> float:
     """E[e^{-q T_{{0, a, -a}}}] started at x."""
-    query = _query(idx, q, x=x, a=_nonzero(a))
+    query = HittingQuery(idx, q, x=x, a=_nonzero(a))
     u = query.u
     v = _v_q(query)
     u0 = u(0.0)
@@ -205,7 +200,7 @@ def lt_hit_three(idx, q: float, x: float, a: float) -> float:
 def lt_hit_pair_before_zero(idx, q: float, x: float, a: float) -> float:
     """E[e^{-q T_{{a,-a}}}; T_{{a,-a}} < T_0] started at x:
     (u(0) (u(x-a) + u(x+a)) - 2 u(a) u(x)) / V_q(a)."""
-    query = _query(idx, q, x=x, a=_nonzero(a))
+    query = HittingQuery(idx, q, x=x, a=_nonzero(a))
     u = query.u
     return ((u(0.0) * (u(x - a) + u(x + a)) - 2.0 * u(a) * u(x))
             / _v_q(query))
@@ -219,14 +214,14 @@ def _h_combo(idx, a: float) -> float:
 
 def lt_last_exit_abs(idx, q: float, a: float) -> float:
     """E[e^{-q G_a(|X|)}] = 2 V_q(a) / ((u(0) + u(2a)) (4h(a) - h(2a)))."""
-    query = _query(idx, q, a=_nonzero(a))
+    query = HittingQuery(idx, q, a=_nonzero(a))
     return (2.0 * _v_q(query)
             / ((query.u(0.0) + query.u(2.0 * a)) * _h_combo(query.idx, a)))
 
 
 def lt_post_exit_abs(idx, q: float, a: float) -> float:
     """E[e^{-q (T_a - G_a)(|X|)}] = u(a) (4h(a) - h(2a)) / V_q(a)."""
-    query = _query(idx, q, a=_nonzero(a))
+    query = HittingQuery(idx, q, a=_nonzero(a))
     return query.u(a) * _h_combo(query.idx, a) / _v_q(query)
 
 
@@ -243,7 +238,7 @@ def excursion_hit_lt_abs(idx, q: float, a: float, r: Optional[float] = None) -> 
     = (u_r(a)/u_r(0)) 2 u_q(a) / V_q(a); r = None takes r -> 0+."""
     if a <= 0:
         raise DomainError("a must be positive")
-    query = _query(idx, q, a=a, r=r)
+    query = HittingQuery(idx, q, a=a, r=r)
     out = 2.0 * query.u(a) / _v_q(query)
     if r is not None:
         out *= (resolvent_density(query.idx, r, a)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -30,27 +30,24 @@ _LD = np.longdouble
 # 16-point Gauss-Legendre rule, reused for every half-period panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
+# Half-period segments summed directly before the alternating-series
+# acceleration is consulted.
+_OSCILLATORY_TERMS = 10
+
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances and panel budgets for the quadrature engines.
-
-    ``oscillatory_terms`` is the number of half-period segments summed
-    directly before the alternating-series acceleration is consulted.
-    """
+    """Tolerances and panel budgets for the quadrature engines."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_panels: int = 400
-    oscillatory_terms: int = 10
 
     def __post_init__(self):
         if self.abs_tol < 0 or self.rel_tol < 0 or self.abs_tol + self.rel_tol <= 0:
             raise DomainError("need abs_tol + rel_tol > 0 with both nonnegative")
         if self.max_panels < 1:
             raise DomainError("max_panels must be >= 1")
-        if self.oscillatory_terms < 1:
-            raise DomainError("oscillatory_terms must be >= 1")
 
     def tolerance(self, scale: float) -> float:
         return max(self.abs_tol, self.rel_tol * abs(scale))
@@ -118,14 +115,14 @@ def _averaged_apex(sums: Sequence[float]) -> float:
     return float(row[0])
 
 
-def _cos_panel_series(gv, w: float, k_start: int, spec: QuadSpec,
-                      base: float = 0.0) -> float:
+def _cos_panel_series(gv, w: float, k_start: int, base: float = 0.0,
+                      spec: QuadSpec = DEFAULT_SPEC) -> float:
     """Sum_{k>=k_start} of int_{z_{k-1}}^{z_k} cos(w x) g(x) dx with
     z_k = (k + 1/2) pi / w.
 
     Panels alternate in sign because g is positive; the series is summed
     directly while the terms still carry weight and accelerated by repeated
-    averaging of the partial sums once ``spec.oscillatory_terms`` segments
+    averaging of the partial sums once ``_OSCILLATORY_TERMS`` segments
     have been taken.  ``base`` only feeds the relative-tolerance scale.
     """
     half_period = math.pi / w
@@ -153,7 +150,7 @@ def _cos_panel_series(gv, w: float, k_start: int, spec: QuadSpec,
         # alternating series: remainder is bounded by the next term
         if abs(panels[-1]) < 0.05 * tol and n_panels >= 2:
             return running
-        if n_panels >= spec.oscillatory_terms + 4 and len(tail_sums) >= 8:
+        if n_panels >= _OSCILLATORY_TERMS + 4 and len(tail_sums) >= 8:
             # apexes of windows ending two, one and zero panels ago
             a0 = _averaged_apex(tail_sums[-(window + 2):-2])
             a1 = _averaged_apex(tail_sums[-(window + 1):-1])
@@ -187,7 +184,7 @@ def integrate_oscillatory_cos(g, w: float, spec: QuadSpec = DEFAULT_SPEC) -> flo
         # break points stop QUADPACK skipping a sharply concentrated g
         pts = np.geomspace(min(1.0, 0.25 * z0), z0, 48)[:-1]
         head = _quad(f, 0.0, z0, spec, points=pts)
-    return head + _cos_panel_series(gv, w, 1, spec, base=head)
+    return head + _cos_panel_series(gv, w, 1, base=head, spec=spec)
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,11 @@ symmetric stable process normalized by E[e^{i theta X(t)}] = e^{-t|theta|^alpha}
 
 All evaluations reduce to t = 1 (density) or q = 1 (resolvent) through the
 self-similarity scaling before any quadrature runs, so the oscillatory
-envelope is always well conditioned.  alpha = 2 dispatches to the Gaussian
-closed forms; the quadrature path is still exercised against them in tests.
+envelope is always well conditioned.  p_1 and u_1 each have exactly one
+evaluator, the cached kernels ``_p1`` and ``_u1``; the Linnik density of
+``distributions`` is u_1 itself and shares that cache.  alpha = 2 dispatches
+to the Gaussian closed forms outside the kernels, so the quadrature path is
+still exercised against them in tests.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .numerics import (DEFAULT_SPEC, QuadSpec, _cos_panel_series,
-                       _as_vectorized, integrate_adaptive,
+from .numerics import (_as_vectorized, _cos_panel_series, integrate_adaptive,
                        integrate_oscillatory_cos)
 
 
@@ -64,7 +66,7 @@ def u1_zero(alpha: float) -> float:
     return math.gamma(1.0 - g) * math.gamma(g) / (alpha * math.pi)
 
 
-def transition_density(idx, t: float, x: float, spec: QuadSpec | None = None) -> float:
+def transition_density(idx, t: float, x: float) -> float:
     """Density of X(t) at x, via p_t(x) = t^{-1/a} p_1(x t^{-1/a})."""
     idx = as_index(idx)
     if t <= 0:
@@ -72,14 +74,10 @@ def transition_density(idx, t: float, x: float, spec: QuadSpec | None = None) ->
     if idx.alpha == 2.0:
         return math.exp(-x * x / (4.0 * t)) / (2.0 * math.sqrt(math.pi * t))
     scale = t ** -idx.gamma
-    w = abs(x) * scale
-    if spec is None:
-        return scale * _p1(idx.alpha, w)
-    return scale * integrate_oscillatory_cos(
-        lambda s: np.exp(-s ** idx.alpha), w, spec) / math.pi
+    return scale * _p1(idx.alpha, abs(x) * scale)
 
 
-def resolvent_density(idx, q: float, x: float, spec: QuadSpec | None = None) -> float:
+def resolvent_density(idx, q: float, x: float) -> float:
     """Resolvent density u_q(x), via u_q(x) = q^{1/a - 1} u_1(x q^{1/a})."""
     idx = as_index(idx).require_point_hitting()
     if q <= 0:
@@ -88,16 +86,12 @@ def resolvent_density(idx, q: float, x: float, spec: QuadSpec | None = None) -> 
         rq = math.sqrt(q)
         return math.exp(-rq * abs(x)) / (2.0 * rq)
     scale = q ** idx.gamma
-    w = abs(x) * scale
-    if spec is None:
-        return (scale / q) * _u1(idx.alpha, w)
-    return (scale / q) * integrate_oscillatory_cos(
-        lambda s: 1.0 / (1.0 + s ** idx.alpha), w, spec) / math.pi
+    return (scale / q) * _u1(idx.alpha, abs(x) * scale)
 
 
-def resolvent_gap(idx, q: float, x: float, spec: QuadSpec | None = None) -> float:
+def resolvent_gap(idx, q: float, x: float) -> float:
     """u_q(0) - u_q(x); nonnegative, tends to the potential kernel as q -> 0."""
-    gap = resolvent_density(idx, q, 0.0, spec) - resolvent_density(idx, q, x, spec)
+    gap = resolvent_density(idx, q, 0.0) - resolvent_density(idx, q, x)
     return max(gap, 0.0)
 
 
@@ -114,7 +108,7 @@ def potential_kernel(idx, x: float) -> float:
     return potential_kernel_at_one(idx.alpha) * abs(x) ** (idx.alpha - 1.0)
 
 
-def one_minus_cos_integral(alpha: float, spec: QuadSpec = DEFAULT_SPEC) -> float:
+def one_minus_cos_integral(alpha: float) -> float:
     """(1/pi) int_0^inf (1 - cos x) / x^alpha dx for 1 < alpha < 3, by quadrature.
 
     The closed form of this constant is a test oracle, not the implementation.
@@ -127,8 +121,8 @@ def one_minus_cos_integral(alpha: float, spec: QuadSpec = DEFAULT_SPEC) -> float
     k_cut = 8
     z = (k_cut + 0.5) * math.pi
     head = integrate_adaptive(
-        lambda x: 2.0 * math.sin(0.5 * x) ** 2 / x ** alpha, 0.0, z, spec)
+        lambda x: 2.0 * math.sin(0.5 * x) ** 2 / x ** alpha, 0.0, z)
     power_tail = z ** (1.0 - alpha) / (alpha - 1.0)
     gv = _as_vectorized(lambda x: x ** -alpha)
-    cos_tail = _cos_panel_series(gv, 1.0, k_cut + 1, spec, base=head)
+    cos_tail = _cos_panel_series(gv, 1.0, k_cut + 1, base=head)
     return (head + power_tail - cos_tail) / math.pi

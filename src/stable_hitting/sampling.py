@@ -206,7 +206,11 @@ def _bracket_quantiles(cdf, p_lo, p_hi, t0=1.0, max_steps=200):
 def sample_size_biased_stable(beta: float, stream: RandomStream, size=None):
     """Draw of the one-sided stable law reweighted by t^{-1/2}, by inverse
     interpolation of the tabulated tilted CDF (bias bounded by the table
-    resolution; the table spans quantiles 1e-8 to 1 - 1e-8)."""
+    resolution; the table spans quantiles 1e-8 to 1 - 1e-8).
+
+    The table builds for beta <= 0.9.  Probed on a grid, the build raises
+    TableBuildError for 0.905 <= beta <= 0.99 (the tilted CDF comes out
+    non-monotone) and OverflowError from beta = 0.991."""
     if not 0.0 < beta < 1.0:
         raise DomainError("one-sided index must lie in (0, 1)")
     log_grid, probs = _size_biased_table(beta)

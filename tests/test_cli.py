@@ -3,7 +3,11 @@ import math
 
 import pytest
 
+from stable_hitting import hitting_laws as hl
+from stable_hitting import verify as vf
 from stable_hitting.cli import main
+from stable_hitting.errors import NonConvergence
+from stable_hitting.numerics import laplace_invert_cdf
 
 
 def run(capsys, *argv):
@@ -112,8 +116,55 @@ class TestSample:
     def test_missing_param(self, capsys):
         assert run(capsys, "sample", "gamma", "-n", "2")[0] == 2
 
+    def test_zero_draws_usage_error(self, capsys):
+        code, out, err = run(capsys, "sample", "t-point", "--alpha", "1.5",
+                             "--a", "1", "-n", "0")
+        assert code == 2
+        assert out == ""
+        assert "-n" in err
+
+    def test_zero_streams_usage_error(self, capsys):
+        code, out, err = run(capsys, "sample", "exponential", "-n", "5",
+                             "--streams", "0")
+        assert code == 2
+        assert out == ""
+        assert "--streams" in err
+
+    def test_overflow_exit_one(self, capsys):
+        code, _, err = run(capsys, "sample", "size-biased", "--beta", "0.995",
+                           "-n", "3")
+        assert code == 1
+        assert err.startswith("sample:")
+
+
+# each invert kind and the hitting_laws transform it inverts
+INVERTED = {
+    "lt-T": lambda al, q, a: hl.lt_hit_point(hl.HittingQuery(al, q, a=a)),
+    "lt-G": hl.lt_last_exit,
+    "lt-Xi": hl.lt_post_exit,
+    "lt-T-abs": hl.lt_hit_abs,
+    "lt-G-abs": hl.lt_last_exit_abs,
+    "lt-Xi-abs": hl.lt_post_exit_abs,
+}
+
 
 class TestInvert:
+    @pytest.mark.parametrize("kind", sorted(INVERTED))
+    def test_kind_matches_library(self, capsys, kind):
+        code, out, _ = run(capsys, "invert", kind, "--alpha", "1.5",
+                           "--a", "1", "--t", "0.5,1,2")
+        assert code == 0
+        got = rows(out)
+        assert [float(r["t"]) for r in got] == [0.5, 1.0, 2.0]
+        for r in got:
+            want = laplace_invert_cdf(
+                lambda q: INVERTED[kind](1.5, float(q), 1.0), float(r["t"]))
+            assert float(r["p"]) == want
+
+    def test_non_transform_kind_usage(self, capsys):
+        assert run(capsys, "invert", "exc-n", "--alpha", "1.5", "--a", "1",
+                   "--t", "1")[0] == 2
+
     def test_brownian_hit_cdf(self, capsys):
         code, out, _ = run(capsys, "invert", "lt-T", "--alpha", "2",
                            "--a", "1", "--t", "0.5,1,2,4", "--terms", "16")
@@ -136,6 +187,15 @@ class TestInvert:
 class TestVerify:
     def test_unknown_suite_exit_two(self, capsys):
         assert run(capsys, "verify", "unknown")[0] == 2
+
+    def test_numeric_failure_exit_one(self, capsys, monkeypatch):
+        def stalls(idx_grid, seed, n_samples):
+            raise NonConvergence("quadrature stalled")
+        monkeypatch.setitem(vf._SUITES, "brownian_oracle", stalls)
+        code, out, err = run(capsys, "verify", "brownian_oracle")
+        assert code == 1
+        assert out == ""
+        assert "quadrature stalled" in err
 
     def test_brownian_oracle_passes(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify", "brownian_oracle",

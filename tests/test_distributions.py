@@ -13,6 +13,7 @@ from stable_hitting.distributions import (alpha_cauchy_charfn,
                                           relation_r_constant, z_density,
                                           z_levy_exponent)
 from stable_hitting.numerics import integrate_adaptive, integrate_oscillatory_cos
+from stable_hitting.resolvent import resolvent_density
 
 
 class TestBetaPrime:
@@ -64,6 +65,12 @@ class TestLinnik:
     def test_normalization(self):
         val = 2 * integrate_adaptive(lambda x: linnik_density(1.5, x), 0, math.inf)
         assert val == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+    def test_is_unit_resolvent(self, alpha):
+        # the Linnik density is u_1, evaluated by the same kernel
+        for x in (-2.0, 0.0, 0.5, 3.0):
+            assert linnik_density(alpha, x) == resolvent_density(alpha, 1.0, x)
 
     def test_domain(self):
         with pytest.raises(DomainError):
