@@ -39,7 +39,8 @@ def _fmt(v) -> str:
 
 
 def _emit(row) -> None:
-    print(",".join(str(c) for c in row), flush=True)
+    # buffered; ``main`` flushes once when the command returns
+    print(",".join(str(c) for c in row))
 
 
 # -------------------------------------------------------------------- eval
@@ -218,7 +219,6 @@ def _cmd_verify(args) -> int:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(vf.report_to_csv(reports))
-    sys.stdout.flush()
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -294,6 +294,8 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.stdout.flush()
 
 
 if __name__ == "__main__":

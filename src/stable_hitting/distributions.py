@@ -42,8 +42,11 @@ def alpha_cauchy_density(alpha: float, x: float) -> float:
 def linnik_density(alpha: float, x: float) -> float:
     """Density of the law with characteristic function 1/(1+|theta|^alpha),
     (1/pi) int_0^inf cos(x theta) / (1+theta^alpha) dtheta.  This is the
-    resolvent density u_1(x), so it is the cached kernel ``resolvent._u1``
-    (by quadrature at alpha = 2 too, unlike ``resolvent_density``)."""
+    resolvent density u_1(x), so it is the cached kernel ``resolvent._u1``:
+    a tanh-sinh rule on the rotated, non-oscillatory contour integral for
+    alpha < 2 and x != 0, e^{-|x|}/2 at alpha = 2, and the closed form
+    ``resolvent.u1_zero`` at x = 0, where the density is infinite for
+    alpha <= 1 and this raises DomainError."""
     if not 0.0 < alpha <= 2.0:
         raise DomainError("Linnik index must lie in (0, 2]")
     return _u1(float(alpha), abs(float(x)))

@@ -167,8 +167,13 @@ def _size_biased_table(beta: float):
 
         def f(u):
             log_a = _log_zolotarev_a(u, beta)
-            return math.exp(-s * log_a) * special.gammaincc(
-                1.0 + s, math.exp(log_a + log_tc))
+            try:
+                return math.exp(-s * log_a) * special.gammaincc(
+                    1.0 + s, math.exp(log_a + log_tc))
+            except OverflowError:
+                raise TableBuildError(
+                    f"tilted CDF overflows for beta={beta} at t={t:g}; the "
+                    "table builds only for beta <= 0.902") from None
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -209,8 +214,8 @@ def sample_size_biased_stable(beta: float, stream: RandomStream, size=None):
     resolution; the table spans quantiles 1e-8 to 1 - 1e-8).
 
     The table builds for beta <= 0.9.  Probed on a grid, the build raises
-    TableBuildError for 0.905 <= beta <= 0.99 (the tilted CDF comes out
-    non-monotone) and OverflowError from beta = 0.991."""
+    TableBuildError for 0.905 <= beta <= 0.99, where the tilted CDF comes
+    out non-monotone, and from beta = 0.991, where its integrand overflows."""
     if not 0.0 < beta < 1.0:
         raise DomainError("one-sided index must lie in (0, 1)")
     log_grid, probs = _size_biased_table(beta)

@@ -1,9 +1,12 @@
+import io
 import json
 import math
+import sys
 
 import pytest
 
 from stable_hitting import hitting_laws as hl
+from stable_hitting import sampling as smp
 from stable_hitting import verify as vf
 from stable_hitting.cli import main
 from stable_hitting.errors import NonConvergence
@@ -60,6 +63,12 @@ class TestEval:
                            "--q", "1", "--x", "0")
         assert code == 1
         assert "alpha" in err
+
+    def test_linnik_origin_below_one_exit_one(self, capsys):
+        code, _, err = run(capsys, "eval", "linnik", "--alpha", "0.8",
+                           "--x", "0")
+        assert code == 1
+        assert "alpha <= 1" in err
 
     def test_unknown_kind_usage(self, capsys):
         assert run(capsys, "eval", "nope", "--alpha", "2")[0] == 2
@@ -135,6 +144,7 @@ class TestSample:
                            "-n", "3")
         assert code == 1
         assert err.startswith("sample:")
+        assert "beta=0.995" in err
 
 
 # each invert kind and the hitting_laws transform it inverts
@@ -219,3 +229,52 @@ class TestVerify:
 
 def test_no_command_usage(capsys):
     assert main([]) == 2
+
+
+class FlushCounter(io.StringIO):
+    """A stdout that counts its flushes."""
+
+    def __init__(self):
+        super().__init__()
+        self.flushes = 0
+
+    def flush(self):
+        self.flushes += 1
+        super().flush()
+
+
+def _eval_lines():
+    lines = ["alpha,q,a,x,value"]
+    for q in (0.5, 2.0):
+        value = hl.lt_hit_point(hl.HittingQuery(1.5, q, x=0.0, a=1.0))
+        lines.append(f"1.5,{q!r},1.0,0.0,{value!r}")
+    return lines
+
+
+def _invert_lines():
+    lines = ["t,p,note"]
+    best = 0.0
+    for t in (0.5, 2.0):
+        p = laplace_invert_cdf(
+            lambda q: hl.lt_hit_point(hl.HittingQuery(1.5, float(q), a=1.0)), t)
+        best = max(best, p)
+        lines.append(f"{t!r},{best!r},")
+    return lines
+
+
+def _sample_lines():
+    draws = smp.sample_gamma(2.0, smp.RandomStream(3, 0), 4)
+    return ["draw"] + [repr(float(v)) for v in draws]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("eval", "lt-T", "--alpha", "1.5", "--q", "0.5,2", "--a", "1"), _eval_lines),
+    (("invert", "lt-T", "--alpha", "1.5", "--a", "1", "--t", "0.5,2"), _invert_lines),
+    (("sample", "gamma", "--a", "2", "-n", "4", "--seed", "3"), _sample_lines),
+], ids=["eval", "invert", "sample"])
+def test_rows_written_unchanged_and_flushed_once(monkeypatch, argv, expected):
+    out = FlushCounter()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(list(argv)) == 0
+    assert out.getvalue() == "\n".join(expected()) + "\n"
+    assert out.flushes == 1

@@ -13,7 +13,7 @@ from stable_hitting.distributions import (alpha_cauchy_charfn,
                                           relation_r_constant, z_density,
                                           z_levy_exponent)
 from stable_hitting.numerics import integrate_adaptive, integrate_oscillatory_cos
-from stable_hitting.resolvent import resolvent_density
+from stable_hitting.resolvent import resolvent_density, u1_zero
 
 
 class TestBetaPrime:
@@ -75,6 +75,14 @@ class TestLinnik:
     def test_domain(self):
         with pytest.raises(DomainError):
             linnik_density(2.5, 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.0])
+    def test_origin_diverges_for_alpha_at_most_one(self, alpha):
+        with pytest.raises(DomainError, match="alpha <= 1"):
+            linnik_density(alpha, 0.0)
+        with pytest.raises(DomainError, match="alpha <= 1"):
+            u1_zero(alpha)
+        assert linnik_density(alpha, 0.5) > 0.0
 
 
 class TestRelationR:

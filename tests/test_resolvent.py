@@ -1,18 +1,36 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stable_hitting.errors import DomainError
+from stable_hitting.errors import DomainError, NonConvergence
 from stable_hitting.numerics import integrate_adaptive, integrate_oscillatory_cos
-from stable_hitting.resolvent import (StableIndex, as_index,
+from stable_hitting.resolvent import (StableIndex, _u1, as_index,
                                       one_minus_cos_integral,
                                       potential_kernel,
                                       potential_kernel_at_one,
                                       resolvent_density, resolvent_gap,
                                       transition_density, u1_zero)
+
+
+def u1_rotated(alpha, w):
+    """u_1(w), w > 0, at 40 digits: (sin(pi a/2)/pi) int_0^1 [v^a e^{-wv}
+    + v^{a-2} e^{-w/v}] / (1 + 2 cos(pi a/2) v^a + v^{2a}) dv, split where
+    the cutoff of one of the exponentials sits."""
+    with mp.workdps(40):
+        a, w = mp.mpf(alpha), mp.mpf(w)
+        c, s = mp.cos(mp.pi * a / 2), mp.sin(mp.pi * a / 2)
+
+        def f(v):
+            va = v ** a
+            return ((va * mp.exp(-w * v) + va / (v * v) * mp.exp(-w / v))
+                    / (1 + 2 * c * va + va * va))
+
+        cuts = sorted({min(w, 1 / w), mp.mpf(1)})
+        return float(s / mp.pi * mp.quad(f, [0] + cuts))
 
 
 class TestStableIndex:
@@ -109,6 +127,34 @@ class TestResolventDensity:
         rate = potential_kernel(1.5, 1.0) / u1_zero(1.5)
         assert ratios[2] == pytest.approx(1.0 - rate * 1e-6 ** (1 / 3), abs=1e-4)
         assert ratios[2] > 0.98
+
+
+class TestU1Kernel:
+    @pytest.mark.parametrize("alpha", [0.7, 1.01, 1.5, 1.9, 1.99, 1.999])
+    def test_matches_rotated_integral(self, alpha):
+        for w in (1e-4, 0.1, 1.0, 10.0, 1e3, 1e5):
+            assert _u1(alpha, w) == pytest.approx(u1_rotated(alpha, w),
+                                                  rel=1e-9, abs=0.0)
+
+    def test_positive_far_out_near_alpha_two(self):
+        value = _u1(1.999, 1e6)
+        assert value > 0.0
+        assert value == pytest.approx(u1_rotated(1.999, 1e6), rel=1e-9, abs=0.0)
+
+    def test_alpha_two_is_gaussian(self):
+        for w in (0.0, 0.5, 3.0, 40.0):
+            assert _u1(2.0, w) == math.exp(-w) / 2
+
+    def test_origin_is_closed_form(self):
+        assert _u1(1.5, 0.0) == u1_zero(1.5)
+        with pytest.raises(DomainError, match="alpha <= 1"):
+            _u1(0.8, 0.0)
+
+    def test_unresolved_rule_raises(self):
+        # at alpha = 1.999 the cutoff at w = 1e-14 and the near-double root
+        # at v = 1 lie too far apart for the rule's half-step check to pass
+        with pytest.raises(NonConvergence, match="half-step"):
+            _u1(1.999, 1e-14)
 
 
 class TestResolventGap:
