@@ -5,9 +5,9 @@ and cross-verification suites."""
 from .errors import (BracketError, ConsistencyError, DegenerateDenominator,
                      DomainError, NonConvergence, NumericInstability,
                      TableBuildError, UnknownSuite)
-from .numerics import (DEFAULT_SPEC, LaplaceTransform, QuadSpec,
-                       integrate_adaptive, integrate_oscillatory_cos,
-                       invert_monotone, laplace_invert_cdf)
+from .numerics import (LaplaceTransform, integrate_adaptive,
+                       integrate_oscillatory_cos, invert_monotone,
+                       laplace_invert_cdf)
 from .resolvent import (StableIndex, as_index, one_minus_cos_integral,
                         potential_kernel, potential_kernel_at_one,
                         resolvent_density, resolvent_gap, transition_density,

@@ -122,7 +122,7 @@ SAMPLE_DISTS = {
     "excursion": (("gamma",), lambda p, s, n: smp.sample_excursion_age_duration(p["gamma"], s, n)),
     "excursion-exp": (("gamma",), lambda p, s, n: smp.sample_excursion_at_exp_time(p["gamma"], s, n)),
     "gamma-series": (("a", "t"), lambda p, s, n: smp.sample_gamma_series_subordinator(
-        p["a"], p["t"], s, n, n_terms=int(p.get("terms") or 10_000))),
+        p["a"], p["t"], s, n, **({"n_terms": int(p["terms"])} if "terms" in p else {}))),
     "tanh-law": ((), lambda p, s, n: smp.sample_from_lt(
         smp.tanh_subordinator_lt(p.get("t") or 1.0), s, n)),
 }

@@ -2,22 +2,21 @@
 stable hitting times: beta-prime, alpha-Cauchy, Linnik, symmetric z-laws,
 Meixner, and the alpha-Rayleigh survival function.
 
-Characteristic functions are computed by real cosine quadrature throughout
-(every law here is symmetric where a char-fn is needed), never by complex
-arithmetic.  z and Meixner densities are evaluated in log space so large |x|
-underflows gracefully instead of overflowing the intermediate exponentials.
+The alpha-Cauchy characteristic function is a real cosine quadrature of its
+symmetric density.  The z-process Levy exponent, and with it the Meixner
+density, is the closed form in log Gamma at a complex argument.  z and
+Meixner densities are evaluated in log space so large |x| underflows
+gracefully instead of overflowing the intermediate exponentials.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .numerics import (_as_vectorized, _cos_panel_series, integrate_adaptive,
-                       integrate_oscillatory_cos)
+from .numerics import integrate_oscillatory_cos
 from .resolvent import _u1, as_index, transition_density
 
 
@@ -86,37 +85,18 @@ def z_density(a: float, x: float) -> float:
 
 def z_levy_exponent(a: float, theta: float) -> float:
     """Levy exponent Phi_a of the symmetric z-process:
-    2 int_0^inf (1 - cos(theta u)) e^{-a pi u} / (u (1 - e^{-pi u})) du.
+    2 int_0^inf (1 - cos(theta u)) e^{-a pi u} / (u (1 - e^{-pi u})) du,
+    in closed form 2 log Gamma(a) - 2 Re log Gamma(a + i theta/pi).
 
-    For small frequencies one adaptive pass is enough; for large ones the
-    1 - cos part is split off the same way as the potential-kernel integral
-    so the oscillation is summed as an alternating series."""
+    Pitman, J. and Yor, M. (2003).  Infinitely divisible laws associated with
+    hyperbolic functions.  Canadian Journal of Mathematics 55(2):292-330.
+    """
     if a <= 0:
         raise DomainError("shape must be positive")
-    th = abs(theta)
-    if th == 0.0:
+    if theta == 0.0:
         return 0.0
-
-    def envelope(u):
-        # e^{-a pi u} / (u (1 - e^{-pi u})); ~ 1/(pi u^2) at 0
-        return np.exp(-a * math.pi * u) / (u * -np.expm1(-math.pi * u))
-
-    def integrand(u):
-        if u == 0.0:
-            return th * th / (2.0 * math.pi)
-        return 2.0 * math.sin(0.5 * th * u) ** 2 * envelope(u)
-
-    # effective support of the envelope, then oscillation count
-    u_max = 45.0 / (a * math.pi) + 2.0
-    if th * u_max / (2.0 * math.pi) <= 8.0:
-        return 2.0 * integrate_adaptive(integrand, 0.0, math.inf)
-    k_cut = 2
-    z = (k_cut + 0.5) * math.pi / th
-    head = integrate_adaptive(integrand, 0.0, z)
-    flat = integrate_adaptive(lambda u: envelope(u), z, math.inf)
-    cos_tail = _cos_panel_series(_as_vectorized(envelope), th, k_cut + 1,
-                                 base=head + flat)
-    return 2.0 * (head + flat - cos_tail)
+    return 2.0 * (special.gammaln(a)
+                  - special.loggamma(complex(a, abs(theta) / math.pi)).real)
 
 
 def meixner_density(beta: float, t: float, x: float) -> float:

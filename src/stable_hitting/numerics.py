@@ -2,7 +2,8 @@
 
 Three workhorses live here:
 
-* ``integrate_adaptive``   -- thin wrapper over QUADPACK for smooth integrands,
+* ``integrate_adaptive``   -- QUADPACK for smooth integrands, with its error
+  estimate checked against the fixed tolerance,
 * ``integrate_oscillatory_cos`` -- Fourier-cosine integrals over (0, inf),
   partitioned at the cosine zeros with averaging (Euler) acceleration of the
   alternating panel series,
@@ -34,26 +35,21 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # acceleration is consulted.
 _OSCILLATORY_TERMS = 10
 
+# Every quadrature accepts an error up to max(ABS_TOL, REL_TOL |value|);
+# QUADPACK subdivides at most MAX_PANELS times, and the panel series takes at
+# most 1000 * MAX_PANELS half-periods.
+ABS_TOL = 1e-10
+REL_TOL = 1e-9
+MAX_PANELS = 400
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Tolerances and panel budgets for the quadrature engines."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_panels: int = 400
-
-    def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0 or self.abs_tol + self.rel_tol <= 0:
-            raise DomainError("need abs_tol + rel_tol > 0 with both nonnegative")
-        if self.max_panels < 1:
-            raise DomainError("max_panels must be >= 1")
-
-    def tolerance(self, scale: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(scale))
+# Largest accepted gap between the Gaver-Stehfest estimates at n and n - 2
+# terms.
+_DIVERGENCE_TOL = 0.1
 
 
-DEFAULT_SPEC = QuadSpec()
+def tolerance(scale: float) -> float:
+    """Error accepted for an integral of size ``scale``."""
+    return max(ABS_TOL, REL_TOL * abs(scale))
 
 
 @dataclass(frozen=True)
@@ -72,24 +68,25 @@ class LaplaceTransform:
         return self.eval(q)
 
 
-def integrate_adaptive(f, lo: float, hi: float, spec: QuadSpec = DEFAULT_SPEC) -> float:
-    """Adaptive quadrature of ``f`` over (lo, hi); ``hi`` may be +inf."""
-    return _quad(f, lo, hi, spec)
+def integrate_adaptive(f, lo: float, hi: float, points=None) -> float:
+    """Adaptive quadrature of ``f`` over (lo, hi); ``hi`` may be +inf.
 
-
-def _quad(f, lo, hi, spec, points=None):
-    kwargs = dict(epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                  limit=max(spec.max_panels, 50), full_output=1)
+    ``points`` are break points inside a finite interval.  A stalled
+    QUADPACK run, that is an error estimate above ten times ``tolerance``,
+    or a non-finite value raises NonConvergence.
+    """
+    kwargs = dict(epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_PANELS,
+                  full_output=1)
     if points is not None:
         kwargs["points"] = points
-        kwargs["limit"] = max(kwargs["limit"], len(points) + 50)
+        kwargs["limit"] = max(MAX_PANELS, len(points) + 50)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         out = integrate.quad(f, lo, hi, **kwargs)
     value, abserr = out[0], out[1]
     if not math.isfinite(value):
         raise NonConvergence(f"integral over ({lo}, {hi}) is not finite")
-    if len(out) > 3 and abserr > 10.0 * spec.tolerance(value):
+    if len(out) > 3 and abserr > 10.0 * tolerance(value):
         raise NonConvergence(f"quadrature over ({lo}, {hi}) stalled: {out[3]}")
     return value
 
@@ -115,8 +112,7 @@ def _averaged_apex(sums: Sequence[float]) -> float:
     return float(row[0])
 
 
-def _cos_panel_series(gv, w: float, k_start: int, base: float = 0.0,
-                      spec: QuadSpec = DEFAULT_SPEC) -> float:
+def _cos_panel_series(gv, w: float, k_start: int, base: float = 0.0) -> float:
     """Sum_{k>=k_start} of int_{z_{k-1}}^{z_k} cos(w x) g(x) dx with
     z_k = (k + 1/2) pi / w.
 
@@ -126,7 +122,7 @@ def _cos_panel_series(gv, w: float, k_start: int, base: float = 0.0,
     have been taken.  ``base`` only feeds the relative-tolerance scale.
     """
     half_period = math.pi / w
-    budget = 1000 * spec.max_panels
+    budget = 1000 * MAX_PANELS
     window = 30
     running = 0.0
     tail_sums: list[float] = []
@@ -146,7 +142,7 @@ def _cos_panel_series(gv, w: float, k_start: int, base: float = 0.0,
         tail_sums.extend(partial.tolist())
         del tail_sums[:-2 * window]
         n_panels += len(ks)
-        tol = spec.tolerance(base + running)
+        tol = tolerance(base + running)
         # alternating series: remainder is bounded by the next term
         if abs(panels[-1]) < 0.05 * tol and n_panels >= 2:
             return running
@@ -163,14 +159,14 @@ def _cos_panel_series(gv, w: float, k_start: int, base: float = 0.0,
         f"oscillatory panel budget ({budget}) exhausted at w={w}")
 
 
-def integrate_oscillatory_cos(g, w: float, spec: QuadSpec = DEFAULT_SPEC) -> float:
+def integrate_oscillatory_cos(g, w: float) -> float:
     """int_0^inf cos(w x) g(x) dx for positive, decreasing g.
 
     ``w = 0`` degenerates to ``integrate_adaptive``; the sign of ``w`` is
     irrelevant by evenness of the cosine.
     """
     if w == 0.0:
-        return integrate_adaptive(g, 0.0, math.inf, spec)
+        return integrate_adaptive(g, 0.0, math.inf)
     w = abs(w)
     gv = _as_vectorized(g)
 
@@ -179,12 +175,12 @@ def integrate_oscillatory_cos(g, w: float, spec: QuadSpec = DEFAULT_SPEC) -> flo
 
     z0 = 0.5 * math.pi / w
     if z0 <= 16.0:
-        head = _quad(f, 0.0, z0, spec)
+        head = integrate_adaptive(f, 0.0, z0)
     else:
         # break points stop QUADPACK skipping a sharply concentrated g
         pts = np.geomspace(min(1.0, 0.25 * z0), z0, 48)[:-1]
-        head = _quad(f, 0.0, z0, spec, points=pts)
-    return head + _cos_panel_series(gv, w, 1, base=head, spec=spec)
+        head = integrate_adaptive(f, 0.0, z0, points=pts)
+    return head + _cos_panel_series(gv, w, 1, base=head)
 
 
 @lru_cache(maxsize=None)
@@ -217,8 +213,7 @@ def _stehfest_sum(values, n_terms: int) -> float:
     return float(acc)
 
 
-def laplace_invert_cdf(phi, t: float, n_terms: int = 12,
-                       divergence_tol: float = 0.1) -> float:
+def laplace_invert_cdf(phi, t: float, n_terms: int = 12) -> float:
     """Gaver-Stehfest estimate of P(T < t) from phi(q) = E[e^{-qT}].
 
     The scheme inverts phi(q)/q at the real nodes q_k = k ln2 / t.  Nodes are
@@ -243,14 +238,14 @@ def laplace_invert_cdf(phi, t: float, n_terms: int = 12,
     check = _stehfest_sum(values[:n_terms - 2], n_terms - 2)
     if not (math.isfinite(est) and math.isfinite(check)):
         raise NumericInstability(f"non-finite inversion estimate at t={t}")
-    if abs(est - check) > divergence_tol:
+    if abs(est - check) > _DIVERGENCE_TOL:
         raise NumericInstability(
             f"estimates at {n_terms} and {n_terms - 2} terms differ by "
             f"{abs(est - check):.3g} at t={t}")
     return min(1.0, max(0.0, est))
 
 
-def invert_monotone(F, p: float, bracket, spec: QuadSpec = DEFAULT_SPEC) -> float:
+def invert_monotone(F, p: float, bracket) -> float:
     """Solve F(x) = p for nondecreasing F on the bracket (lo, hi)."""
     lo, hi = float(bracket[0]), float(bracket[1])
     f_lo, f_hi = F(lo), F(hi)
@@ -263,6 +258,6 @@ def invert_monotone(F, p: float, bracket, spec: QuadSpec = DEFAULT_SPEC) -> floa
         return hi
     root = optimize.brentq(lambda x: F(x) - p, lo, hi, xtol=1e-14,
                            rtol=8.9e-16, maxiter=200)
-    if abs(F(root) - p) > max(spec.abs_tol, 1e-12):
+    if abs(F(root) - p) > ABS_TOL:
         raise NonConvergence(f"root refinement stalled at x={root}")
     return float(root)

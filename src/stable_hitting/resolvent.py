@@ -26,8 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NonConvergence
-from .numerics import (DEFAULT_SPEC, _as_vectorized, _cos_panel_series,
-                       integrate_adaptive, integrate_oscillatory_cos)
+from .numerics import (_as_vectorized, _cos_panel_series, integrate_adaptive,
+                       integrate_oscillatory_cos, tolerance)
 
 # Tanh-sinh rule (Takahasi and Mori, 1974) for ``_u1``: nodes t_k = k/64 for
 # |k| <= 205, that is |t| <= 3.2.  At node t the tanh-sinh abscissa x on
@@ -89,8 +89,8 @@ def _u1(alpha: float, w: float) -> float:
     follows the cutoff of e^{-wv} to v ~ e/w.
 
     The rule is checked against its every-other-node half, the way
-    ``numerics._quad`` checks QUADPACK's error estimate: a gap above ten
-    times the default tolerance, or a value that is not finite and
+    ``numerics.integrate_adaptive`` checks QUADPACK's error estimate: a gap
+    above ten times ``numerics.tolerance``, or a value that is not finite and
     positive, raises ``NonConvergence``.  w = 0 is the closed form
     ``u1_zero`` (infinite for alpha <= 1) and alpha = 2 is e^{-w}/2.
     Callers pass w as a float, so the cache key is a float too.
@@ -112,7 +112,7 @@ def _u1(alpha: float, w: float) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise NonConvergence(
             f"u_1 rule gave {value!r} at alpha={alpha}, w={w}")
-    if abs(value - half) > 10.0 * DEFAULT_SPEC.tolerance(value):
+    if abs(value - half) > 10.0 * tolerance(value):
         raise NonConvergence(
             f"u_1 rule and its half-step rule differ by {abs(value - half):.3g}"
             f" at alpha={alpha}, w={w}")

@@ -364,28 +364,30 @@ def tanh_subordinator_lt(t: float = 1.0) -> LaplaceTransform:
     return LaplaceTransform(eval=phi, q_min=0.0, label=f"tanh-subordinator t={t}")
 
 
-def sample_from_lt(phi, stream: RandomStream, size=None, table_size: int = 512,
-                   n_terms: int = 12):
+# Log-spaced CDF points in the table of ``sample_from_lt``.
+_LT_TABLE_SIZE = 512
+
+
+def sample_from_lt(phi, stream: RandomStream, size=None, n_terms: int = 12):
     """Approximate draw of a positive law known only through its Laplace
     transform: Gaver-Stehfest CDF values on a log grid, inverse-sampled by
-    monotone interpolation.  Bias is bounded by the table resolution plus the
-    inversion error and is deterministic for a fixed table."""
-    log_grid, probs = _lt_table(phi, table_size, n_terms)
+    monotone interpolation on ``_LT_TABLE_SIZE`` points.  Bias is bounded by
+    the table resolution plus the inversion error and is deterministic for a
+    fixed table."""
+    log_grid, probs = _lt_table(phi, n_terms)
     v = stream.rng.random(size)
     v = np.clip(v, probs[0], probs[-1])
     return np.exp(np.interp(v, probs, log_grid))
 
 
-def _lt_table(phi, table_size: int, n_terms: int):
-    if table_size < 16:
-        raise DomainError("table_size must be >= 16")
+def _lt_table(phi, n_terms: int):
     label = phi.label if isinstance(phi, LaplaceTransform) else repr(phi)
 
     def cdf(t):
         return laplace_invert_cdf(phi, t, n_terms=n_terms)
 
     t_lo, t_hi = _bracket_quantiles(cdf, 1e-5, 1.0 - 1e-5)
-    grid = np.geomspace(t_lo, t_hi, table_size)
+    grid = np.geomspace(t_lo, t_hi, _LT_TABLE_SIZE)
     probs = np.array([cdf(t) for t in grid])
     # dips beyond the Gaver-Stehfest error scale mean the input was not a
     # valid transform; smaller wiggles are inversion noise and get flattened

@@ -146,6 +146,18 @@ class TestSample:
         assert err.startswith("sample:")
         assert "beta=0.995" in err
 
+    @pytest.mark.parametrize("terms", [None, 64])
+    def test_gamma_series_terms(self, capsys, terms):
+        # without --terms the sampler's own n_terms default applies
+        extra = () if terms is None else ("--terms", str(terms))
+        code, out, _ = run(capsys, "sample", "gamma-series", "--a", "0.5",
+                           "--t", "1", "-n", "3", "--seed", "5", *extra)
+        kw = {} if terms is None else {"n_terms": terms}
+        draws = smp.sample_gamma_series_subordinator(
+            0.5, 1.0, smp.RandomStream(5, 0), 3, **kw)
+        assert code == 0
+        assert out == "\n".join(["draw"] + [repr(float(v)) for v in draws]) + "\n"
+
 
 # each invert kind and the hitting_laws transform it inverts
 INVERTED = {

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -152,6 +153,25 @@ class TestZLevyExponent:
         want = 2 * special.loggamma(a).real - 2 * special.loggamma(a + 1j * theta / math.pi).real
         assert z_levy_exponent(a, theta) == pytest.approx(want, abs=1e-8)
 
+    @pytest.mark.parametrize("a,theta", [(0.5, 2.0), (1.0, 0.5), (1.7, 10.0), (3.0, 60.0)])
+    def test_levy_khintchine_integral(self, a, theta):
+        # the defining integral by QUADPACK: 2 sin^2 form on (0, 1); past 1
+        # the flat part minus the cosine part, the latter by QAWF
+        def envelope(u):
+            return math.exp(-a * math.pi * u) / (u * -math.expm1(-math.pi * u))
+
+        head = integrate.quad(lambda u: 2 * math.sin(0.5 * theta * u) ** 2 * envelope(u),
+                              0, 1, epsabs=0, epsrel=1e-13, limit=200)[0]
+        flat = integrate.quad(envelope, 1, math.inf, epsabs=0, epsrel=1e-13)[0]
+        cos_part = integrate.quad(envelope, 1, math.inf, weight="cos", wvar=theta,
+                                  epsabs=1e-14)[0]
+        want = 2 * (head + flat - cos_part)
+        assert z_levy_exponent(a, theta) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            z_levy_exponent(0.0, 1.0)
+
 
 class TestMeixner:
     def test_normalization_symmetric(self):
@@ -170,6 +190,18 @@ class TestMeixner:
     def test_asymmetric_normalization(self):
         val = integrate.quad(lambda x: meixner_density(0.5, 1.0, x), -30, 30, limit=200)[0]
         assert val == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("beta", [-2.0, 0.0, 0.5, 2.0])
+    def test_gamma_modulus_form(self, beta, t):
+        # (2 cos(beta/2))^t e^{beta x} |Gamma(t/2 + ix)|^2 / (2 pi Gamma(t)) at 40 digits
+        with mp.workdps(40):
+            b, tt = mp.mpf(beta), mp.mpf(t)
+            norm = (2 * mp.cos(b / 2)) ** tt / (2 * mp.pi * mp.gamma(tt))
+            for x in (-4.0, -0.5, 0.0, 0.7, 3.0, 10.0, 50.0):
+                xx = mp.mpf(x)
+                want = float(norm * mp.exp(b * xx) * abs(mp.gamma(tt / 2 + 1j * xx)) ** 2)
+                assert meixner_density(beta, t, x) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

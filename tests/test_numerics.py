@@ -8,22 +8,17 @@ from scipy import integrate, special
 
 from stable_hitting.errors import (BracketError, DomainError, NonConvergence,
                                    NumericInstability)
-from stable_hitting.numerics import (DEFAULT_SPEC, LaplaceTransform, QuadSpec,
+from stable_hitting.numerics import (ABS_TOL, REL_TOL, LaplaceTransform,
                                      integrate_adaptive,
                                      integrate_oscillatory_cos,
-                                     invert_monotone, laplace_invert_cdf)
+                                     invert_monotone, laplace_invert_cdf,
+                                     tolerance)
 
 
 class TestQuadSpec:
     def test_defaults(self):
-        assert DEFAULT_SPEC.abs_tol == 1e-10
-        assert DEFAULT_SPEC.rel_tol == 1e-9
-
-    def test_invalid(self):
-        with pytest.raises(DomainError):
-            QuadSpec(abs_tol=0.0, rel_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadSpec(max_panels=0)
+        assert ABS_TOL == 1e-10
+        assert REL_TOL == 1e-9
 
 
 class TestAdaptive:
@@ -43,7 +38,7 @@ class TestAdaptive:
         g = lambda x: x * math.exp(-x * x / 2)
         lhs = integrate_adaptive(lambda x: 2.0 * f(x) + 3.0 * g(x), 0, math.inf)
         rhs = 2.0 * integrate_adaptive(f, 0, math.inf) + 3.0 * integrate_adaptive(g, 0, math.inf)
-        assert abs(lhs - rhs) <= 2 * DEFAULT_SPEC.tolerance(rhs)
+        assert abs(lhs - rhs) <= 2 * tolerance(rhs)
 
     def test_divergent_raises(self):
         with pytest.raises(NonConvergence):
