@@ -124,7 +124,7 @@ SAMPLE_DISTS = {
     "gamma-series": (("a", "t"), lambda p, s, n: smp.sample_gamma_series_subordinator(
         p["a"], p["t"], s, n, **({"n_terms": int(p["terms"])} if "terms" in p else {}))),
     "tanh-law": ((), lambda p, s, n: smp.sample_from_lt(
-        smp.tanh_subordinator_lt(p.get("t") or 1.0), s, n)),
+        smp.tanh_subordinator_lt(**({"t": p["t"]} if "t" in p else {})), s, n)),
 }
 
 _COLUMNS = {

@@ -158,6 +158,24 @@ class TestSample:
         assert code == 0
         assert out == "\n".join(["draw"] + [repr(float(v)) for v in draws]) + "\n"
 
+    @pytest.mark.parametrize("t", [None, 2.0])
+    def test_tanh_law_t(self, capsys, t):
+        # without --t the transform's own t = 1 default applies
+        extra = () if t is None else ("--t", str(t))
+        code, out, _ = run(capsys, "sample", "tanh-law", "-n", "2",
+                           "--seed", "1", *extra)
+        draws = smp.sample_from_lt(smp.tanh_subordinator_lt(
+            **({} if t is None else {"t": t})), smp.RandomStream(1, 0), 2)
+        assert code == 0
+        assert out == "\n".join(["draw"] + [repr(float(v)) for v in draws]) + "\n"
+
+    def test_tanh_law_t_zero_exit_one(self, capsys):
+        code, out, err = run(capsys, "sample", "tanh-law", "--t", "0",
+                             "-n", "2", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "sample: t must be positive\n"
+
 
 # each invert kind and the hitting_laws transform it inverts
 INVERTED = {

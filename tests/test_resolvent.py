@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from stable_hitting.errors import DomainError, NonConvergence
 from stable_hitting.numerics import integrate_adaptive, integrate_oscillatory_cos
-from stable_hitting.resolvent import (StableIndex, _u1, as_index,
+from stable_hitting.resolvent import (StableIndex, _p1, _u1, as_index,
                                       one_minus_cos_integral,
                                       potential_kernel,
                                       potential_kernel_at_one,
@@ -31,6 +32,62 @@ def u1_rotated(alpha, w):
 
         cuts = sorted({min(w, 1 / w), mp.mpf(1)})
         return float(s / mp.pi * mp.quad(f, [0] + cuts))
+
+
+def p1_power_series(alpha, w):
+    """p_1(w) at 40 digits by the power series
+    (1/(pi a)) sum_k (-1)^k Gamma((2k+1)/a) w^{2k} / (2k)!, for small w."""
+    with mp.workdps(40):
+        a, w = mp.mpf(alpha), mp.mpf(w)
+        total, k = mp.mpf(0), 0
+        while True:
+            term = ((-1) ** k * mp.gamma((2 * k + 1) / a) * w ** (2 * k)
+                    / mp.factorial(2 * k))
+            total += term
+            if k > 2 and abs(term) < mp.mpf(10) ** -35 * abs(total):
+                return float(total / (mp.pi * a))
+            k += 1
+
+
+def p1_cosine_integral(alpha, w):
+    """p_1(w) at 20 digits: (1/pi) int_0^inf cos(w xi) e^{-xi^a} dxi, by
+    quad on the first quarter period, where xi^a is not smooth at 0, and
+    quadosc between the cosine zeros beyond it."""
+    with mp.workdps(20):
+        a, w = mp.mpf(alpha), mp.mpf(w)
+
+        def f(x):
+            return mp.cos(w * x) * mp.exp(-x ** a)
+
+        z = mp.pi / (2 * w)
+        head = mp.quad(f, [0, z])
+        tail = mp.quadosc(f, [z, mp.inf],
+                          zeros=lambda n: (n + mp.mpf(1) / 2) * mp.pi / w)
+        return float((head + tail) / mp.pi)
+
+
+def p1_asymptotic(alpha, w):
+    """p_1(w) for large w at 40 digits by the asymptotic series
+    sum_k (-1)^{k+1} Gamma(k a + 1) sin(k pi a/2) / (pi k!) w^{-k a - 1},
+    summed while the terms' magnitudes fall."""
+    with mp.workdps(40):
+        a, w = mp.mpf(alpha), mp.mpf(w)
+        total, prev = mp.mpf(0), mp.inf
+        for k in range(1, 2000):
+            size = mp.gamma(k * a + 1) / mp.factorial(k) * w ** (-k * a - 1)
+            if size > prev or size < mp.mpf(10) ** -35 * abs(total):
+                break
+            total += (-1) ** (k + 1) * size * mp.sin(k * mp.pi * a / 2) / mp.pi
+            prev = size
+        return float(total)
+
+
+def u1_far_field(alpha, w):
+    """Leading term Gamma(1 + a) sin(pi a/2) / (pi w^{1+a}) of u_1 at 40 digits."""
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        return float(mp.gamma(1 + a) * mp.sin(mp.pi * a / 2)
+                     / (mp.pi * mp.mpf(w) ** (1 + a)))
 
 
 class TestStableIndex:
@@ -155,6 +212,82 @@ class TestU1Kernel:
         # at v = 1 lie too far apart for the rule's half-step check to pass
         with pytest.raises(NonConvergence, match="half-step"):
             _u1(1.999, 1e-14)
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.999])
+    def test_far_field_is_the_asymptote(self, alpha):
+        # the rule's products underflow at w = 1e100
+        assert _u1(alpha, 1e100) == pytest.approx(u1_far_field(alpha, 1e100),
+                                                  rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.9, 1.01, 1.5, 1.9, 1.999])
+    def test_no_warning_out_to_1e300(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in np.logspace(0.0, 300.0, 61):
+                value = _u1(alpha, float(w))
+                assert math.isfinite(value) and value >= 0.0
+
+
+P1_ALPHAS = [1.01, 1.1, 1.15, 1.2, 1.5, 1.9, 1.99]
+
+
+class TestP1Kernel:
+    @pytest.mark.parametrize("alpha", P1_ALPHAS)
+    def test_small_w_matches_power_series(self, alpha):
+        for w in (1e-6, 1e-3, 0.1, 0.5):
+            assert _p1(alpha, w) == pytest.approx(p1_power_series(alpha, w),
+                                                  rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", P1_ALPHAS)
+    def test_moderate_w_matches_cosine_integral(self, alpha):
+        for w in (2.0, 8.0):
+            assert _p1(alpha, w) == pytest.approx(
+                p1_cosine_integral(alpha, w), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", P1_ALPHAS)
+    def test_far_field_matches_asymptotic_series(self, alpha):
+        for w in (30.0, 1e3, 1e6):
+            assert _p1(alpha, w) == pytest.approx(p1_asymptotic(alpha, w),
+                                                  rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.1, 1.5, 1.99, 1.999])
+    def test_positive_without_warnings(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in np.logspace(-100.0, 100.0, 81):
+                value = _p1(alpha, float(w))
+                assert math.isfinite(value) and value > 0.0
+
+    @pytest.mark.parametrize("alpha", [1.995, 1.999, 1.9999])
+    def test_near_two_is_close_or_raises(self, alpha):
+        for w in (0.5, 2.0, 3.0, 5.0):
+            try:
+                value = _p1(alpha, w)
+            except NonConvergence:
+                continue
+            want = (p1_power_series(alpha, w) if w < 1.0
+                    else p1_cosine_integral(alpha, w))
+            assert value == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_unresolved_rule_raises(self):
+        # at alpha = 1.999, w = 3 the bulk of the integrand lies on the flat
+        # part of V, far left of the nodes' centre, where the half rule is
+        # too coarse
+        with pytest.raises(NonConvergence, match="half-step"):
+            _p1(1.999, 3.0)
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+    def test_origin_is_closed_form(self, alpha):
+        assert _p1(alpha, 0.0) == math.gamma(1.0 + 1.0 / alpha) / math.pi
+
+    def test_alpha_one_is_cauchy(self):
+        for w in (0.0, 0.5, 3.0):
+            assert _p1(1.0, w) == pytest.approx(1 / (math.pi * (1 + w * w)),
+                                                abs=1e-10)
+
+    def test_alpha_two_is_gaussian(self):
+        for w in (0.0, 0.5, 3.0):
+            assert _p1(2.0, w) == math.exp(-w * w / 4) / (2 * math.sqrt(math.pi))
 
 
 class TestResolventGap:
