@@ -86,13 +86,10 @@ def _cmd_eval(args) -> int:
             print(f"eval {args.kind}: missing required flag --{name}",
                   file=sys.stderr)
             return 2
-        grids[name] = [float(v) for v in raw.split(",")]
+        grids[name] = raw
     for name, default in optional.items():
         raw = getattr(args, name)
-        if raw is None:
-            grids[name] = [default]
-        else:
-            grids[name] = [float(v) for v in raw.split(",")]
+        grids[name] = [default] if raw is None else raw
     names = list(grids)
     _emit(names + ["value"])
     for combo in itertools.product(*(grids[n] for n in names)):
@@ -122,7 +119,7 @@ SAMPLE_DISTS = {
     "excursion": (("gamma",), lambda p, s, n: smp.sample_excursion_age_duration(p["gamma"], s, n)),
     "excursion-exp": (("gamma",), lambda p, s, n: smp.sample_excursion_at_exp_time(p["gamma"], s, n)),
     "gamma-series": (("a", "t"), lambda p, s, n: smp.sample_gamma_series_subordinator(
-        p["a"], p["t"], s, n, **({"n_terms": int(p["terms"])} if "terms" in p else {}))),
+        p["a"], p["t"], s, n, **({"n_terms": p["terms"]} if "terms" in p else {}))),
     "tanh-law": ((), lambda p, s, n: smp.sample_from_lt(
         smp.tanh_subordinator_lt(**({"t": p["t"]} if "t" in p else {})), s, n)),
 }
@@ -142,11 +139,11 @@ def _cmd_sample(args) -> int:
             print(f"sample {args.dist}: missing required flag --{name}",
                   file=sys.stderr)
             return 2
-        params[name] = float(raw)
+        params[name] = raw
     for name in ("t", "terms"):
         raw = getattr(args, name, None)
         if raw is not None and name not in params:
-            params[name] = float(raw)
+            params[name] = raw
     n, streams = args.n, args.streams
     counts = [n // streams + (1 if i < n % streams else 0)
               for i in range(streams)]
@@ -181,14 +178,14 @@ _INVERT_CHOICES = sorted(kind for kind, (required, _, _) in EVAL_KINDS.items()
 
 def _cmd_invert(args) -> int:
     _, optional, fn = EVAL_KINDS[args.kind]
-    params = {**optional, "alpha": float(args.alpha), "a": float(args.a)}
+    params = {**optional, "alpha": args.alpha, "a": args.a}
     if args.x is not None:
-        params["x"] = float(args.x)
+        params["x"] = args.x
 
     def phi(q):
         return fn({**params, "q": float(q)})
 
-    t_grid = sorted(float(v) for v in args.t.split(","))
+    t_grid = sorted(args.t)
     _emit(["t", "p", "note"])
     rows = []
     failed = False
@@ -211,9 +208,8 @@ def _cmd_invert(args) -> int:
 # ------------------------------------------------------------------ verify
 
 def _cmd_verify(args) -> int:
-    idx_grid = [float(v) for v in args.alpha.split(",")] if args.alpha else None
     try:
-        reports = vf.run_suite(args.suite, idx_grid=idx_grid, seed=args.seed,
+        reports = vf.run_suite(args.suite, idx_grid=args.alpha, seed=args.seed,
                                n_samples=args.n)
     except UnknownSuite as exc:
         print(f"verify: {exc}", file=sys.stderr)
@@ -239,6 +235,14 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _float_grid(raw: str) -> list:
+    try:
+        return [float(v) for v in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid value {raw!r}: expected a number or comma-separated numbers")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="stable-hitting",
@@ -249,12 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="evaluate a formula on a parameter grid")
     ev.add_argument("kind", choices=sorted(EVAL_KINDS))
     for flag in _EVAL_FLAGS:
-        ev.add_argument(f"--{flag}", help="value or comma-separated grid")
+        ev.add_argument(f"--{flag}", type=_float_grid,
+                        help="value or comma-separated grid")
 
     sa = sub.add_parser("sample", help="draw from a named law")
     sa.add_argument("dist", choices=sorted(SAMPLE_DISTS))
-    for flag in ("alpha", "beta", "gamma", "a", "b", "t", "terms"):
-        sa.add_argument(f"--{flag}")
+    for flag in ("alpha", "beta", "gamma", "a", "b", "t"):
+        sa.add_argument(f"--{flag}", type=float)
+    sa.add_argument("--terms", type=int)
     sa.add_argument("-n", type=_positive_int, default=10)
     sa.add_argument("--seed", type=int, default=0)
     sa.add_argument("--streams", type=_positive_int, default=1)
@@ -263,15 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
     iv = sub.add_parser("invert", help="numerically invert a hitting-law "
                                        "transform into P(T < t)")
     iv.add_argument("kind", choices=_INVERT_CHOICES)
-    iv.add_argument("--alpha", required=True)
-    iv.add_argument("--a", required=True)
-    iv.add_argument("--x")
-    iv.add_argument("--t", required=True, help="comma-separated time grid")
+    iv.add_argument("--alpha", type=float, required=True)
+    iv.add_argument("--a", type=float, required=True)
+    iv.add_argument("--x", type=float)
+    iv.add_argument("--t", type=_float_grid, required=True,
+                    help="comma-separated time grid")
     iv.add_argument("--terms", type=int, default=12)
 
     ve = sub.add_parser("verify", help="run a verification suite")
     ve.add_argument("suite")
-    ve.add_argument("--alpha", help="comma-separated alpha grid")
+    ve.add_argument("--alpha", type=_float_grid,
+                    help="comma-separated alpha grid")
     ve.add_argument("--seed", type=int, default=0)
     ve.add_argument("--n", type=int, default=1_000_000)
     ve.add_argument("--out", help="directory for JSON/CSV report files")

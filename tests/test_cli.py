@@ -261,6 +261,35 @@ def test_no_command_usage(capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("sample", "sym-stable", "--alpha", "x"), "--alpha"),
+    (("sample", "gamma-series", "--a", "0.5", "--t", "1", "--terms", "abc"),
+     "--terms"),
+    (("sample", "gamma-series", "--a", "0.5", "--t", "1", "--terms", "2.5"),
+     "--terms"),
+    (("eval", "lt-T", "--alpha", "x", "--q", "1", "--a", "1"), "--alpha"),
+    (("eval", "lt-T", "--alpha", "1.5", "--q", "1,,2", "--a", "1"), "--q"),
+    (("invert", "lt-T", "--alpha", "x", "--a", "1", "--t", "1"), "--alpha"),
+    (("invert", "lt-T", "--alpha", "1.5", "--a", "1", "--t", "1,y"), "--t"),
+    (("verify", "formula_algebra", "--alpha", "1.5,z"), "--alpha"),
+])
+def test_non_numeric_flag_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
+
+
+def test_gamma_series_zero_terms_exit_one(capsys):
+    # parsed but outside the domain: a numeric failure, not a usage error
+    code, out, err = run(capsys, "sample", "gamma-series", "--a", "0.5",
+                         "--t", "1", "--terms", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "sample: n_terms must be >= 1\n"
+
+
 class FlushCounter(io.StringIO):
     """A stdout that counts its flushes."""
 

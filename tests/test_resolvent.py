@@ -269,12 +269,19 @@ class TestP1Kernel:
                     else p1_cosine_integral(alpha, w))
             assert value == pytest.approx(want, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("alpha,w", [(1.999, 3.0), (1.999, 5.0),
+                                         (1.9999, 3.0), (1.9999, 5.0)])
+    def test_near_two_recentred(self, alpha, w):
+        # the first pass fails its half-step check here: the bulk of the
+        # integrand lies on the flat part of V, far left of the nodes' centre
+        assert _p1(alpha, w) == pytest.approx(p1_cosine_integral(alpha, w),
+                                              rel=1e-12, abs=0.0)
+
     def test_unresolved_rule_raises(self):
-        # at alpha = 1.999, w = 3 the bulk of the integrand lies on the flat
-        # part of V, far left of the nodes' centre, where the half rule is
-        # too coarse
+        # at alpha = 1.9999, w = 8 the half rule stays too coarse after the
+        # rule is centred on its largest node
         with pytest.raises(NonConvergence, match="half-step"):
-            _p1(1.999, 3.0)
+            _p1(1.9999, 8.0)
 
     @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
     def test_origin_is_closed_form(self, alpha):

@@ -1,5 +1,8 @@
+import inspect
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -9,8 +12,9 @@ from stable_hitting.hitting_laws import HittingQuery, lt_hit_point
 from stable_hitting.distributions import alpha_cauchy_density
 from stable_hitting.numerics import LaplaceTransform
 from stable_hitting.resolvent import StableIndex
-from stable_hitting.sampling import (RandomStream, SampleStats,
+from stable_hitting.sampling import (_SERIES_BLOCK, RandomStream, SampleStats,
                                      gamma_series_coefficient,
+                                     gamma_series_tail_gamma,
                                      gamma_series_tail_mean, ks_distance,
                                      sample_alpha_cauchy,
                                      sample_alpha_rayleigh,
@@ -354,6 +358,54 @@ class TestGammaSeries:
         th = 1.0
         vals = np.exp(-0.5 * th * th * draws)
         ok, _ = within_4se(np.mean(vals), th / math.sinh(th), vals)
+        assert ok
+
+    @pytest.mark.parametrize("a", [0.5, 1.0])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_sampled_law_transform_at_default_terms(self, a, t):
+        # the sampled law's transform, prod_{j<N} (1 + lam c_j)^{-t} times
+        # (1 + lam theta)^{-k} for the gamma tail, against cosh(z)^{-t}
+        # (a = 1/2) and (z/sinh z)^t (a = 1), z = sqrt(2 lam), at 40 digits
+        n_terms = inspect.signature(
+            sample_gamma_series_subordinator).parameters["n_terms"].default
+        coef = gamma_series_coefficient(a, np.arange(n_terms))
+        k, theta = gamma_series_tail_gamma(a, t, n_terms)
+        with mp.workdps(40):
+            for lam in np.linspace(0.1, 20.0, 60):
+                got = math.exp(-t * math.fsum(np.log1p(lam * coef))
+                               - k * math.log1p(lam * theta))
+                z = mp.sqrt(2 * mp.mpf(lam))
+                want = mp.cosh(z) ** -t if a == 0.5 else (z / mp.sinh(z)) ** t
+                assert got == pytest.approx(float(want), rel=0, abs=1e-12)
+
+    def test_size_shapes(self):
+        stream = RandomStream(115)
+        assert isinstance(sample_gamma_series_subordinator(0.5, 1.0, stream),
+                          float)
+        draws = sample_gamma_series_subordinator(0.5, 1.0, stream, size=(3, 5))
+        assert draws.shape == (3, 5)
+
+    def test_size_beyond_one_block(self):
+        # more draws than one block holds: each block is a single row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sample_gamma_series_subordinator(
+                1.0, 1.0, RandomStream(116), size=_SERIES_BLOCK + 1, n_terms=3)
+        assert draws.shape == (_SERIES_BLOCK + 1,)
+        assert np.all(draws > 0)
+        ok, _ = within_4se(np.mean(draws), 1 / 3, draws)
+        assert ok
+
+    def test_one_term(self):
+        # the gamma tail matches the tail's mean and variance, so S_1 keeps
+        # its mean 1/3 and variance 2/45; a tail fixed at its mean would
+        # leave the variance of the first term alone, 7.6% short
+        draws = sample_gamma_series_subordinator(1.0, 1.0, RandomStream(117),
+                                                 size=100_000, n_terms=1)
+        ok, _ = within_4se(np.mean(draws), 1 / 3, draws)
+        assert ok
+        sq = (draws - 1 / 3) ** 2
+        ok, _ = within_4se(np.mean(sq), 2 / 45, sq)
         assert ok
 
 
