@@ -140,11 +140,27 @@ class TestSample:
         assert "--streams" in err
 
     def test_overflow_exit_one(self, capsys):
-        code, _, err = run(capsys, "sample", "size-biased", "--beta", "0.995",
-                           "-n", "3")
+        # |a|^alpha overflows a double before any draw is made
+        code, out, err = run(capsys, "sample", "t-point", "--alpha", "1.5",
+                             "--a", "1e300", "-n", "3")
         assert code == 1
+        assert out == ""
         assert err.startswith("sample:")
-        assert "beta=0.995" in err
+        assert "Traceback" not in err
+
+    def test_size_biased_near_one(self, capsys):
+        code, out, _ = run(capsys, "sample", "size-biased", "--beta", "0.995",
+                           "-n", "3")
+        draws = smp.sample_size_biased_stable(0.995, smp.RandomStream(0, 0), 3)
+        assert code == 0
+        assert out == "\n".join(["draw"] + [repr(float(v)) for v in draws]) + "\n"
+
+    def test_size_biased_beta_one_exit_one(self, capsys):
+        code, out, err = run(capsys, "sample", "size-biased", "--beta", "1",
+                             "-n", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("sample:")
 
     @pytest.mark.parametrize("terms", [None, 64])
     def test_gamma_series_terms(self, capsys, terms):

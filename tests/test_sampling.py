@@ -10,7 +10,7 @@ from scipy import integrate, special
 from stable_hitting.errors import DomainError
 from stable_hitting.hitting_laws import HittingQuery, lt_hit_point
 from stable_hitting.distributions import alpha_cauchy_density
-from stable_hitting.numerics import LaplaceTransform
+from stable_hitting.numerics import LaplaceTransform, laplace_invert_cdf
 from stable_hitting.resolvent import StableIndex
 from stable_hitting.sampling import (_SERIES_BLOCK, RandomStream, SampleStats,
                                      gamma_series_coefficient,
@@ -182,6 +182,19 @@ class TestSizeBiasedStable:
         draws = sample_size_biased_stable(0.6, RandomStream(44), size=1000)
         assert np.all(draws > 0)
 
+    @pytest.mark.parametrize("beta", [0.3, 0.75, 0.95, 0.995])
+    def test_negative_moments(self, beta):
+        # E[T'^q] = Gamma(3/2) Gamma(1 + 1/(2b) - q/b)
+        #           / (Gamma(3/2 - q) Gamma(1 + 1/(2b))), from E[T^{-p}]
+        #           = Gamma(1 + p/b) / Gamma(1 + p) for the one-sided stable
+        draws = sample_size_biased_stable(beta, RandomStream(45), size=N)
+        for q in (-1.0, -0.5):
+            want = (special.gamma(1.5) * special.gamma(1 + 0.5 / beta - q / beta)
+                    / (special.gamma(1.5 - q) * special.gamma(1 + 0.5 / beta)))
+            vals = draws ** q
+            ok, se = within_4se(np.mean(vals), want, vals)
+            assert ok, (q, np.mean(vals), want, se)
+
 
 class TestAlphaCauchy:
     def test_standard_cauchy(self):
@@ -220,6 +233,14 @@ class TestAlphaRayleigh:
     def test_nonnegative(self):
         assert np.all(sample_alpha_rayleigh(1.5, RandomStream(62), size=1000) >= 0)
 
+    def test_survival_near_two(self):
+        from stable_hitting.distributions import alpha_rayleigh_survival
+        draws = sample_alpha_rayleigh(1.9, RandomStream(64), size=N)
+        for x in (0.5, 1.0, 2.0):
+            vals = (draws > x).astype(float)
+            ok, se = within_4se(np.mean(vals), alpha_rayleigh_survival(1.9, x), vals)
+            assert ok, (x, np.mean(vals), se)
+
     def test_survival_vs_formula(self):
         from stable_hitting.distributions import alpha_rayleigh_survival
         draws = sample_alpha_rayleigh(1.5, RandomStream(63), size=N)
@@ -228,6 +249,29 @@ class TestAlphaRayleigh:
         d = ks_distance(np.clip(draws, 0, grid[-1]),
                         lambda x: np.interp(x, grid, 1.0 - surv))
         assert d < 0.005
+
+
+class TestRejectionSamplers:
+    SAMPLERS = {
+        "size_biased": lambda st, size: sample_size_biased_stable(0.75, st, size),
+        "alpha_rayleigh": lambda st, size: sample_alpha_rayleigh(1.9, st, size),
+        "hitting_time": lambda st, size: sample_hitting_time(1.5, 2.0, st, size),
+    }
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_size_shapes(self, name):
+        # candidates come in blocks of _SERIES_BLOCK; a size one past that
+        # needs a second block
+        draw = self.SAMPLERS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = draw(RandomStream(121), None)
+            grid = draw(RandomStream(122), (3, 5))
+            many = draw(RandomStream(123), _SERIES_BLOCK + 1)
+        assert np.ndim(one) == 0 and one > 0
+        assert grid.shape == (3, 5) and np.all(grid > 0)
+        assert many.shape == (_SERIES_BLOCK + 1,) and np.all(many > 0)
+        assert np.all(np.isfinite(many))
 
 
 class TestLinnik:
@@ -266,14 +310,25 @@ class TestHittingTime:
         ok, se = within_4se(np.mean(vals), want, vals)
         assert ok, (np.mean(vals), want, se)
 
+    @pytest.mark.parametrize("alpha", [1.05, 1.9, 1.99])
+    def test_matches_resolvent_formula_near_limits(self, alpha):
+        draws = sample_hitting_time(alpha, 1.0, RandomStream(85), size=N)
+        for q in (0.5, 1.0, 2.0):
+            vals = np.exp(-q * draws)
+            want = lt_hit_point(HittingQuery(StableIndex(alpha), q, a=1.0))
+            ok, se = within_4se(np.mean(vals), want, vals)
+            assert ok, (q, np.mean(vals), want, se)
+
     def test_level_scaling(self):
-        # T_{2} must equal 2^alpha T_{1} in law: compare quantiles
+        # T_2 = 2^alpha T_1 in law: the quantiles of T_2, scaled back by
+        # 2^alpha, sit at their levels of the inverted CDF of T_1
         alpha = 1.5
-        d1 = sample_hitting_time(alpha, 1.0, RandomStream(83), size=N)
         d2 = sample_hitting_time(alpha, 2.0, RandomStream(84), size=N)
-        q1 = np.quantile(d1, [0.1, 0.25, 0.5, 0.75, 0.9]) * 2 ** alpha
-        q2 = np.quantile(d2, [0.1, 0.25, 0.5, 0.75, 0.9])
-        assert np.allclose(q1, q2, rtol=0.05)
+        phi = lambda q: lt_hit_point(HittingQuery(StableIndex(alpha), float(q), a=1.0))
+        for p in (0.1, 0.25, 0.5, 0.75, 0.9):
+            t = float(np.quantile(d2, p)) / 2 ** alpha
+            got = laplace_invert_cdf(phi, t)
+            assert abs(got - p) <= 1e-3 + 4 * math.sqrt(p * (1 - p) / N), (p, got)
 
 
 class TestOvershoot:
