@@ -14,7 +14,6 @@ import numpy as np
 
 from stable_hitting.hitting_laws import HittingQuery, lt_hit_point
 from stable_hitting.numerics import laplace_invert_cdf
-from stable_hitting.resolvent import StableIndex
 from stable_hitting.sampling import RandomStream, sample_hitting_time
 
 
@@ -27,10 +26,9 @@ def main():
     ap.add_argument("--t", default="0.1,0.25,0.5,1,2,4,8,16")
     args = ap.parse_args()
 
-    idx = StableIndex(args.alpha)
-    draws = np.sort(sample_hitting_time(idx, args.a, RandomStream(args.seed),
-                                        size=args.n))
-    phi = lambda q: lt_hit_point(HittingQuery(idx, float(q), a=args.a))
+    draws = np.sort(sample_hitting_time(args.alpha, args.a,
+                                        RandomStream(args.seed), size=args.n))
+    phi = lambda q: lt_hit_point(HittingQuery(args.alpha, float(q), a=args.a))
     print("t,inverted_cdf,empirical_cdf,abs_diff")
     for t in (float(v) for v in args.t.split(",")):
         inv = laplace_invert_cdf(phi, t, n_terms=12)

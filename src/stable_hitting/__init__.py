@@ -2,16 +2,14 @@
 laws of one-dimensional symmetric stable Levy processes, with exact samplers
 and cross-verification suites."""
 
-from .errors import (BracketError, ConsistencyError, DegenerateDenominator,
-                     DomainError, NonConvergence, NumericInstability,
-                     TableBuildError, UnknownSuite)
-from .numerics import (LaplaceTransform, integrate_adaptive,
-                       integrate_oscillatory_cos, invert_monotone,
+from .errors import (ConsistencyError, DegenerateDenominator, DomainError,
+                     NonConvergence, NumericInstability, TableBuildError,
+                     UnknownSuite)
+from .numerics import (integrate_adaptive, integrate_oscillatory_cos,
                        laplace_invert_cdf)
-from .resolvent import (StableIndex, as_index, one_minus_cos_integral,
-                        potential_kernel, potential_kernel_at_one,
-                        resolvent_density, resolvent_gap, transition_density,
-                        u1_zero)
+from .resolvent import (one_minus_cos_integral, potential_kernel,
+                        potential_kernel_at_one, resolvent_density,
+                        transition_density, u1_zero)
 from .distributions import (alpha_cauchy_charfn, alpha_cauchy_density,
                             alpha_rayleigh_survival, beta_prime_density,
                             linnik_density, meixner_density,

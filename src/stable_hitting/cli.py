@@ -23,15 +23,15 @@ from . import sampling as smp
 from . import verify as vf
 from .distributions import (alpha_rayleigh_survival, linnik_density,
                             meixner_density, z_density)
-from .errors import (BracketError, ConsistencyError, DegenerateDenominator,
-                     DomainError, NonConvergence, NumericInstability,
-                     TableBuildError, UnknownSuite)
+from .errors import (ConsistencyError, DegenerateDenominator, DomainError,
+                     NonConvergence, NumericInstability, TableBuildError,
+                     UnknownSuite)
 from .numerics import laplace_invert_cdf
 from .resolvent import potential_kernel, resolvent_density, transition_density
 
 _NUMERIC_ERRORS = (DomainError, NonConvergence, NumericInstability,
-                   BracketError, ConsistencyError, DegenerateDenominator,
-                   TableBuildError, OverflowError)
+                   ConsistencyError, DegenerateDenominator, TableBuildError,
+                   OverflowError)
 
 
 def _fmt(v) -> str:

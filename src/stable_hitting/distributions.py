@@ -17,7 +17,7 @@ from scipy import special
 
 from .errors import DomainError
 from .numerics import integrate_oscillatory_cos
-from .resolvent import _u1, as_index, transition_density
+from .resolvent import _alpha, _u1, transition_density
 
 
 def beta_prime_density(a: float, b: float, x: float) -> float:
@@ -117,8 +117,8 @@ def meixner_density(beta: float, t: float, x: float) -> float:
 
 def alpha_rayleigh_survival(alpha: float, x: float) -> float:
     """P(R_alpha > x) = p_1(x) / p_1(0), clamped to [0, 1]."""
-    idx = as_index(alpha)
+    alpha = _alpha(alpha)
     if x < 0:
         raise DomainError("x must be nonnegative")
-    ratio = transition_density(idx, 1.0, x) / transition_density(idx, 1.0, 0.0)
+    ratio = transition_density(alpha, 1.0, x) / transition_density(alpha, 1.0, 0.0)
     return min(1.0, max(0.0, ratio))

@@ -13,10 +13,6 @@ class NumericInstability(ArithmeticError):
     """Successive Laplace-inversion estimates diverge; result untrustworthy."""
 
 
-class BracketError(ValueError):
-    """Target value lies outside the supplied bracketing interval."""
-
-
 class ConsistencyError(ArithmeticError):
     """Two algebraically equivalent evaluation routes disagree."""
 

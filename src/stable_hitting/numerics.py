@@ -1,4 +1,4 @@
-"""Quadrature engines, numerical Laplace inversion and 1-D root finding.
+"""Quadrature engines and numerical Laplace inversion.
 
 Three workhorses live here:
 
@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
-from .errors import BracketError, DomainError, NonConvergence, NumericInstability
+from .errors import DomainError, NonConvergence, NumericInstability
 
 _LD = np.longdouble
 
@@ -50,22 +49,6 @@ _DIVERGENCE_TOL = 0.1
 def tolerance(scale: float) -> float:
     """Error accepted for an integral of size ``scale``."""
     return max(ABS_TOL, REL_TOL * abs(scale))
-
-
-@dataclass(frozen=True)
-class LaplaceTransform:
-    """A real Laplace transform q -> E[e^{-qT}] of a law on [0, inf).
-
-    ``q_min`` is the smallest argument the callable is safe to evaluate at;
-    inversion raises DomainError if a quadrature node would fall below it.
-    """
-
-    eval: Callable[[float], float]
-    q_min: float = 0.0
-    label: str = ""
-
-    def __call__(self, q):
-        return self.eval(q)
 
 
 def integrate_adaptive(f, lo: float, hi: float, points=None) -> float:
@@ -227,13 +210,8 @@ def laplace_invert_cdf(phi, t: float, n_terms: int = 12) -> float:
         raise DomainError("t must be positive")
     if n_terms < 4 or n_terms % 2:
         raise DomainError("n_terms must be an even integer >= 4")
-    fn = phi.eval if isinstance(phi, LaplaceTransform) else phi
-    q_min = phi.q_min if isinstance(phi, LaplaceTransform) else 0.0
     ln2_t = np.log(_LD(2)) / _LD(t)
-    if float(ln2_t) < q_min:
-        raise DomainError(
-            f"smallest inversion node {float(ln2_t):g} below q_min={q_min:g}")
-    values = [_LD(fn(_LD(k) * ln2_t)) for k in range(1, n_terms + 1)]
+    values = [_LD(phi(_LD(k) * ln2_t)) for k in range(1, n_terms + 1)]
     est = _stehfest_sum(values, n_terms)
     check = _stehfest_sum(values[:n_terms - 2], n_terms - 2)
     if not (math.isfinite(est) and math.isfinite(check)):
@@ -243,21 +221,3 @@ def laplace_invert_cdf(phi, t: float, n_terms: int = 12) -> float:
             f"estimates at {n_terms} and {n_terms - 2} terms differ by "
             f"{abs(est - check):.3g} at t={t}")
     return min(1.0, max(0.0, est))
-
-
-def invert_monotone(F, p: float, bracket) -> float:
-    """Solve F(x) = p for nondecreasing F on the bracket (lo, hi)."""
-    lo, hi = float(bracket[0]), float(bracket[1])
-    f_lo, f_hi = F(lo), F(hi)
-    if not (f_lo <= p <= f_hi):
-        raise BracketError(
-            f"p={p} outside [F(lo), F(hi)] = [{f_lo}, {f_hi}]")
-    if p == f_lo:
-        return lo
-    if p == f_hi:
-        return hi
-    root = optimize.brentq(lambda x: F(x) - p, lo, hi, xtol=1e-14,
-                           rtol=8.9e-16, maxiter=200)
-    if abs(F(root) - p) > ABS_TOL:
-        raise NonConvergence(f"root refinement stalled at x={root}")
-    return float(root)

@@ -19,12 +19,14 @@ the closed forms Gamma(1 + 1/alpha)/pi and ``u1_zero``, and at alpha = 2 the
 Gaussians; for alpha <= 1, p_1 is a Fourier-cosine integral.
 ``transition_density`` and ``resolvent_density`` also dispatch alpha = 2 to
 the Gaussian closed forms before calling either kernel.
+
+The stability index ``alpha`` is a plain float throughout the package;
+``_alpha`` and ``_point_alpha`` check its range for every module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -48,29 +50,23 @@ _TS_HALF = slice(1, None, 2)
 _HALF_PI = 0.5 * math.pi
 
 
-@dataclass(frozen=True)
-class StableIndex:
-    """Stability index alpha together with gamma = 1/alpha."""
-
-    alpha: float
-    gamma: float = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 2.0:
-            raise DomainError(f"alpha={self.alpha} outside (0, 2]")
-        object.__setattr__(self, "gamma", 1.0 / self.alpha)
-
-    def require_point_hitting(self) -> "StableIndex":
-        # points are regular for themselves only when 1 < alpha <= 2
-        if self.alpha <= 1.0:
-            raise DomainError(
-                f"alpha={self.alpha}: point hitting (and the resolvent "
-                "density at points) requires 1 < alpha <= 2")
-        return self
+def _alpha(alpha) -> float:
+    """alpha as a float, or DomainError outside (0, 2]."""
+    alpha = float(alpha)
+    if not 0.0 < alpha <= 2.0:
+        raise DomainError(f"alpha={alpha} outside (0, 2]")
+    return alpha
 
 
-def as_index(alpha) -> StableIndex:
-    return alpha if isinstance(alpha, StableIndex) else StableIndex(float(alpha))
+def _point_alpha(alpha) -> float:
+    """``_alpha``, restricted to 1 < alpha <= 2: points are regular for
+    themselves only there."""
+    alpha = _alpha(alpha)
+    if alpha <= 1.0:
+        raise DomainError(
+            f"alpha={alpha}: point hitting (and the resolvent "
+            "density at points) requires 1 < alpha <= 2")
+    return alpha
 
 
 def _far_field(alpha: float, w: float):
@@ -285,33 +281,27 @@ def u1_zero(alpha: float) -> float:
     return math.gamma(1.0 - g) * math.gamma(g) / (alpha * math.pi)
 
 
-def transition_density(idx, t: float, x: float) -> float:
+def transition_density(alpha, t: float, x: float) -> float:
     """Density of X(t) at x, via p_t(x) = t^{-1/a} p_1(x t^{-1/a})."""
-    idx = as_index(idx)
+    alpha = _alpha(alpha)
     if t <= 0:
         raise DomainError("t must be positive")
-    if idx.alpha == 2.0:
+    if alpha == 2.0:
         return math.exp(-x * x / (4.0 * t)) / (2.0 * math.sqrt(math.pi * t))
-    scale = t ** -idx.gamma
-    return scale * _p1(idx.alpha, abs(x) * scale)
+    scale = t ** -(1.0 / alpha)
+    return scale * _p1(alpha, abs(x) * scale)
 
 
-def resolvent_density(idx, q: float, x: float) -> float:
+def resolvent_density(alpha, q: float, x: float) -> float:
     """Resolvent density u_q(x), via u_q(x) = q^{1/a - 1} u_1(x q^{1/a})."""
-    idx = as_index(idx).require_point_hitting()
+    alpha = _point_alpha(alpha)
     if q <= 0:
         raise DomainError("q must be positive")
-    if idx.alpha == 2.0:
+    if alpha == 2.0:
         rq = math.sqrt(q)
         return math.exp(-rq * abs(x)) / (2.0 * rq)
-    scale = q ** idx.gamma
-    return (scale / q) * _u1(idx.alpha, float(abs(x) * scale))
-
-
-def resolvent_gap(idx, q: float, x: float) -> float:
-    """u_q(0) - u_q(x); nonnegative, tends to the potential kernel as q -> 0."""
-    gap = resolvent_density(idx, q, 0.0) - resolvent_density(idx, q, x)
-    return max(gap, 0.0)
+    scale = q ** (1.0 / alpha)
+    return (scale / q) * _u1(alpha, float(abs(x) * scale))
 
 
 def potential_kernel_at_one(alpha: float) -> float:
@@ -319,12 +309,12 @@ def potential_kernel_at_one(alpha: float) -> float:
     return 1.0 / (2.0 * math.gamma(alpha) * math.sin(0.5 * math.pi * (alpha - 1.0)))
 
 
-def potential_kernel(idx, x: float) -> float:
+def potential_kernel(alpha, x: float) -> float:
     """lim_{q->0} [u_q(0) - u_q(x)] = |x|^{alpha-1} / (2 G(a) sin((a-1)pi/2))."""
-    idx = as_index(idx).require_point_hitting()
+    alpha = _point_alpha(alpha)
     if x == 0.0:
         return 0.0
-    return potential_kernel_at_one(idx.alpha) * abs(x) ** (idx.alpha - 1.0)
+    return potential_kernel_at_one(alpha) * abs(x) ** (alpha - 1.0)
 
 
 def one_minus_cos_integral(alpha: float) -> float:

@@ -21,8 +21,8 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, TableBuildError
-from .numerics import LaplaceTransform, laplace_invert_cdf
-from .resolvent import as_index
+from .numerics import laplace_invert_cdf
+from .resolvent import _point_alpha
 
 
 @dataclass
@@ -230,7 +230,7 @@ def sample_linnik(alpha: float, stream: RandomStream, size=None):
     return e ** (1.0 / alpha) * x
 
 
-def sample_hitting_time(idx, a: float, stream: RandomStream, size=None):
+def sample_hitting_time(alpha, a: float, stream: RandomStream, size=None):
     """Exact draw of the first hitting time of the point a from the origin:
     T_a = |a|^alpha S Y, with S one-sided stable of index 1/alpha (Kanter).
 
@@ -244,15 +244,15 @@ def sample_hitting_time(idx, a: float, stream: RandomStream, size=None):
     (0, th) has density proportional to (s cot xi - c)^k, k = 1/alpha, below
     the majorant s^k xi^{-k} + |c|^k drawn by inversion; acceptance is
     0.68-0.995 over alpha in [1.01, 1.999].  At alpha = 2, T_a = a^2 S."""
-    idx = as_index(idx).require_point_hitting()
+    alpha = _point_alpha(alpha)
     if a == 0.0:
         raise DomainError("target level a must be nonzero")
-    scale = abs(a) ** idx.alpha
-    stable = sample_unilateral_stable(idx.gamma, stream, size)
-    if idx.alpha == 2.0:
+    k = 1.0 / alpha
+    scale = abs(a) ** alpha
+    stable = sample_unilateral_stable(k, stream, size)
+    if alpha == 2.0:
         return scale * stable
-    k = idx.gamma
-    th = 0.5 * math.pi * idx.alpha
+    th = 0.5 * math.pi * alpha
     c, s = math.cos(th), math.sin(th)
     sk, ck = s ** k, (-c) ** k
     # masses of the majorant's two parts, s^k xi^{-k} and |c|^k, on (0, th)
@@ -377,7 +377,7 @@ def sample_gamma_series_subordinator(a: float, t: float, stream: RandomStream,
     return float(acc[0]) if size is None else acc.reshape(shape)
 
 
-def tanh_subordinator_lt(t: float = 1.0) -> LaplaceTransform:
+def tanh_subordinator_lt(t: float = 1.0):
     """Transform (tanh(sqrt(2q))/sqrt(2q))^t of the subordinator T_t whose
     value at an independent Brownian time has char-fn (tanh th / th)^t, in
     the standard normalization E[e^{i th B(s)}] = e^{-s th^2 / 2}.
@@ -393,7 +393,7 @@ def tanh_subordinator_lt(t: float = 1.0) -> LaplaceTransform:
         rq = np.sqrt(2.0 * q)
         return (np.tanh(rq) / rq) ** t
 
-    return LaplaceTransform(eval=phi, q_min=0.0, label=f"tanh-subordinator t={t}")
+    return phi
 
 
 # Log-spaced CDF points in the table of ``sample_from_lt``.
@@ -402,10 +402,10 @@ _LT_TABLE_SIZE = 512
 
 def sample_from_lt(phi, stream: RandomStream, size=None, n_terms: int = 12):
     """Approximate draw of a positive law known only through its Laplace
-    transform: Gaver-Stehfest CDF values on a log grid, inverse-sampled by
-    monotone interpolation on ``_LT_TABLE_SIZE`` points.  Bias is bounded by
-    the table resolution plus the inversion error and is deterministic for a
-    fixed table."""
+    transform, a callable phi(q) = E[e^{-qT}]: Gaver-Stehfest CDF values on
+    a log grid, inverse-sampled by monotone interpolation on
+    ``_LT_TABLE_SIZE`` points.  Bias is bounded by the table resolution plus
+    the inversion error and is deterministic for a fixed table."""
     log_grid, probs = _lt_table(phi, n_terms)
     v = stream.rng.random(size)
     v = np.clip(v, probs[0], probs[-1])
@@ -413,8 +413,6 @@ def sample_from_lt(phi, stream: RandomStream, size=None, n_terms: int = 12):
 
 
 def _lt_table(phi, n_terms: int):
-    label = phi.label if isinstance(phi, LaplaceTransform) else repr(phi)
-
     def cdf(t):
         return laplace_invert_cdf(phi, t, n_terms=n_terms)
 
@@ -424,6 +422,6 @@ def _lt_table(phi, n_terms: int):
     # dips beyond the Gaver-Stehfest error scale mean the input was not a
     # valid transform; smaller wiggles are inversion noise and get flattened
     if np.any(np.diff(probs) < -1e-4):
-        raise TableBuildError(f"inverted CDF not monotone for {label}")
+        raise TableBuildError(f"inverted CDF not monotone for {phi!r}")
     probs = np.maximum.accumulate(probs)
     return np.log(grid), probs

@@ -26,9 +26,9 @@ from . import hitting_laws as hl
 from . import sampling as smp
 from .errors import UnknownSuite
 from .numerics import laplace_invert_cdf
-from .resolvent import (StableIndex, as_index, one_minus_cos_integral,
-                        potential_kernel, potential_kernel_at_one,
-                        resolvent_density, transition_density)
+from .resolvent import (_alpha, one_minus_cos_integral, potential_kernel,
+                        potential_kernel_at_one, resolvent_density,
+                        transition_density)
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,7 @@ def _check(reports, check_id, lhs, rhs, tol, n_samples=None, relative=False,
 
 
 def _alphas(idx_grid, default):
-    if not idx_grid:
-        return [as_index(a) for a in default]
-    return [as_index(a) for a in idx_grid]
+    return [_alpha(a) for a in idx_grid or default]
 
 
 # ------------------------------------------------------------------- suites
@@ -69,34 +67,34 @@ def _suite_brownian_oracle(idx_grid, seed, n_samples):
     del idx_grid, seed, n_samples
     reports = []
     tol = 1e-8
-    idx = StableIndex(2.0)
+    al = 2.0
     for q in (0.25, 1.0, 4.0):
         rq = math.sqrt(q)
         for x in (0.0, 0.5, 1.0, 2.0):
             _check(reports, f"resolvent/q={q}/x={x}",
-                   resolvent_density(idx, q, x),
+                   resolvent_density(al, q, x),
                    math.exp(-rq * x) / (2 * rq), tol)
         for a in (0.5, 1.0, 2.0):
             z = rq * a
             _check(reports, f"lt_hit/q={q}/a={a}",
-                   hl.lt_hit_point(hl.HittingQuery(idx, q, a=a)),
+                   hl.lt_hit_point(hl.HittingQuery(al, q, a=a)),
                    math.exp(-z), tol)
             _check(reports, f"lt_last_exit/q={q}/a={a}",
-                   hl.lt_last_exit(idx, q, a),
+                   hl.lt_last_exit(al, q, a),
                    (1 - math.exp(-2 * z)) / (2 * z), tol)
             _check(reports, f"lt_post_exit/q={q}/a={a}",
-                   hl.lt_post_exit(idx, q, a), z / math.sinh(z), tol)
+                   hl.lt_post_exit(al, q, a), z / math.sinh(z), tol)
             _check(reports, f"lt_hit_abs/q={q}/a={a}",
-                   hl.lt_hit_abs(idx, q, a), 1 / math.cosh(z), tol)
+                   hl.lt_hit_abs(al, q, a), 1 / math.cosh(z), tol)
             _check(reports, f"lt_last_exit_abs/q={q}/a={a}",
-                   hl.lt_last_exit_abs(idx, q, a), math.tanh(z) / z, tol)
+                   hl.lt_last_exit_abs(al, q, a), math.tanh(z) / z, tol)
             _check(reports, f"lt_post_exit_abs/q={q}/a={a}",
-                   hl.lt_post_exit_abs(idx, q, a), z / math.sinh(z), tol)
+                   hl.lt_post_exit_abs(al, q, a), z / math.sinh(z), tol)
     for t, x in ((0.5, 0.0), (1.0, 0.7), (2.0, 1.5)):
         _check(reports, f"density/t={t}/x={x}",
-               transition_density(idx, t, x),
+               transition_density(al, t, x),
                math.exp(-x * x / (4 * t)) / (2 * math.sqrt(math.pi * t)), tol)
-    _check(reports, "potential_kernel/x=3", potential_kernel(idx, 3.0), 1.5, tol)
+    _check(reports, "potential_kernel/x=3", potential_kernel(al, 3.0), 1.5, tol)
     return reports
 
 
@@ -105,34 +103,33 @@ def _suite_formula_algebra(idx_grid, seed, n_samples):
     bracket and scale invariance, over an (alpha, q, a) grid."""
     del seed, n_samples
     reports = []
-    for idx in _alphas(idx_grid, (1.2, 1.5, 1.8, 2.0)):
-        al = idx.alpha
+    for al in _alphas(idx_grid, (1.2, 1.5, 1.8, 2.0)):
         for q in (0.5, 1.0, 2.0):
             for a in (0.5, 1.0, 2.0):
                 tag = f"alpha={al}/q={q}/a={a}"
                 _check(reports, f"product_point/{tag}",
-                       hl.lt_last_exit(idx, q, a) * hl.lt_post_exit(idx, q, a),
-                       hl.lt_hit_point(hl.HittingQuery(idx, q, a=a)), 1e-12)
+                       hl.lt_last_exit(al, q, a) * hl.lt_post_exit(al, q, a),
+                       hl.lt_hit_point(hl.HittingQuery(al, q, a=a)), 1e-12)
                 _check(reports, f"product_abs/{tag}",
-                       hl.lt_last_exit_abs(idx, q, a) * hl.lt_post_exit_abs(idx, q, a),
-                       hl.lt_hit_abs(idx, q, a), 1e-12)
+                       hl.lt_last_exit_abs(al, q, a) * hl.lt_post_exit_abs(al, q, a),
+                       hl.lt_hit_abs(al, q, a), 1e-12)
                 for c in (0.5, 3.0):
                     _check(reports, f"scale_c={c}/{tag}",
-                           hl.lt_hit_abs(idx, q, a),
-                           hl.lt_hit_abs(idx, q / c ** al, c * a), 1e-9)
+                           hl.lt_hit_abs(al, q, a),
+                           hl.lt_hit_abs(al, q / c ** al, c * a), 1e-9)
         # two-route agreement for D_n plus its sign
         for n in range(1, 11):
-            gap = hl.leg_decomposition_gap(idx, 1.0, 1.0, n)
+            gap = hl.leg_decomposition_gap(al, 1.0, 1.0, n)
             if al < 2.0:
                 _check(reports, f"dn_positive/alpha={al}/n={n}",
                        min(gap, 0.0), 0.0, 0.0,
                        notes=f"D_n={gap:.3e}")
             else:
                 _check(reports, f"dn_zero/alpha={al}/n={n}", gap, 0.0, 1e-12)
-        target = hl.lt_hit_abs(idx, 1.0, 1.0)
+        target = hl.lt_hit_abs(al, 1.0, 1.0)
         ok = True
         for n in range(2, 51):
-            _, (lo, hi) = hl.lt_hit_abs_series(idx, 1.0, 1.0, n)
+            _, (lo, hi) = hl.lt_hit_abs_series(al, 1.0, 1.0, n)
             ok = ok and (lo - 1e-13 <= target <= hi + 1e-13)
         _check(reports, f"series_bracket/alpha={al}", float(ok), 1.0, 0.0)
     return reports
@@ -141,15 +138,15 @@ def _suite_formula_algebra(idx_grid, seed, n_samples):
 def _suite_mc_vs_formula(idx_grid, seed, n_samples):
     """Monte Carlo of the hitting-time sampler against the resolvent ratio."""
     reports = []
-    for i, idx in enumerate(_alphas(idx_grid, (1.2, 1.5, 1.8))):
+    for i, al in enumerate(_alphas(idx_grid, (1.2, 1.5, 1.8))):
         stream = smp.RandomStream(seed, i)
-        draws = smp.sample_hitting_time(idx, 1.0, stream, size=n_samples)
+        draws = smp.sample_hitting_time(al, 1.0, stream, size=n_samples)
         for q in (0.5, 1.0, 2.0):
             vals = np.exp(-q * draws)
             mc = float(np.mean(vals))
             se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-            want = hl.lt_hit_point(hl.HittingQuery(idx, q, a=1.0))
-            _check(reports, f"hit_mc/alpha={idx.alpha}/q={q}", mc, want,
+            want = hl.lt_hit_point(hl.HittingQuery(al, q, a=1.0))
+            _check(reports, f"hit_mc/alpha={al}/q={q}", mc, want,
                    4 * se, n_samples=n_samples, notes=f"stderr={se:.3e}")
     return reports
 
@@ -159,8 +156,7 @@ def _suite_relation_r(idx_grid, seed, n_samples):
     alpha sin(pi/alpha)."""
     del seed, n_samples
     reports = []
-    for idx in _alphas(idx_grid, (1.25, 1.5, 1.8)):
-        al = idx.alpha
+    for al in _alphas(idx_grid, (1.25, 1.5, 1.8)):
         const = dist.relation_r_constant(al)
         for theta in (0.25, 0.5, 1.0, 2.0, 4.0):
             _check(reports, f"relation_r/alpha={al}/theta={theta}",
@@ -228,11 +224,11 @@ def _suite_inversion(idx_grid, seed, n_samples):
                 for t in np.arange(0.1, 5.01, 0.1))
     _check(reports, "exponential_cdf/n_terms=20", worst, 0.0, 1e-6,
            notes="max abs error over t in 0.1..5")
-    idx = StableIndex(1.5)
+    al = 1.5
     stream = smp.RandomStream(seed, 300)
     n = n_samples
-    draws = np.sort(smp.sample_hitting_time(idx, 1.0, stream, size=n))
-    hit_lt = lambda q: hl.lt_hit_point(hl.HittingQuery(idx, float(q), a=1.0))
+    draws = np.sort(smp.sample_hitting_time(al, 1.0, stream, size=n))
+    hit_lt = lambda q: hl.lt_hit_point(hl.HittingQuery(al, float(q), a=1.0))
     for p in (0.10, 0.25, 0.50, 0.75, 0.90):
         t_emp = float(draws[min(int(p * n), n - 1)])
         inverted = laplace_invert_cdf(hit_lt, t_emp, n_terms=12)

@@ -20,7 +20,7 @@ from stable_hitting.hitting_laws import (HittingQuery, leg_decomposition_gap,
                                          lt_last_exit_abs, lt_post_exit,
                                          lt_post_exit_abs)
 from stable_hitting.numerics import laplace_invert_cdf
-from stable_hitting.resolvent import (StableIndex, one_minus_cos_integral,
+from stable_hitting.resolvent import (one_minus_cos_integral,
                                       potential_kernel_at_one,
                                       resolvent_density, transition_density)
 from stable_hitting.sampling import (RandomStream,
@@ -42,21 +42,21 @@ def _report(criterion, detail):
 def test_criterion_01_brownian_oracle_suite():
     t0 = time.perf_counter()
     tol, worst = 1e-8, 0.0
-    idx = StableIndex(2.0)
+    alpha = 2.0
     for q in (0.25, 1.0, 4.0):
         rq = math.sqrt(q)
         for x in (0.0, 0.5, 1.0, 2.0):
-            worst = max(worst, abs(resolvent_density(idx, q, x)
+            worst = max(worst, abs(resolvent_density(alpha, q, x)
                                    - math.exp(-rq * x) / (2 * rq)))
         for a in (0.5, 1.0, 2.0):
             z = rq * a
             checks = (
-                (lt_hit_point(HittingQuery(idx, q, a=a)), math.exp(-z)),
-                (lt_last_exit(idx, q, a), (1 - math.exp(-2 * z)) / (2 * z)),
-                (lt_post_exit(idx, q, a), z / math.sinh(z)),
-                (lt_hit_abs(idx, q, a), 1 / math.cosh(z)),
-                (lt_last_exit_abs(idx, q, a), math.tanh(z) / z),
-                (lt_post_exit_abs(idx, q, a), z / math.sinh(z)),
+                (lt_hit_point(HittingQuery(alpha, q, a=a)), math.exp(-z)),
+                (lt_last_exit(alpha, q, a), (1 - math.exp(-2 * z)) / (2 * z)),
+                (lt_post_exit(alpha, q, a), z / math.sinh(z)),
+                (lt_hit_abs(alpha, q, a), 1 / math.cosh(z)),
+                (lt_last_exit_abs(alpha, q, a), math.tanh(z) / z),
+                (lt_post_exit_abs(alpha, q, a), z / math.sinh(z)),
             )
             for lhs, rhs in checks:
                 worst = max(worst, abs(lhs - rhs))
@@ -79,29 +79,28 @@ def test_criterion_02_appendix_constant():
 def test_criterion_03_formula_algebra():
     worst_prod, worst_scale = 0.0, 0.0
     for alpha in (1.2, 1.5, 1.8, 2.0):
-        idx = StableIndex(alpha)
         for q in (0.5, 1.0, 2.0):
             for a in (0.5, 1.0, 2.0):
                 worst_prod = max(worst_prod, abs(
-                    lt_last_exit(idx, q, a) * lt_post_exit(idx, q, a)
-                    - lt_hit_point(HittingQuery(idx, q, a=a))))
+                    lt_last_exit(alpha, q, a) * lt_post_exit(alpha, q, a)
+                    - lt_hit_point(HittingQuery(alpha, q, a=a))))
                 worst_prod = max(worst_prod, abs(
-                    lt_last_exit_abs(idx, q, a) * lt_post_exit_abs(idx, q, a)
-                    - lt_hit_abs(idx, q, a)))
+                    lt_last_exit_abs(alpha, q, a) * lt_post_exit_abs(alpha, q, a)
+                    - lt_hit_abs(alpha, q, a)))
                 for c in (0.5, 3.0):
                     worst_scale = max(worst_scale, abs(
-                        lt_hit_abs(idx, q, a)
-                        - lt_hit_abs(idx, q / c ** alpha, c * a)))
+                        lt_hit_abs(alpha, q, a)
+                        - lt_hit_abs(alpha, q / c ** alpha, c * a)))
         # two-route D_n agreement to 1e-9 is asserted inside the call
         for n in range(1, 11):
-            gap = leg_decomposition_gap(idx, 1.0, 1.0, n)
+            gap = leg_decomposition_gap(alpha, 1.0, 1.0, n)
             if alpha < 2.0:
                 assert gap > 0.0
             else:
                 assert abs(gap) <= 1e-12
-        target = lt_hit_abs(idx, 1.0, 1.0)
+        target = lt_hit_abs(alpha, 1.0, 1.0)
         for n in range(2, 51):
-            _, (lo, hi) = lt_hit_abs_series(idx, 1.0, 1.0, n)
+            _, (lo, hi) = lt_hit_abs_series(alpha, 1.0, 1.0, n)
             assert lo - 1e-13 <= target <= hi + 1e-13
     assert worst_prod <= 1e-12
     assert worst_scale <= 1e-9
@@ -113,15 +112,14 @@ def test_criterion_03_formula_algebra():
 @pytest.mark.parametrize("alpha,stream_id", [(1.2, 0), (1.5, 1), (1.8, 2)])
 def test_criterion_04_mc_vs_hitting_formula(alpha, stream_id):
     t0 = time.perf_counter()
-    idx = StableIndex(alpha)
-    draws = sample_hitting_time(idx, 1.0, RandomStream(2024, stream_id),
+    draws = sample_hitting_time(alpha, 1.0, RandomStream(2024, stream_id),
                                 size=N_MC)
     worst_ratio = 0.0
     for q in (0.5, 1.0, 2.0):
         vals = np.exp(-q * draws)
         mc = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(N_MC))
-        want = lt_hit_point(HittingQuery(idx, q, a=1.0))
+        want = lt_hit_point(HittingQuery(alpha, q, a=1.0))
         assert abs(mc - want) <= 4 * se, (alpha, q, mc, want, se)
         worst_ratio = max(worst_ratio, abs(mc - want) / se)
     elapsed = time.perf_counter() - t0
@@ -186,10 +184,10 @@ def test_criterion_08_laplace_inversion():
                 for t in np.arange(0.1, 5.01, 0.1))
     assert worst <= 1e-6
     # inverted hitting-time CDF against empirical quantiles of the sampler
-    idx = StableIndex(1.5)
-    draws = np.sort(sample_hitting_time(idx, 1.0, RandomStream(2028, 0),
+    alpha = 1.5
+    draws = np.sort(sample_hitting_time(alpha, 1.0, RandomStream(2028, 0),
                                         size=N_MC))
-    hit_lt = lambda q: lt_hit_point(HittingQuery(idx, float(q), a=1.0))
+    hit_lt = lambda q: lt_hit_point(HittingQuery(alpha, float(q), a=1.0))
     worst_q = 0.0
     for p in (0.10, 0.25, 0.50, 0.75, 0.90):
         t_emp = float(draws[int(p * N_MC) - 1])

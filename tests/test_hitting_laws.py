@@ -15,39 +15,35 @@ from stable_hitting.hitting_laws import (HittingQuery, excursion_hit_lt,
                                          lt_hit_three, lt_last_exit,
                                          lt_last_exit_abs, lt_post_exit,
                                          lt_post_exit_abs, prob_hit_before)
-from stable_hitting.resolvent import StableIndex, resolvent_density
+from stable_hitting.resolvent import resolvent_density
 
 ALPHAS = [1.2, 1.5, 1.8, 2.0]
 
 
-def q_(idx, q, **kw):
-    return HittingQuery(StableIndex(idx), q, **kw)
-
-
 class TestHitPoint:
     def test_start_on_target(self):
-        assert lt_hit_point(q_(1.5, 1.0, x=1.0, a=1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert lt_hit_point(HittingQuery(1.5, 1.0, x=1.0, a=1.0)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("q", [0.25, 1.0, 4.0])
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_brownian(self, q, a):
         want = math.exp(-math.sqrt(q) * a)
-        assert lt_hit_point(q_(2.0, q, a=a)) == pytest.approx(want, abs=1e-8)
+        assert lt_hit_point(HittingQuery(2.0, q, a=a)) == pytest.approx(want, abs=1e-8)
 
     def test_in_unit_interval_decreasing_in_q(self):
-        vals = [lt_hit_point(q_(1.5, q, a=1.0)) for q in (0.5, 1.0, 2.0, 4.0)]
+        vals = [lt_hit_point(HittingQuery(1.5, q, a=1.0)) for q in (0.5, 1.0, 2.0, 4.0)]
         assert all(0 < v <= 1 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_tends_to_one_as_q_vanishes(self):
-        vals = [lt_hit_point(q_(1.5, q, a=1.0)) for q in (1e-2, 1e-4, 1e-6)]
+        vals = [lt_hit_point(HittingQuery(1.5, q, a=1.0)) for q in (1e-2, 1e-4, 1e-6)]
         assert vals[0] < vals[1] < vals[2] < 1.0
         assert vals[2] > 0.97
 
     def test_complete_monotonicity_divided_differences(self):
         # divided differences of a completely monotone function alternate sign
         grid = [0.5, 1.0, 2.0, 4.0, 8.0]
-        for fn in (lambda q: lt_hit_point(q_(1.5, q, a=1.0)),
+        for fn in (lambda q: lt_hit_point(HittingQuery(1.5, q, a=1.0)),
                    lambda q: lt_hit_abs(1.5, q, 1.0)):
             f = [fn(q) for q in grid]
             d1 = [(f[i + 1] - f[i]) / (grid[i + 1] - grid[i]) for i in range(4)]
@@ -60,44 +56,44 @@ class TestHitPoint:
 
 class TestHitEither:
     def test_start_on_either_target(self):
-        assert lt_hit_either(q_(1.5, 1.0, x=1.0, a=1.0, b=-1.0)) == pytest.approx(1.0, abs=1e-12)
-        assert lt_hit_either(q_(1.5, 1.0, x=-1.0, a=1.0, b=-1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert lt_hit_either(HittingQuery(1.5, 1.0, x=1.0, a=1.0, b=-1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert lt_hit_either(HittingQuery(1.5, 1.0, x=-1.0, a=1.0, b=-1.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_brownian_cosh(self):
         q, x, a, b = 1.3, 0.4, -1.0, 2.0
         want = (math.cosh(math.sqrt(q) * (x - (a + b) / 2))
                 / math.cosh(math.sqrt(q) * (b - a) / 2))
-        assert lt_hit_either(q_(2.0, q, x=x, a=a, b=b)) == pytest.approx(want, abs=1e-8)
+        assert lt_hit_either(HittingQuery(2.0, q, x=x, a=a, b=b)) == pytest.approx(want, abs=1e-8)
 
     def test_equals_abs_value_form(self):
-        got = lt_hit_either(q_(1.5, 1.0, x=0.0, a=1.0, b=-1.0))
+        got = lt_hit_either(HittingQuery(1.5, 1.0, x=0.0, a=1.0, b=-1.0))
         assert got == pytest.approx(lt_hit_abs(1.5, 1.0, 1.0), abs=1e-14)
 
     def test_requires_b(self):
         with pytest.raises(DomainError):
-            lt_hit_either(q_(1.5, 1.0, a=1.0))
+            lt_hit_either(HittingQuery(1.5, 1.0, a=1.0))
 
 
 class TestHitBefore:
     def test_sum_rule(self):
         for alpha in (1.5, 2.0):
-            fwd = lt_hit_before(q_(alpha, 1.0, x=0.3, a=1.0, b=-1.5))
-            bwd = lt_hit_before(q_(alpha, 1.0, x=0.3, a=-1.5, b=1.0))
-            both = lt_hit_either(q_(alpha, 1.0, x=0.3, a=1.0, b=-1.5))
+            fwd = lt_hit_before(HittingQuery(alpha, 1.0, x=0.3, a=1.0, b=-1.5))
+            bwd = lt_hit_before(HittingQuery(alpha, 1.0, x=0.3, a=-1.5, b=1.0))
+            both = lt_hit_either(HittingQuery(alpha, 1.0, x=0.3, a=1.0, b=-1.5))
             assert fwd + bwd == pytest.approx(both, abs=1e-12)
 
     def test_brownian_sinh(self):
         q, a, x, b = 0.7, -1.0, 0.2, 1.5
         want = math.sinh(math.sqrt(q) * (b - x)) / math.sinh(math.sqrt(q) * (b - a))
-        assert lt_hit_before(q_(2.0, q, x=x, a=a, b=b)) == pytest.approx(want, abs=1e-8)
+        assert lt_hit_before(HittingQuery(2.0, q, x=x, a=a, b=b)) == pytest.approx(want, abs=1e-8)
 
     def test_chain_rule(self):
         # phi_{x->a} = phi_{x->a<b} + phi_{x->b<a} phi_{b->a}
         alpha, q, x, a, b = 1.5, 1.0, 0.3, 1.0, -1.2
-        lhs = lt_hit_point(q_(alpha, q, x=x, a=a))
-        rhs = (lt_hit_before(q_(alpha, q, x=x, a=a, b=b))
-               + lt_hit_before(q_(alpha, q, x=x, a=b, b=a))
-               * lt_hit_point(q_(alpha, q, x=b, a=a)))
+        lhs = lt_hit_point(HittingQuery(alpha, q, x=x, a=a))
+        rhs = (lt_hit_before(HittingQuery(alpha, q, x=x, a=a, b=b))
+               + lt_hit_before(HittingQuery(alpha, q, x=x, a=b, b=a))
+               * lt_hit_point(HittingQuery(alpha, q, x=b, a=a)))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -112,7 +108,7 @@ class TestGetoor:
 
     def test_q_limit_of_lt(self):
         target = prob_hit_before(1.5, 0.0, 1.0, 2.0)
-        vals = [lt_hit_before(q_(1.5, q, x=0.0, a=1.0, b=2.0))
+        vals = [lt_hit_before(HittingQuery(1.5, q, x=0.0, a=1.0, b=2.0))
                 for q in (1e-2, 1e-4, 1e-6)]
         errs = [abs(v - target) for v in vals]
         assert errs[0] > errs[1] > errs[2]
@@ -129,7 +125,7 @@ class TestLastExitAndPostExit:
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_product_rule(self, alpha, q, a):
         prod = lt_last_exit(alpha, q, a) * lt_post_exit(alpha, q, a)
-        assert prod == pytest.approx(lt_hit_point(q_(alpha, q, a=a)), abs=1e-12)
+        assert prod == pytest.approx(lt_hit_point(HittingQuery(alpha, q, a=a)), abs=1e-12)
 
     @pytest.mark.parametrize("alpha", [1.5, 1.8])
     def test_scaling_in_q_a_alpha(self, alpha):
@@ -202,7 +198,7 @@ class TestHitAbs:
     def test_series_geometric_tail(self):
         # |S_50 - lt| <= phi_{0->2a}^50, up to float rounding
         alpha, q, a = 1.5, 1.0, 1.0
-        ratio = lt_hit_point(q_(alpha, q, a=2 * a))
+        ratio = lt_hit_point(HittingQuery(alpha, q, a=2 * a))
         s50, _ = lt_hit_abs_series(alpha, q, a, 50)
         assert abs(s50 - lt_hit_abs(alpha, q, a)) <= ratio ** 50 + 1e-13
 
@@ -244,7 +240,7 @@ class TestThreePoint:
     def test_dominates_two_point(self):
         # extra target means an earlier stop, hence a larger transform
         three = lt_hit_three(1.5, 1.0, 0.5, 1.0)
-        two = lt_hit_either(q_(1.5, 1.0, x=0.5, a=1.0, b=-1.0))
+        two = lt_hit_either(HittingQuery(1.5, 1.0, x=0.5, a=1.0, b=-1.0))
         assert three >= two
 
     def test_pair_before_zero_at_target(self):
@@ -253,8 +249,8 @@ class TestThreePoint:
     def test_pair_before_zero_alternate_assembly(self):
         alpha, q, x, a = 1.5, 1.0, 0.4, 1.0
         direct = lt_hit_pair_before_zero(alpha, q, x, a)
-        pair_x = lt_hit_either(q_(alpha, q, x=x, a=a, b=-a))
-        pair_0 = lt_hit_either(q_(alpha, q, x=0.0, a=a, b=-a))
+        pair_x = lt_hit_either(HittingQuery(alpha, q, x=x, a=a, b=-a))
+        pair_0 = lt_hit_either(HittingQuery(alpha, q, x=0.0, a=a, b=-a))
         three_x = lt_hit_three(alpha, q, x, a)
         assembled = (pair_x - pair_0 * three_x) / (1.0 - pair_0)
         assert direct == pytest.approx(assembled, abs=1e-9)
@@ -313,7 +309,7 @@ class TestScaleInvariance:
         q, a = 1.0, 1.0
         qc, ac = q / c ** alpha, c * a
         pairs = [
-            (lt_hit_point(q_(alpha, q, a=a)), lt_hit_point(q_(alpha, qc, a=ac))),
+            (lt_hit_point(HittingQuery(alpha, q, a=a)), lt_hit_point(HittingQuery(alpha, qc, a=ac))),
             (lt_last_exit(alpha, q, a), lt_last_exit(alpha, qc, ac)),
             (lt_post_exit(alpha, q, a), lt_post_exit(alpha, qc, ac)),
             (lt_hit_abs(alpha, q, a), lt_hit_abs(alpha, qc, ac)),
@@ -327,15 +323,15 @@ class TestScaleInvariance:
 class TestQueryValidation:
     def test_alpha_range(self):
         with pytest.raises(DomainError):
-            q_(1.0, 1.0)
+            HittingQuery(1.0, 1.0)
 
     def test_rate_positive(self):
         with pytest.raises(DomainError):
-            q_(1.5, 0.0)
+            HittingQuery(1.5, 0.0)
 
     def test_coincident_targets(self):
         with pytest.raises(DomainError):
-            q_(1.5, 1.0, a=1.0, b=1.0)
+            HittingQuery(1.5, 1.0, a=1.0, b=1.0)
 
     def test_zero_target_rejected(self):
         with pytest.raises(DomainError):

@@ -2,17 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate, special
 
-from stable_hitting.errors import (BracketError, DomainError, NonConvergence,
-                                   NumericInstability)
-from stable_hitting.numerics import (ABS_TOL, REL_TOL, LaplaceTransform,
-                                     integrate_adaptive,
+from stable_hitting.errors import DomainError, NonConvergence, NumericInstability
+from stable_hitting.numerics import (ABS_TOL, REL_TOL, integrate_adaptive,
                                      integrate_oscillatory_cos,
-                                     invert_monotone, laplace_invert_cdf,
-                                     tolerance)
+                                     laplace_invert_cdf, tolerance)
 
 
 class TestQuadSpec:
@@ -113,37 +108,8 @@ class TestLaplaceInvertCdf:
         with pytest.raises(NumericInstability):
             laplace_invert_cdf(bad, 1.0)
 
-    def test_q_min_respected(self):
-        phi = LaplaceTransform(eval=lambda q: 1.0 / (1.0 + q), q_min=0.5, label="exp")
-        with pytest.raises(DomainError):
-            laplace_invert_cdf(phi, 10.0)
-
     def test_bad_args(self):
         with pytest.raises(DomainError):
             laplace_invert_cdf(lambda q: 1.0, 0.0)
         with pytest.raises(DomainError):
             laplace_invert_cdf(lambda q: 1.0, 1.0, n_terms=7)
-
-
-class TestInvertMonotone:
-    def test_identity(self):
-        assert invert_monotone(lambda x: x, 0.25, (0.0, 1.0)) == pytest.approx(0.25, abs=1e-10)
-
-    def test_exponential_quantile(self):
-        got = invert_monotone(lambda x: 1 - math.exp(-x), 0.5, (0.0, 10.0))
-        assert got == pytest.approx(math.log(2), abs=1e-10)
-
-    def test_sigmoid_median(self):
-        got = invert_monotone(lambda x: 1 / (1 + math.exp(-x)), 0.5, (-5.0, 5.0))
-        assert got == pytest.approx(0.0, abs=1e-10)
-
-    def test_bracket_error(self):
-        with pytest.raises(BracketError):
-            invert_monotone(lambda x: x, 2.0, (0.0, 1.0))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(min_value=0.01, max_value=0.99))
-    def test_roundtrip_property(self, p):
-        F = lambda x: 0.5 * (1 + math.tanh(x))
-        x = invert_monotone(F, p, (-20.0, 20.0))
-        assert abs(F(x) - p) <= 1e-10

@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stable_hitting.errors import DomainError, NonConvergence
-from stable_hitting.numerics import integrate_adaptive, integrate_oscillatory_cos
-from stable_hitting.resolvent import (StableIndex, _p1, _u1, as_index,
-                                      one_minus_cos_integral,
+from stable_hitting.hitting_laws import HittingQuery
+from stable_hitting.numerics import (integrate_adaptive,
+                                     integrate_oscillatory_cos, tolerance)
+from stable_hitting.resolvent import (_p1, _u1, one_minus_cos_integral,
                                       potential_kernel,
                                       potential_kernel_at_one,
-                                      resolvent_density, resolvent_gap,
-                                      transition_density, u1_zero)
+                                      resolvent_density, transition_density,
+                                      u1_zero)
+from stable_hitting.sampling import RandomStream, sample_hitting_time
 
 
 def u1_rotated(alpha, w):
@@ -82,6 +84,19 @@ def p1_asymptotic(alpha, w):
         return float(total)
 
 
+def p1_convergent_series(alpha, w):
+    """p_1(w) for alpha < 1 at 40 digits: the series
+    sum_k (-1)^{k+1} Gamma(k a + 1) sin(k pi a/2) / (pi k!) w^{-k a - 1},
+    which converges for every w > 0 when a < 1, summed directly over 300
+    terms."""
+    with mp.workdps(40):
+        a, w = mp.mpf(alpha), mp.mpf(w)
+        return float(mp.fsum(
+            (-1) ** (k + 1) * mp.gamma(k * a + 1) * mp.sin(k * mp.pi * a / 2)
+            / (mp.pi * mp.factorial(k)) * w ** (-k * a - 1)
+            for k in range(1, 301)))
+
+
 def u1_far_field(alpha, w):
     """Leading term Gamma(1 + a) sin(pi a/2) / (pi w^{1+a}) of u_1 at 40 digits."""
     with mp.workdps(40):
@@ -90,22 +105,21 @@ def u1_far_field(alpha, w):
                      / (mp.pi * mp.mpf(w) ** (1 + a)))
 
 
-class TestStableIndex:
-    def test_gamma(self):
-        idx = StableIndex(1.5)
-        assert idx.gamma * idx.alpha == pytest.approx(1.0, abs=1e-15)
-
+class TestAlphaDomain:
     def test_range(self):
-        with pytest.raises(DomainError):
-            StableIndex(0.0)
-        with pytest.raises(DomainError):
-            StableIndex(2.5)
+        for alpha in (0.0, 2.5):
+            with pytest.raises(DomainError):
+                transition_density(alpha, 1.0, 0.5)
 
     def test_hitting_requires_alpha_above_one(self):
         with pytest.raises(DomainError):
-            StableIndex(0.9).require_point_hitting()
+            resolvent_density(0.9, 1.0, 0.5)
         with pytest.raises(DomainError):
             resolvent_density(1.0, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            HittingQuery(0.9, 1.0)
+        with pytest.raises(DomainError):
+            sample_hitting_time(0.9, 1.0, RandomStream(0), size=3)
 
 
 class TestTransitionDensity:
@@ -113,10 +127,16 @@ class TestTransitionDensity:
         # p_1(0) = 1/(2 sqrt(pi)) for alpha = 2
         assert transition_density(2.0, 1.0, 0.0) == pytest.approx(1 / (2 * math.sqrt(math.pi)), abs=1e-12)
 
-    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.2, 1.5, 1.8])
     def test_value_at_zero(self, alpha):
         want = math.gamma(1 / alpha) / (alpha * math.pi)
         assert transition_density(alpha, 1.0, 0.0) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8])
+    @pytest.mark.parametrize("w", [0.5, 3.0, 30.0, 1e6])
+    def test_below_one_matches_convergent_series(self, alpha, w):
+        want = p1_convergent_series(alpha, w)
+        assert abs(transition_density(alpha, 1.0, w) - want) <= tolerance(want)
 
     @pytest.mark.parametrize("x", [0.3, 1.7])
     def test_symmetry(self, x):
@@ -298,21 +318,16 @@ class TestP1Kernel:
 
 
 class TestResolventGap:
+    # u_q(0) - u_q(x), which tends to the potential kernel h(x) as q -> 0
     def test_brownian(self):
         want = (1 - math.exp(-1.0)) / 2
-        assert resolvent_gap(2.0, 1.0, 1.0) == pytest.approx(want, abs=1e-10)
-
-    def test_zero_at_origin(self):
-        for alpha in (1.3, 2.0):
-            assert resolvent_gap(alpha, 1.0, 0.0) == 0.0
-
-    def test_nonnegative(self):
-        for x in (0.1, 1.0, 10.0):
-            assert resolvent_gap(1.5, 1.0, x) >= 0.0
+        gap = resolvent_density(2.0, 1.0, 0.0) - resolvent_density(2.0, 1.0, 1.0)
+        assert gap == pytest.approx(want, abs=1e-10)
 
     def test_approaches_potential_kernel(self):
         h = potential_kernel(1.5, 1.0)
-        gaps = [abs(resolvent_gap(1.5, q, 1.0) - h) for q in (1e-2, 1e-4, 1e-6)]
+        gaps = [abs(resolvent_density(1.5, q, 0.0) - resolvent_density(1.5, q, 1.0) - h)
+                for q in (1e-2, 1e-4, 1e-6)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-3
 
@@ -357,9 +372,3 @@ class TestOneMinusCosIntegral:
             one_minus_cos_integral(1.0)
         with pytest.raises(DomainError):
             one_minus_cos_integral(3.0)
-
-
-def test_as_index_passthrough():
-    idx = StableIndex(1.5)
-    assert as_index(idx) is idx
-    assert as_index(1.5).alpha == 1.5

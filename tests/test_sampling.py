@@ -10,8 +10,7 @@ from scipy import integrate, special
 from stable_hitting.errors import DomainError
 from stable_hitting.hitting_laws import HittingQuery, lt_hit_point
 from stable_hitting.distributions import alpha_cauchy_density
-from stable_hitting.numerics import LaplaceTransform, laplace_invert_cdf
-from stable_hitting.resolvent import StableIndex
+from stable_hitting.numerics import laplace_invert_cdf
 from stable_hitting.sampling import (_SERIES_BLOCK, RandomStream, SampleStats,
                                      gamma_series_coefficient,
                                      gamma_series_tail_gamma,
@@ -306,7 +305,7 @@ class TestHittingTime:
     def test_matches_resolvent_formula(self, q):
         draws = sample_hitting_time(1.5, 1.0, RandomStream(82), size=N)
         vals = np.exp(-q * draws)
-        want = lt_hit_point(HittingQuery(StableIndex(1.5), q, a=1.0))
+        want = lt_hit_point(HittingQuery(1.5, q, a=1.0))
         ok, se = within_4se(np.mean(vals), want, vals)
         assert ok, (np.mean(vals), want, se)
 
@@ -315,7 +314,7 @@ class TestHittingTime:
         draws = sample_hitting_time(alpha, 1.0, RandomStream(85), size=N)
         for q in (0.5, 1.0, 2.0):
             vals = np.exp(-q * draws)
-            want = lt_hit_point(HittingQuery(StableIndex(alpha), q, a=1.0))
+            want = lt_hit_point(HittingQuery(alpha, q, a=1.0))
             ok, se = within_4se(np.mean(vals), want, vals)
             assert ok, (q, np.mean(vals), want, se)
 
@@ -324,7 +323,7 @@ class TestHittingTime:
         # 2^alpha, sit at their levels of the inverted CDF of T_1
         alpha = 1.5
         d2 = sample_hitting_time(alpha, 2.0, RandomStream(84), size=N)
-        phi = lambda q: lt_hit_point(HittingQuery(StableIndex(alpha), float(q), a=1.0))
+        phi = lambda q: lt_hit_point(HittingQuery(alpha, float(q), a=1.0))
         for p in (0.1, 0.25, 0.5, 0.75, 0.9):
             t = float(np.quantile(d2, p)) / 2 ** alpha
             got = laplace_invert_cdf(phi, t)
@@ -466,7 +465,7 @@ class TestGammaSeries:
 
 class TestSampleFromLt:
     def test_exponential_law(self):
-        phi = LaplaceTransform(eval=lambda q: 1.0 / (1.0 + q), label="unit exp")
+        phi = lambda q: 1.0 / (1.0 + q)
         draws = sample_from_lt(phi, RandomStream(121), size=100_000)
         assert ks_distance(draws, lambda t: 1 - np.exp(-t)) < 0.005
 
@@ -475,15 +474,14 @@ class TestSampleFromLt:
         phi = tanh_subordinator_lt(1.0)
         draws = sample_from_lt(phi, RandomStream(122), size=100_000, n_terms=16)
         h = 1e-6
-        want = (1.0 - float(phi.eval(h))) / h
+        want = (1.0 - float(phi(h))) / h
         assert want == pytest.approx(2 / 3, abs=1e-5)
         ok, _ = within_4se(np.mean(draws), want, draws)
         assert ok
 
     def test_plain_sqrt_q_variant_mean(self):
         # tanh(sqrt q)/sqrt q is the same law scaled by 1/2; mean 1/3
-        phi = LaplaceTransform(eval=lambda q: np.tanh(np.sqrt(q)) / np.sqrt(q),
-                               label="tanh half scale")
+        phi = lambda q: np.tanh(np.sqrt(q)) / np.sqrt(q)
         draws = sample_from_lt(phi, RandomStream(126), size=50_000, n_terms=16)
         ok, _ = within_4se(np.mean(draws), 1 / 3, draws)
         assert ok
