@@ -235,12 +235,19 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _float_grid(raw: str) -> list:
+def _finite_float(raw: str) -> float:
     try:
-        return [float(v) for v in raw.split(",")]
+        value = float(raw)
     except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(
-            f"invalid value {raw!r}: expected a number or comma-separated numbers")
+            f"invalid value {raw!r}: expected a finite number")
+    return value
+
+
+def _float_grid(raw: str) -> list:
+    return [_finite_float(v) for v in raw.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sa = sub.add_parser("sample", help="draw from a named law")
     sa.add_argument("dist", choices=sorted(SAMPLE_DISTS))
     for flag in ("alpha", "beta", "gamma", "a", "b", "t"):
-        sa.add_argument(f"--{flag}", type=float)
+        sa.add_argument(f"--{flag}", type=_finite_float)
     sa.add_argument("--terms", type=int)
     sa.add_argument("-n", type=_positive_int, default=10)
     sa.add_argument("--seed", type=int, default=0)
@@ -269,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     iv = sub.add_parser("invert", help="numerically invert a hitting-law "
                                        "transform into P(T < t)")
     iv.add_argument("kind", choices=_INVERT_CHOICES)
-    iv.add_argument("--alpha", type=float, required=True)
-    iv.add_argument("--a", type=float, required=True)
-    iv.add_argument("--x", type=float)
+    iv.add_argument("--alpha", type=_finite_float, required=True)
+    iv.add_argument("--a", type=_finite_float, required=True)
+    iv.add_argument("--x", type=_finite_float)
     iv.add_argument("--t", type=_float_grid, required=True,
                     help="comma-separated time grid")
     iv.add_argument("--terms", type=int, default=12)

@@ -78,11 +78,17 @@ def lt_hit_before(query: HittingQuery) -> float:
     u = query.u
     u0 = u(0.0)
     uab = u(query.a - query.b)
-    den = u0 * u0 - uab * uab
-    if den <= 0.0:
-        raise DegenerateDenominator(
-            f"u_q(0)^2 - u_q(a-b)^2 = {den} for a-b = {query.a - query.b}")
+    den = _u_gap(u0, uab, query.a - query.b)
     return (u0 * u(query.x - query.a) - uab * u(query.x - query.b)) / den
+
+
+def _u_gap(u0: float, ud: float, d: float) -> float:
+    """u_q(0)^2 - u_q(d)^2, or DegenerateDenominator where it rounds to 0
+    or below, as it does for |d| far below the scale q^{-1/alpha}."""
+    den = u0 * u0 - ud * ud
+    if den <= 0.0:
+        raise DegenerateDenominator(f"u_q(0)^2 - u_q(d)^2 = {den} for d = {d}")
+    return den
 
 
 def prob_hit_before(alpha, x: float, a: float, b: float) -> float:
@@ -106,7 +112,7 @@ def lt_post_exit(alpha, q: float, a: float) -> float:
     """E[e^{-q (T_a - G_a)}] = 2 h(a) u(a) / (u(0)^2 - u(a)^2)."""
     query = HittingQuery(alpha, q, a=_nonzero(a))
     u0, ua = query.u(0.0), query.u(a)
-    return 2.0 * potential_kernel(query.alpha, a) * ua / (u0 * u0 - ua * ua)
+    return 2.0 * potential_kernel(query.alpha, a) * ua / _u_gap(u0, ua, a)
 
 
 def excursion_hit_mass(alpha, a: float) -> float:
@@ -121,7 +127,7 @@ def excursion_hit_lt(alpha, q: float, a: float, r: Optional[float] = None) -> fl
     where the leading ratio tends to 1."""
     query = HittingQuery(alpha, q, a=_nonzero(a), r=r)
     u0, ua = query.u(0.0), query.u(a)
-    out = ua / (u0 * u0 - ua * ua)
+    out = ua / _u_gap(u0, ua, a)
     if r is not None:
         out *= (resolvent_density(query.alpha, r, a)
                 / resolvent_density(query.alpha, r, 0.0))

@@ -4,9 +4,10 @@ Three workhorses live here:
 
 * ``integrate_adaptive``   -- QUADPACK for smooth integrands, with its error
   estimate checked against the fixed tolerance,
-* ``integrate_oscillatory_cos`` -- Fourier-cosine integrals over (0, inf),
-  partitioned at the cosine zeros with averaging (Euler) acceleration of the
-  alternating panel series,
+* ``integrate_oscillatory_cos`` -- Fourier-cosine integrals over (lo, inf) by
+  QUADPACK's QAWF, under the same check; no kernel of ``resolvent`` uses it,
+  only the reference quadratures that the verify suites and tests compare
+  the kernels with,
 * ``laplace_invert_cdf``   -- Gaver-Stehfest inversion of E[e^{-qT}] into
   P(T < t), run in 80-bit extended precision because the Salzer weights
   amplify rounding in the transform values.
@@ -18,7 +19,6 @@ import math
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 from scipy import integrate
@@ -27,16 +27,8 @@ from .errors import DomainError, NonConvergence, NumericInstability
 
 _LD = np.longdouble
 
-# 16-point Gauss-Legendre rule, reused for every half-period panel.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-# Half-period segments summed directly before the alternating-series
-# acceleration is consulted.
-_OSCILLATORY_TERMS = 10
-
 # Every quadrature accepts an error up to max(ABS_TOL, REL_TOL |value|);
-# QUADPACK subdivides at most MAX_PANELS times, and the panel series takes at
-# most 1000 * MAX_PANELS half-periods.
+# QUADPACK subdivides at most MAX_PANELS times (per cycle for QAWF).
 ABS_TOL = 1e-10
 REL_TOL = 1e-9
 MAX_PANELS = 400
@@ -51,21 +43,22 @@ def tolerance(scale: float) -> float:
     return max(ABS_TOL, REL_TOL * abs(scale))
 
 
-def integrate_adaptive(f, lo: float, hi: float, points=None) -> float:
+def integrate_adaptive(f, lo: float, hi: float) -> float:
     """Adaptive quadrature of ``f`` over (lo, hi); ``hi`` may be +inf.
 
-    ``points`` are break points inside a finite interval.  A stalled
-    QUADPACK run, that is an error estimate above ten times ``tolerance``,
-    or a non-finite value raises NonConvergence.
+    A stalled QUADPACK run, that is an error estimate above ten times
+    ``tolerance``, or a non-finite value raises NonConvergence.
     """
-    kwargs = dict(epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_PANELS,
-                  full_output=1)
-    if points is not None:
-        kwargs["points"] = points
-        kwargs["limit"] = max(MAX_PANELS, len(points) + 50)
+    return _quad(f, lo, hi)
+
+
+def _quad(f, lo: float, hi: float, **weight) -> float:
+    """``scipy.integrate.quad`` at the fixed tolerances, with the checks of
+    ``integrate_adaptive``; ``weight`` selects a weighted QUADPACK rule."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        out = integrate.quad(f, lo, hi, **kwargs)
+        out = integrate.quad(f, lo, hi, epsabs=ABS_TOL, epsrel=REL_TOL,
+                             limit=MAX_PANELS, full_output=1, **weight)
     value, abserr = out[0], out[1]
     if not math.isfinite(value):
         raise NonConvergence(f"integral over ({lo}, {hi}) is not finite")
@@ -74,96 +67,19 @@ def integrate_adaptive(f, lo: float, hi: float, points=None) -> float:
     return value
 
 
-def _as_vectorized(g):
-    """Return a callable mapping ndarray -> ndarray, wrapping scalar-only g."""
-    probe = np.array([0.7, 1.3])
-    try:
-        out = np.asarray(g(probe), dtype=float)
-        if out.shape == probe.shape:
-            return g
-    except Exception:
-        pass
-    return np.vectorize(g, otypes=[float])
+def integrate_oscillatory_cos(g, w: float, lo: float = 0.0) -> float:
+    """int_lo^inf cos(w x) g(x) dx for g decaying to 0, by QUADPACK's QAWF.
 
-
-def _averaged_apex(sums: Sequence[float]) -> float:
-    """Iterated-averaging (van Wijngaarden / Euler) limit estimate of an
-    alternating series from a window of its partial sums."""
-    row = np.asarray(sums, dtype=float)
-    while row.size > 1:
-        row = 0.5 * (row[1:] + row[:-1])
-    return float(row[0])
-
-
-def _cos_panel_series(gv, w: float, k_start: int, base: float = 0.0) -> float:
-    """Sum_{k>=k_start} of int_{z_{k-1}}^{z_k} cos(w x) g(x) dx with
-    z_k = (k + 1/2) pi / w.
-
-    Panels alternate in sign because g is positive; the series is summed
-    directly while the terms still carry weight and accelerated by repeated
-    averaging of the partial sums once ``_OSCILLATORY_TERMS`` segments
-    have been taken.  ``base`` only feeds the relative-tolerance scale.
-    """
-    half_period = math.pi / w
-    budget = 1000 * MAX_PANELS
-    window = 30
-    running = 0.0
-    tail_sums: list[float] = []
-    n_panels = 0
-    k = k_start
-    block = 64
-    while n_panels < budget:
-        ks = np.arange(k, min(k + block, k_start + budget))
-        lo = (ks - 0.5) * half_period
-        mid = lo + 0.5 * half_period
-        half = 0.5 * half_period
-        nodes = mid[:, None] + half * _GL_NODES[None, :]
-        vals = np.cos(w * nodes) * gv(nodes)
-        panels = (vals @ _GL_WEIGHTS) * half
-        partial = running + np.cumsum(panels)
-        running = float(partial[-1])
-        tail_sums.extend(partial.tolist())
-        del tail_sums[:-2 * window]
-        n_panels += len(ks)
-        tol = tolerance(base + running)
-        # alternating series: remainder is bounded by the next term
-        if abs(panels[-1]) < 0.05 * tol and n_panels >= 2:
-            return running
-        if n_panels >= _OSCILLATORY_TERMS + 4 and len(tail_sums) >= 8:
-            # apexes of windows ending two, one and zero panels ago
-            a0 = _averaged_apex(tail_sums[-(window + 2):-2])
-            a1 = _averaged_apex(tail_sums[-(window + 1):-1])
-            a2 = _averaged_apex(tail_sums[-window:])
-            if abs(a2 - a1) < 0.25 * tol and abs(a1 - a0) < 0.25 * tol:
-                return a2
-        k = ks[-1] + 1
-        block = min(2 * block, 65536)
-    raise NonConvergence(
-        f"oscillatory panel budget ({budget}) exhausted at w={w}")
-
-
-def integrate_oscillatory_cos(g, w: float) -> float:
-    """int_0^inf cos(w x) g(x) dx for positive, decreasing g.
-
-    ``w = 0`` degenerates to ``integrate_adaptive``; the sign of ``w`` is
-    irrelevant by evenness of the cosine.
+    QAWF sums the integral over cycles of cos(w x) and extrapolates the
+    series.  It is reliable for the smooth, slowly varying g of the
+    reference quadratures; for g concentrated in a small part of its first
+    cycle, such as e^{-x^alpha} at w <= 1e-6, it returns wrong values with
+    no error flag.  ``w = 0`` is plain adaptive quadrature; the sign of
+    ``w`` is irrelevant by evenness of the cosine.
     """
     if w == 0.0:
-        return integrate_adaptive(g, 0.0, math.inf)
-    w = abs(w)
-    gv = _as_vectorized(g)
-
-    def f(x):
-        return math.cos(w * x) * float(gv(x))
-
-    z0 = 0.5 * math.pi / w
-    if z0 <= 16.0:
-        head = integrate_adaptive(f, 0.0, z0)
-    else:
-        # break points stop QUADPACK skipping a sharply concentrated g
-        pts = np.geomspace(min(1.0, 0.25 * z0), z0, 48)[:-1]
-        head = integrate_adaptive(f, 0.0, z0, points=pts)
-    return head + _cos_panel_series(gv, w, 1, base=head)
+        return integrate_adaptive(g, lo, math.inf)
+    return _quad(g, lo, math.inf, weight="cos", wvar=abs(w))
 
 
 @lru_cache(maxsize=None)

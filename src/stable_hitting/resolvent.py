@@ -6,19 +6,21 @@ self-similarity scaling before any quadrature runs.  p_1 and u_1 each have
 exactly one evaluator, the cached kernels ``_p1`` and ``_u1``; the Linnik
 density of ``distributions`` is u_1 itself and shares that cache.
 
-Neither kernel takes an oscillatory route for 1 < alpha < 2.  ``_p1`` is
-Zolotarev's integral of a positive function, ``_u1`` the integral of a
+Neither kernel takes an oscillatory route.  ``_p1`` is Zolotarev's integral
+of a positive function for every alpha != 1, ``_u1`` the integral of a
 positive function that rotating the contour xi -> i v gives; each runs on
 the same fixed tanh-sinh rule in numpy and is checked against the rule's
 half-step version.  Against 40-digit mpmath the relative error of ``_p1`` is
-below 1e-13 for alpha in [1.01, 1.99] and w in [1e-6, 1e6], that of ``_u1``
-below 1e-12 for alpha in [0.9, 1.999] and w in [1e-6, 1e6]; ``_p1`` stays
-positive for w in [1e-100, 1e100] and ``_u1`` out to w = 1e60.  Far out both
-return their common leading asymptote (``_far_field``).  At w = 0 they return
-the closed forms Gamma(1 + 1/alpha)/pi and ``u1_zero``, and at alpha = 2 the
-Gaussians; for alpha <= 1, p_1 is a Fourier-cosine integral.
-``transition_density`` and ``resolvent_density`` also dispatch alpha = 2 to
-the Gaussian closed forms before calling either kernel.
+below 1e-13 for alpha in [1.01, 1.99] and w in [1e-6, 1e6] and below 1e-12
+for alpha in [0.1, 0.999] and w in [1e-12, 1e300], that of ``_u1`` below
+1e-12 for alpha in [0.9, 1.999] and w in [1e-6, 1e6]; ``_p1`` stays positive
+for w in [1e-100, 1e100] and ``_u1`` out to w = 1e60.  Far out both return
+their common leading asymptote (``_far_field``), except that ``_p1`` sums the
+convergent series ``_p1_series`` for alpha < 1.  At w = 0 they return
+the closed forms Gamma(1 + 1/alpha)/pi and ``u1_zero``, at alpha = 2 the
+Gaussians, and ``_p1`` at alpha = 1 the Cauchy density.  Only the reference
+quadratures ``one_minus_cos_integral`` and
+``distributions.alpha_cauchy_charfn`` integrate a cosine.
 
 The stability index ``alpha`` is a plain float throughout the package;
 ``_alpha`` and ``_point_alpha`` check its range for every module.
@@ -32,8 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NonConvergence
-from .numerics import (_as_vectorized, _cos_panel_series, integrate_adaptive,
-                       integrate_oscillatory_cos, tolerance)
+from .numerics import (integrate_adaptive, integrate_oscillatory_cos,
+                       tolerance)
 
 # Tanh-sinh rule (Takahasi and Mori, 1974) for ``_u1`` and ``_p1``: nodes
 # t_k = k/64 for |k| <= 205, that is |t| <= 3.2.  At node t the tanh-sinh
@@ -105,27 +107,29 @@ def _zolotarev_log_v(alpha: float, lw: float, L: float):
 
 
 def _zolotarev_centre(alpha: float, lw: float) -> float:
-    """The root c of log(y V) in L = logit(th/(pi/2)), to 0.1 (alpha - 1).
+    """The root c of log(y V) in L = logit(th/(pi/2)), to 0.1 |alpha - 1|.
 
-    Newton's method starts from the later of the two asymptotic roots,
-    th = w/alpha and pi/2 - th = sin(pi alpha/2) w^{-alpha}.  log(y V)
-    decreases in L, so each step narrows a bracket; a step that leaves the
+    Newton's method starts from one of the two asymptotic roots,
+    th = w/alpha and pi/2 - th = sin(pi alpha/2) w^{-alpha}: the later for
+    alpha > 1, where log(y V) decreases in L, the earlier for alpha < 1,
+    where it increases.  Each step narrows a bracket; a step that leaves the
     bracket bisects it, and no step is longer than 4.
     """
     a1 = alpha - 1.0
-    L = max(lw - math.log(alpha * _HALF_PI),
-            alpha * lw + math.log(_HALF_PI / math.sin(_HALF_PI * alpha)))
+    roots = (lw - math.log(alpha * _HALF_PI),
+             alpha * lw + math.log(_HALF_PI / math.sin(_HALF_PI * alpha)))
+    L = max(roots) if a1 > 0.0 else min(roots)
     lo, hi = -math.inf, math.inf
     for _ in range(60):
         g, dg = _zolotarev_log_v(alpha, lw, L)
-        if g > 0.0:
+        if (g > 0.0) == (a1 > 0.0):
             lo = L
         else:
             hi = L
         nxt = L - min(4.0, max(-4.0, g / dg))
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - L) < 0.1 * a1:
+        if abs(nxt - L) < 0.1 * abs(a1):
             return nxt
         L = nxt
     raise NonConvergence(
@@ -136,23 +140,23 @@ def _zolotarev_centre(alpha: float, lw: float) -> float:
 def _p1(alpha: float, w: float) -> float:
     """p_1(w) = (1/pi) int_0^inf cos(w xi) e^{-xi^alpha} dxi, w >= 0.
 
-    For 1 < a < 2 and w > 0, Zolotarev's integral (Zolotarev 1986; Nolan
-    1997) gives p_1 as an integral of a positive function: with
-    y = w^{a/(a-1)},
+    For a != 1 and w > 0, Zolotarev's integral (Zolotarev 1986; Nolan 1997)
+    gives p_1 as an integral of a positive function: with y = w^{a/(a-1)},
 
-        p_1(w) = a / (pi (a-1) w) int_0^{pi/2} y V e^{-y V} dth,
+        p_1(w) = a / (pi |a-1| w) int_0^{pi/2} y V e^{-y V} dth,
         V(th) = (cos th / sin(a th))^{a/(a-1)} cos((a-1) th) / cos th.
 
-    V falls from infinity to 0, so the integrand peaks where y V = 1.  The
-    tanh-sinh rule runs in L = logit(th/(pi/2)) = c + (a-1) pi sinh t, with
-    c the root of log(y V) found by ``_zolotarev_centre``.  log V is nearly
-    linear in L, with slopes -a/(a-1) and -1/(a-1) at the two ends, so the
-    stretch a - 1 gives the peak unit width in t for every a.  The integrand
-    is formed in log space, with cos th = sin((pi/2)(1 - s)) and
-    sin(a th) = sin((pi/2)(2 - a s)) past its maximum, so that nothing
-    cancels at either end.  The rule is checked against its every-other-node
-    half, as in ``_u1``; when they differ, the rule is centred once more on
-    its largest node before ``NonConvergence`` is raised.
+    V falls from infinity to 0 for a > 1 and rises from 0 to infinity for
+    a < 1, so the integrand peaks near y V = 1.  The tanh-sinh rule runs in
+    L = logit(th/(pi/2)) = c + (a-1) pi sinh t, with c the root of log(y V)
+    found by ``_zolotarev_centre``.  log V is nearly linear in L, with slopes
+    -a/(a-1) and -1/(a-1) at the two ends, so the stretch |a - 1| gives the
+    peak unit width in t for every a > 1.  The integrand is formed in log
+    space, with cos th = sin((pi/2)(1 - s)) and sin(a th) =
+    sin((pi/2)(2 - a s)) past its maximum, so that nothing cancels at either
+    end.  The rule is checked against its every-other-node half, as in
+    ``_u1``; when they differ, the rule is centred once more on its largest
+    node before ``NonConvergence`` is raised.
 
     Against mpmath (the power series at small w, a cosine integral at
     moderate w, the asymptotic series from w = 30) its relative error is
@@ -163,24 +167,30 @@ def _p1(alpha: float, w: float) -> float:
     integrand lies on the flat part of V, left of the root; the re-centred
     pass passes it at alpha 1.999 and 1.9999 for w = 3 and 5, but at
     alpha = 1.9999, w = 8 the gap stays at 3e-8 and ``NonConvergence`` is
-    raised.
+    raised.  For alpha in [0.1, 0.999] and w in [1e-12, 1e300] it is within
+    7e-13 of 40-digit mpmath wherever p_1 is a normal double.  At smaller w
+    the weight s of dth moves the peak right of the root, by
+    log(1/alpha)/alpha units of t, and widens it like alpha^{-1/2}: at
+    alpha = 0.1 the error is 2.5e-12 below w = 1e-20, and from alpha = 0.05
+    down the half-step check fails there.
 
-    Below w = 1e-9, where p_1(w)/p_1(0) = 1 - O(w^2) rounds to 1, the value
-    is the closed form p_1(0) = Gamma(1 + 1/alpha)/pi; the far field is
-    ``_far_field``; alpha = 2 is the Gaussian e^{-w^2/4} / (2 sqrt(pi)).
-    For alpha <= 1, p_1 is the Fourier-cosine integral by
-    ``numerics.integrate_oscillatory_cos``.
+    Below w = 1e-9 for alpha > 1, where p_1(w)/p_1(0) = 1 - O(w^2) rounds to
+    1, the value is the closed form p_1(0) = Gamma(1 + 1/alpha)/pi.  For
+    alpha < 1 the w^2 coefficient Gamma(3/a) / (2 Gamma(1/a)) reaches 1e25
+    at a = 0.1, so the rule runs down to w = 1e-300.  The far field is
+    ``_far_field`` for alpha > 1 and ``_p1_series`` for alpha < 1; alpha = 1
+    is the Cauchy density and alpha = 2 the Gaussian.
     """
-    if alpha <= 1.0:
-        return integrate_oscillatory_cos(lambda x: np.exp(-x ** alpha), w) / math.pi
     if alpha == 2.0:
         return math.exp(-0.25 * w * w) / (2.0 * math.sqrt(math.pi))
-    if w < 1e-9:
+    if alpha == 1.0:
+        return 1.0 / (math.pi * (1.0 + w * w))
+    if w < (1e-9 if alpha > 1.0 else 1e-300):
         return math.gamma(1.0 + 1.0 / alpha) / math.pi
-    far = _far_field(alpha, w)
+    a1, lw = alpha - 1.0, math.log(w)
+    far = _far_field(alpha, w) if a1 > 0.0 else _p1_series(alpha, lw)
     if far is not None:
         return far
-    a1, lw = alpha - 1.0, math.log(w)
     c = _zolotarev_centre(alpha, lw)
     for _ in range(2):
         value, rule, half, f = _zolotarev_rule(alpha, lw, c)
@@ -195,6 +205,26 @@ def _p1(alpha: float, w: float) -> float:
     raise NonConvergence(
         f"p_1 rule and its half-step rule differ by "
         f"{abs(rule - half) / rule:.3g} relative at alpha={alpha}, w={w}")
+
+
+def _p1_series(alpha: float, lw: float):
+    """p_1(w) for alpha < 1 by the series, convergent for every w > 0,
+
+        (1/pi) sum_k (-1)^{k+1} Gamma(k a + 1)/k! sin(k pi a/2) w^{-k a - 1},
+
+    or None where a log w <= 8.  Beyond that each term is at most about e^{-8}
+    times the one before; the terms are formed in log space, so they
+    underflow rather than overflow."""
+    if alpha * lw <= 8.0:
+        return None
+    total = 0.0
+    for k in range(1, 40):
+        size = math.exp(math.lgamma(k * alpha + 1.0) - math.lgamma(k + 1.0)
+                        - (k * alpha + 1.0) * lw)
+        total += (-1.0) ** (k + 1) * math.sin(k * _HALF_PI * alpha) * size
+        if size <= 1e-17 * abs(total):
+            break
+    return total / math.pi
 
 
 def _zolotarev_rule(alpha: float, lw: float, c: float):
@@ -240,13 +270,17 @@ def _u1(alpha: float, w: float) -> float:
     ``numerics.integrate_adaptive`` checks QUADPACK's error estimate: a gap
     above ten times ``numerics.tolerance``, or a value that is not finite and
     positive, raises ``NonConvergence``.  w = 0 is the closed form
-    ``u1_zero`` (infinite for alpha <= 1) and alpha = 2 is e^{-w}/2.
-    Callers pass w as a float, so the cache key is a float too.
+    ``u1_zero`` (infinite for alpha <= 1) and alpha = 2 is e^{-w}/2.  For
+    alpha > 1 and w <= 1e-12 it is u_1(0) - h(1) w^{alpha-1}, h(1) =
+    ``potential_kernel_at_one``: within 3.8e-14 of 40-digit mpmath at
+    w = 1e-12 for alpha in [1.01, 1.999], where the rule fails near 2, but
+    2.7e-12 off at w = 1e-9, alpha = 1.1.  Callers pass w as a float, so the
+    cache key is a float too.
     """
     if alpha == 2.0:
         return 0.5 * math.exp(-w)
-    if w == 0.0:
-        return u1_zero(alpha)
+    if w == 0.0 or (alpha > 1.0 and w <= 1e-12):
+        return u1_zero(alpha) - potential_kernel_at_one(alpha) * w ** (alpha - 1.0)
     far = _far_field(alpha, w)
     if far is not None:
         return far
@@ -286,8 +320,6 @@ def transition_density(alpha, t: float, x: float) -> float:
     alpha = _alpha(alpha)
     if t <= 0:
         raise DomainError("t must be positive")
-    if alpha == 2.0:
-        return math.exp(-x * x / (4.0 * t)) / (2.0 * math.sqrt(math.pi * t))
     scale = t ** -(1.0 / alpha)
     return scale * _p1(alpha, abs(x) * scale)
 
@@ -297,9 +329,6 @@ def resolvent_density(alpha, q: float, x: float) -> float:
     alpha = _point_alpha(alpha)
     if q <= 0:
         raise DomainError("q must be positive")
-    if alpha == 2.0:
-        rq = math.sqrt(q)
-        return math.exp(-rq * abs(x)) / (2.0 * rq)
     scale = q ** (1.0 / alpha)
     return (scale / q) * _u1(alpha, float(abs(x) * scale))
 
@@ -323,15 +352,13 @@ def one_minus_cos_integral(alpha: float) -> float:
     The closed form of this constant is a test oracle, not the implementation.
     The integral is split at a cosine zero z = (K + 1/2) pi: the head uses the
     cancellation-free form 2 sin^2(x/2), the tail contributes the exact
-    power-law piece minus an alternating cosine series.
+    power-law piece minus the cosine integral of x^{-alpha} over (z, inf).
     """
     if not 1.0 < alpha < 3.0:
         raise DomainError(f"alpha={alpha} outside (1, 3)")
-    k_cut = 8
-    z = (k_cut + 0.5) * math.pi
+    z = 8.5 * math.pi
     head = integrate_adaptive(
         lambda x: 2.0 * math.sin(0.5 * x) ** 2 / x ** alpha, 0.0, z)
     power_tail = z ** (1.0 - alpha) / (alpha - 1.0)
-    gv = _as_vectorized(lambda x: x ** -alpha)
-    cos_tail = _cos_panel_series(gv, 1.0, k_cut + 1, base=head)
+    cos_tail = integrate_oscillatory_cos(lambda x: x ** -alpha, 1.0, lo=z)
     return (head + power_tail - cos_tail) / math.pi

@@ -243,7 +243,11 @@ def sample_hitting_time(alpha, a: float, stream: RandomStream, size=None):
     th = pi alpha/2.  With c, s = cos th, sin th and Y = s cot(xi) - c, xi in
     (0, th) has density proportional to (s cot xi - c)^k, k = 1/alpha, below
     the majorant s^k xi^{-k} + |c|^k drawn by inversion; acceptance is
-    0.68-0.995 over alpha in [1.01, 1.999].  At alpha = 2, T_a = a^2 S."""
+    0.68-0.995 over alpha in [1.01, 1.999].  At alpha = 2, T_a = a^2 S.
+
+    P(Y > y) decays only like y^{1/alpha - 1}, so near alpha = 1 a share of
+    the draws passes the double range and comes back as inf: at a = 1, about
+    half of them at alpha = 1.001, 1e-3 at 1.01 and none in 1e5 at 1.05."""
     alpha = _point_alpha(alpha)
     if a == 0.0:
         raise DomainError("target level a must be nonzero")
@@ -266,7 +270,10 @@ def sample_hitting_time(alpha, a: float, stream: RandomStream, size=None):
         y = s / np.tan(xi) - c
         return y, stream.rng.random(m) * (sk * xi ** -k + ck) <= y ** k
 
-    return scale * stable * _accepted(propose, size)
+    # xi underflows to 0, and Y or the product overflows, only for draws
+    # past the double range; those are inf, the true value rounded
+    with np.errstate(divide="ignore", over="ignore"):
+        return scale * stable * _accepted(propose, size)
 
 
 def sample_overshoot(alpha: float, a: float, stream: RandomStream, size=None):

@@ -8,7 +8,7 @@ import pytest
 from stable_hitting import hitting_laws as hl
 from stable_hitting import sampling as smp
 from stable_hitting import verify as vf
-from stable_hitting.cli import main
+from stable_hitting.cli import EVAL_KINDS, main
 from stable_hitting.errors import NonConvergence
 from stable_hitting.numerics import laplace_invert_cdf
 
@@ -297,6 +297,21 @@ def test_non_numeric_flag_usage_error(capsys, argv, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("sample", "gamma", "--a", "nan"), "--a"),
+    (("sample", "t-point", "--alpha", "1.5", "--a", "inf"), "--a"),
+    (("eval", "z", "--a", "1", "--x", "inf"), "--x"),
+    (("eval", "density", "--alpha", "1.5", "--t", "1,nan", "--x", "0"), "--t"),
+    (("invert", "lt-T", "--alpha", "1.5", "--a=-inf", "--t", "1"), "--a"),
+    (("invert", "lt-T", "--alpha", "1.5", "--a", "1", "--t", "1,inf"), "--t"),
+])
+def test_non_finite_flag_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}:" in err and "finite" in err
+
+
 def test_gamma_series_zero_terms_exit_one(capsys):
     # parsed but outside the domain: a numeric failure, not a usage error
     code, out, err = run(capsys, "sample", "gamma-series", "--a", "0.5",
@@ -353,3 +368,30 @@ def test_rows_written_unchanged_and_flushed_once(monkeypatch, argv, expected):
     assert main(list(argv)) == 0
     assert out.getvalue() == "\n".join(expected()) + "\n"
     assert out.flushes == 1
+
+
+_EDGE_VALUES = ("0", "1e-300", "-1e-300", "1e300", "-1e300", "-1", "nan",
+                "inf", "-inf")
+_EDGE_BASE = {"q": "1", "r": "2", "x": "0.5", "a": "1", "b": "-1", "t": "1",
+              "beta": "0.5"}
+
+
+@pytest.mark.parametrize("kind", sorted(EVAL_KINDS))
+def test_eval_edge_values_keep_exit_codes(capsys, kind):
+    # every flag of the kind set in turn to an edge value: a package error
+    # is exit 1, a non-finite flag exit 2, and exit 0 prints finite values
+    required, optional, _ = EVAL_KINDS[kind]
+    flags = list(required) + list(optional)
+    for alpha in ("0.5", "1", "2"):
+        base = {**_EDGE_BASE, "alpha": alpha}
+        for flag in flags:
+            for edge in _EDGE_VALUES:
+                params = {**base, flag: edge}
+                argv = ["eval", kind] + [f"--{name}={params[name]}"
+                                         for name in flags]
+                code, out, err = run(capsys, *argv)
+                assert code in (0, 1, 2), argv
+                assert "Traceback" not in err
+                if code == 0:
+                    values = [float(row["value"]) for row in rows(out)]
+                    assert all(math.isfinite(v) for v in values), argv

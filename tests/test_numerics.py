@@ -67,6 +67,13 @@ class TestOscillatoryCos:
         ref = integrate.quad(g, 0, np.inf, weight="cos", wvar=w, limit=800)[0]
         assert integrate_oscillatory_cos(g, w) == pytest.approx(ref, abs=5e-10)
 
+    @pytest.mark.parametrize("lo", [0.5, 8.5 * math.pi])
+    def test_lower_limit(self, lo):
+        # e^{-x} (sin x - cos x)/2 is an antiderivative of cos(x) e^{-x}
+        want = -0.5 * math.exp(-lo) * (math.sin(lo) - math.cos(lo))
+        got = integrate_oscillatory_cos(lambda x: math.exp(-x), 1.0, lo=lo)
+        assert got == pytest.approx(want, abs=1e-12)
+
     def test_scalar_callable_accepted(self):
         g = lambda x: math.exp(-float(x) ** 2)  # rejects arrays
         want = 0.5 * math.sqrt(math.pi) * math.exp(-0.25)

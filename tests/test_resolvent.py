@@ -97,6 +97,26 @@ def p1_convergent_series(alpha, w):
             for k in range(1, 301)))
 
 
+def p1_small_w_expansion(alpha, w):
+    """p_1(w) for alpha < 1 at 40 digits by the small-w expansion
+    (1/(pi a)) sum_k (-1)^k Gamma((2k+1)/a) w^{2k} / (2k)!, which diverges
+    for a < 1: summed while its terms fall, and used only where the
+    smallest term is below 1e-20 of the sum."""
+    with mp.workdps(40):
+        a, w = mp.mpf(alpha), mp.mpf(w)
+        total, prev = mp.mpf(0), mp.inf
+        for k in range(5000):
+            size = mp.gamma((2 * k + 1) / a) * w ** (2 * k) / mp.factorial(2 * k)
+            if size > prev:
+                break
+            total += (-1) ** k * size
+            prev = size
+            if size < mp.mpf(10) ** -35 * abs(total):
+                break
+        assert prev < mp.mpf(10) ** -20 * abs(total), "expansion too coarse"
+        return float(total / (mp.pi * a))
+
+
 def u1_far_field(alpha, w):
     """Leading term Gamma(1 + a) sin(pi a/2) / (pi w^{1+a}) of u_1 at 40 digits."""
     with mp.workdps(40):
@@ -227,11 +247,18 @@ class TestU1Kernel:
         with pytest.raises(DomainError, match="alpha <= 1"):
             _u1(0.8, 0.0)
 
+    @pytest.mark.parametrize("alpha", [1.01, 1.1, 1.5, 1.9, 1.995, 1.999])
+    def test_small_w_is_the_expansion(self, alpha):
+        # u_1(0) - h(1) w^{alpha-1}; the rule raises at 1.995 and 1.999
+        assert _u1(alpha, 1e-12) == pytest.approx(u1_rotated(alpha, 1e-12),
+                                                  rel=1e-13, abs=0.0)
+
     def test_unresolved_rule_raises(self):
-        # at alpha = 1.999 the cutoff at w = 1e-14 and the near-double root
-        # at v = 1 lie too far apart for the rule's half-step check to pass
+        # at alpha = 1.999 the cutoff at w = 5e-12 and the near-double root
+        # at v = 1 lie too far apart for the rule's half-step check to pass;
+        # from w = 1e-12 down the small-w expansion takes over
         with pytest.raises(NonConvergence, match="half-step"):
-            _u1(1.999, 1e-14)
+            _u1(1.999, 5e-12)
 
     @pytest.mark.parametrize("alpha", [1.5, 1.999])
     def test_far_field_is_the_asymptote(self, alpha):
@@ -249,6 +276,7 @@ class TestU1Kernel:
 
 
 P1_ALPHAS = [1.01, 1.1, 1.15, 1.2, 1.5, 1.9, 1.99]
+P1_ALPHAS_BELOW_ONE = [0.1, 0.3, 0.5, 0.8, 0.95, 0.999]
 
 
 class TestP1Kernel:
@@ -315,6 +343,36 @@ class TestP1Kernel:
     def test_alpha_two_is_gaussian(self):
         for w in (0.0, 0.5, 3.0):
             assert _p1(2.0, w) == math.exp(-w * w / 4) / (2 * math.sqrt(math.pi))
+
+    def test_alpha_one_is_cauchy_closed_form(self):
+        for w in (0.0, 1e-300, 0.5, 3.0, 1e10, 1e150):
+            assert _p1(1.0, w) == pytest.approx(1 / (math.pi * (1 + w * w)),
+                                                rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", P1_ALPHAS_BELOW_ONE)
+    def test_below_one_matches_convergent_series(self, alpha):
+        # Zolotarev's rule up to alpha log w = 8, the kernel's own series
+        # beyond
+        for w in (30.0, 1e3, 1e6, 1e20, 1e100):
+            assert _p1(alpha, w) == pytest.approx(
+                p1_convergent_series(alpha, w), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha,w", [
+        (0.15, 1e-12), (0.2, 1e-12), (0.3, 1e-6), (0.5, 1e-3), (0.7, 0.05),
+        (0.9, 0.3), (0.99, 1e-9), (0.99, 0.3), (0.999, 1e-12), (0.999, 0.1)])
+    def test_below_one_matches_small_w_expansion(self, alpha, w):
+        assert _p1(alpha, w) == pytest.approx(p1_small_w_expansion(alpha, w),
+                                              rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", P1_ALPHAS_BELOW_ONE)
+    def test_below_one_positive_without_warnings(self, alpha):
+        # p_1(1e300) lies below the doubles for every alpha < 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in np.logspace(-12.0, 300.0, 105):
+                value = _p1(alpha, float(w))
+                assert math.isfinite(value) and value >= 0.0
+                assert value > 0.0 or w > 1e150
 
 
 class TestResolventGap:

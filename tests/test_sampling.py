@@ -1,5 +1,6 @@
 import inspect
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -317,6 +318,16 @@ class TestHittingTime:
             want = lt_hit_point(HittingQuery(alpha, q, a=1.0))
             ok, se = within_4se(np.mean(vals), want, vals)
             assert ok, (q, np.mean(vals), want, se)
+
+    def test_near_alpha_one_passes_double_range_as_inf(self):
+        # P(Y > y) decays like y^{1/alpha - 1}, so at alpha = 1.001 about
+        # DBL_MAX^{1/alpha - 1} = 0.49 of the draws pass the double range;
+        # they come back as inf, and no numpy warning is raised
+        draws = sample_hitting_time(1.001, 1.0, RandomStream(86), size=N)
+        assert (draws > 0.0).all()
+        share = float(np.mean(np.isinf(draws)))
+        want = sys.float_info.max ** (1.0 / 1.001 - 1.0)
+        assert abs(share - want) <= 4 * math.sqrt(want * (1 - want) / N), share
 
     def test_level_scaling(self):
         # T_2 = 2^alpha T_1 in law: the quantiles of T_2, scaled back by
