@@ -1,6 +1,9 @@
 """Numerical realization of the hitting-time, last-exit-time and excursion
 laws of one-dimensional symmetric stable Levy processes, with exact samplers
-and cross-verification suites."""
+and cross-verification suites.
+
+Importing the package loads numpy only: the few functions that call scipy
+(QUADPACK and special functions) import it on their first call."""
 
 from .errors import (ConsistencyError, DegenerateDenominator, DomainError,
                      NonConvergence, NumericInstability, TableBuildError,

@@ -21,7 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, NonConvergence, NumericInstability
 
@@ -55,6 +54,8 @@ def integrate_adaptive(f, lo: float, hi: float) -> float:
 def _quad(f, lo: float, hi: float, **weight) -> float:
     """``scipy.integrate.quad`` at the fixed tolerances, with the checks of
     ``integrate_adaptive``; ``weight`` selects a weighted QUADPACK rule."""
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         out = integrate.quad(f, lo, hi, epsabs=ABS_TOL, epsrel=REL_TOL,

@@ -14,11 +14,11 @@ stream_id = worker index).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, TableBuildError
 from .numerics import laplace_invert_cdf
@@ -320,19 +320,28 @@ def sample_excursion_at_exp_time(gamma: float, stream: RandomStream, size=None):
 
 # -------------------------------------------------------- series and tables
 
+# Smallest shape a at which the first coefficient (2/pi^2)/a^2 of the gamma
+# series is a finite double.
+_SERIES_A_MIN = math.sqrt((2.0 / math.pi ** 2) / sys.float_info.max)
+
+
 def gamma_series_coefficient(a: float, j) -> float:
     return (2.0 / math.pi ** 2) / (j + a) ** 2
 
 
 def gamma_series_tail_mean(a: float, t: float, n_terms: int) -> float:
     """Mean of the dropped tail: t (2/pi^2) sum_{j>=n} (j+a)^{-2}, via trigamma."""
-    return t * (2.0 / math.pi ** 2) * float(special.polygamma(1, n_terms + a))
+    from scipy.special import polygamma
+
+    return t * (2.0 / math.pi ** 2) * float(polygamma(1, n_terms + a))
 
 
 def gamma_series_tail_variance(a: float, t: float, n_terms: int) -> float:
     """Variance of the dropped tail: t (2/pi^2)^2 sum_{j>=n} (j+a)^{-4}, via
     the third polygamma; with the mean it fixes ``gamma_series_tail_gamma``."""
-    return t * (2.0 / math.pi ** 2) ** 2 * float(special.polygamma(3, n_terms + a)) / 6.0
+    from scipy.special import polygamma
+
+    return t * (2.0 / math.pi ** 2) ** 2 * float(polygamma(3, n_terms + a)) / 6.0
 
 
 def gamma_series_tail_gamma(a: float, t: float, n_terms: int):
@@ -368,6 +377,10 @@ def sample_gamma_series_subordinator(a: float, t: float, stream: RandomStream,
     """
     if a <= 0 or t <= 0:
         raise DomainError("need a > 0 and t > 0")
+    if a < _SERIES_A_MIN:
+        raise DomainError(f"gamma-series shape a = {a!r} is below "
+                          f"{_SERIES_A_MIN:.3g}, where the first coefficient "
+                          "(2/pi^2)/a^2 overflows")
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
     rng = stream.rng

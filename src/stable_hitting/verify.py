@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special
 
 from . import distributions as dist
 from . import hitting_laws as hl
@@ -167,6 +166,8 @@ def _suite_relation_r(idx_grid, seed, n_samples):
 
 def _stieltjes_reference(p, q, r, g):
     """E[1/(p + q B + r B U^{-1/g})] by nested quadrature over (B, U)."""
+    from scipy import integrate, special
+
     def inner(v):
         fb = v ** (-g) * (1 - v) ** (g - 1) / special.beta(1 - g, g)
         val = integrate.quad(

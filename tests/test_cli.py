@@ -321,6 +321,22 @@ def test_gamma_series_zero_terms_exit_one(capsys):
     assert err == "sample: n_terms must be >= 1\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("eval", "meixner", "--beta", "0", "--t", "1e-310", "--x", "1"),
+     "eval: Meixner density: log B(5e-311, 5e-311) is not finite"),
+    (("eval", "z", "--a", "1e308", "--x", "1"),
+     "eval: z density: log B(1e+308, 1e+308) is not finite"),
+    (("sample", "gamma-series", "--a", "1e-200", "--t", "1", "-n", "3"),
+     "sample: gamma-series shape a = 1e-200 is below 3.36e-155"),
+])
+def test_unrepresentable_shape_exit_one(capsys, argv, message):
+    # unchecked, these would print nan or inf and exit 0
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "nan" not in out and "inf" not in out
+    assert err.startswith(message)
+
+
 class FlushCounter(io.StringIO):
     """A stdout that counts its flushes."""
 

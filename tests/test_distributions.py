@@ -36,6 +36,11 @@ class TestBetaPrime:
         with pytest.raises(DomainError):
             beta_prime_density(1, 1, -0.5)
 
+    def test_nonfinite_normaliser_raises(self):
+        # betaln(1e-310, 1) is inf, which would round the density to 0.0
+        with pytest.raises(DomainError, match="2.2e-308"):
+            beta_prime_density(1e-310, 1.0, 1.0)
+
 
 class TestAlphaCauchy:
     def test_standard_cauchy(self):
@@ -133,6 +138,23 @@ class TestZDensity:
         val = 2 * integrate_adaptive(lambda x: z_density(a, x), 0, math.inf)
         assert val == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("a", [10.0, 1000.0])
+    @pytest.mark.parametrize("x", [0.0, 0.01, -0.02, 0.1])
+    def test_large_shape_against_mpmath(self, a, x):
+        # betaln loses relative accuracy like eps * a; at a = 1000 the
+        # density is still within 7e-13 of the 50-digit value
+        with mp.workdps(50):
+            aa, y = mp.mpf(a), mp.pi * mp.mpf(x)
+            want = mp.pi * mp.exp(aa * y) / ((1 + mp.exp(y)) ** (2 * aa) * mp.beta(aa, aa))
+        assert z_density(a, x) == pytest.approx(float(want), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("a", [1e308, 1e-310])
+    def test_nonfinite_normaliser_raises(self, a):
+        # betaln(a, a) is nan at 1e308 and inf at 1e-310, which would make
+        # the density nan or 0.0
+        with pytest.raises(DomainError, match="2.2e-308.*2.6e305"):
+            z_density(a, 1.0)
+
 
 class TestZLevyExponent:
     def test_zero(self):
@@ -208,6 +230,12 @@ class TestMeixner:
             meixner_density(3.5, 1.0, 0.0)
         with pytest.raises(DomainError):
             meixner_density(0.0, -1.0, 0.0)
+
+    def test_nonfinite_normaliser_raises(self):
+        # betaln and gammaln at t/2 = 5e-311 are both inf, and their
+        # difference would be nan
+        with pytest.raises(DomainError, match="Meixner density.*2.2e-308"):
+            meixner_density(0.0, 1e-310, 1.0)
 
 
 class TestAlphaRayleighSurvival:

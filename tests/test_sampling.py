@@ -443,6 +443,16 @@ class TestGammaSeries:
                 want = mp.cosh(z) ** -t if a == 0.5 else (z / mp.sinh(z)) ** t
                 assert got == pytest.approx(float(want), rel=0, abs=1e-12)
 
+    def test_tiny_shape_raises(self):
+        # below about 3.4e-155 the first coefficient (2/pi^2)/a^2 overflows,
+        # with a divide-by-zero RuntimeWarning and inf draws if unchecked
+        with pytest.raises(DomainError, match="3.36e-155"):
+            sample_gamma_series_subordinator(1e-200, 1.0, RandomStream(116), size=3)
+        with pytest.raises(DomainError, match="overflows"):
+            sample_gamma_series_subordinator(3e-155, 1.0, RandomStream(116), size=3)
+        draws = sample_gamma_series_subordinator(1e-150, 1.0, RandomStream(116), size=3)
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+
     def test_size_shapes(self):
         stream = RandomStream(115)
         assert isinstance(sample_gamma_series_subordinator(0.5, 1.0, stream),
