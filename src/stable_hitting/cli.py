@@ -24,8 +24,7 @@ from . import verify as vf
 from .distributions import (alpha_rayleigh_survival, linnik_density,
                             meixner_density, z_density)
 from .errors import (ConsistencyError, DegenerateDenominator, DomainError,
-                     NonConvergence, NumericInstability, TableBuildError,
-                     UnknownSuite)
+                     NonConvergence, NumericInstability, TableBuildError)
 from .numerics import laplace_invert_cdf
 from .resolvent import potential_kernel, resolvent_density, transition_density
 
@@ -43,85 +42,108 @@ def _emit(row) -> None:
     print(",".join(str(c) for c in row))
 
 
+class _UsageError(Exception):
+    """A flag the command needs is missing, or one it cannot use is given."""
+
+
+def _read_flags(args, required, optional) -> dict:
+    """The flags an entry lists, read from ``args`` as the keywords of its
+    function.  An optional flag not given takes the entry's default, and is
+    left out where that is None, so that the function's own default applies."""
+    params = {}
+    for name in (*required, *optional):
+        value = getattr(args, name)
+        if value is None and name in required:
+            raise _UsageError(f"missing required flag --{name}")
+        params[name] = optional.get(name) if value is None else value
+    if params.get("r") is not None and params.get("q") is None:
+        # r is the second rate of a joint transform in q
+        raise _UsageError("--r needs --q")
+    return {name: value for name, value in params.items() if value is not None}
+
+
 # -------------------------------------------------------------------- eval
 
-def _q(p):
-    return hl.HittingQuery(p["alpha"], p["q"], x=p.get("x", 0.0), a=p["a"],
-                           b=p.get("b"))
+def _lt_hit_point(alpha, q, a, x):
+    return hl.lt_hit_point(hl.HittingQuery(alpha, q, x=x, a=a))
+
+
+def _excursion(mass, transform):
+    """The excursion mass without --q, its transform in q with it."""
+    def value(alpha, a, q=None, r=None):
+        return mass(alpha, a) if q is None else transform(alpha, q, a, r=r)
+    return value
 
 
 EVAL_KINDS = {
-    # kind: (required params, optional params with defaults, evaluator)
-    "density": (("alpha", "t", "x"), {}, lambda p: transition_density(p["alpha"], p["t"], p["x"])),
-    "resolvent": (("alpha", "q", "x"), {}, lambda p: resolvent_density(p["alpha"], p["q"], p["x"])),
-    "h": (("alpha", "x"), {}, lambda p: potential_kernel(p["alpha"], p["x"])),
-    "lt-T": (("alpha", "q", "a"), {"x": 0.0}, lambda p: hl.lt_hit_point(_q(p))),
-    "lt-G": (("alpha", "q", "a"), {}, lambda p: hl.lt_last_exit(p["alpha"], p["q"], p["a"])),
-    "lt-Xi": (("alpha", "q", "a"), {}, lambda p: hl.lt_post_exit(p["alpha"], p["q"], p["a"])),
-    "lt-T-abs": (("alpha", "q", "a"), {}, lambda p: hl.lt_hit_abs(p["alpha"], p["q"], p["a"])),
-    "lt-G-abs": (("alpha", "q", "a"), {}, lambda p: hl.lt_last_exit_abs(p["alpha"], p["q"], p["a"])),
-    "lt-Xi-abs": (("alpha", "q", "a"), {}, lambda p: hl.lt_post_exit_abs(p["alpha"], p["q"], p["a"])),
+    # kind: (required flags, optional flags with defaults, function); the
+    # function is called with the flags as keywords
+    "density": (("alpha", "t", "x"), {}, transition_density),
+    "resolvent": (("alpha", "q", "x"), {}, resolvent_density),
+    "h": (("alpha", "x"), {}, potential_kernel),
+    "lt-T": (("alpha", "q", "a"), {"x": 0.0}, _lt_hit_point),
+    "lt-G": (("alpha", "q", "a"), {}, hl.lt_last_exit),
+    "lt-Xi": (("alpha", "q", "a"), {}, hl.lt_post_exit),
+    "lt-T-abs": (("alpha", "q", "a"), {}, hl.lt_hit_abs),
+    "lt-G-abs": (("alpha", "q", "a"), {}, hl.lt_last_exit_abs),
+    "lt-Xi-abs": (("alpha", "q", "a"), {}, hl.lt_post_exit_abs),
     "exc-n": (("alpha", "a"), {"q": None, "r": None},
-              lambda p: hl.excursion_hit_mass(p["alpha"], p["a"]) if p.get("q") is None
-              else hl.excursion_hit_lt(p["alpha"], p["q"], p["a"], r=p.get("r"))),
+              _excursion(hl.excursion_hit_mass, hl.excursion_hit_lt)),
     "exc-m": (("alpha", "a"), {"q": None, "r": None},
-              lambda p: hl.excursion_hit_mass_abs(p["alpha"], p["a"]) if p.get("q") is None
-              else hl.excursion_hit_lt_abs(p["alpha"], p["q"], p["a"], r=p.get("r"))),
-    "getoor": (("alpha", "x", "a", "b"), {}, lambda p: hl.prob_hit_before(p["alpha"], p["x"], p["a"], p["b"])),
-    "linnik": (("alpha", "x"), {}, lambda p: linnik_density(p["alpha"], p["x"])),
-    "meixner": (("beta", "t", "x"), {}, lambda p: meixner_density(p["beta"], p["t"], p["x"])),
-    "z": (("a", "x"), {}, lambda p: z_density(p["a"], p["x"])),
-    "rayleigh-survival": (("alpha", "x"), {}, lambda p: alpha_rayleigh_survival(p["alpha"], p["x"])),
+              _excursion(hl.excursion_hit_mass_abs, hl.excursion_hit_lt_abs)),
+    "getoor": (("alpha", "x", "a", "b"), {}, hl.prob_hit_before),
+    "linnik": (("alpha", "x"), {}, linnik_density),
+    "meixner": (("beta", "t", "x"), {}, meixner_density),
+    "z": (("a", "x"), {}, z_density),
+    "rayleigh-survival": (("alpha", "x"), {}, alpha_rayleigh_survival),
 }
-
-_EVAL_FLAGS = ("alpha", "q", "r", "x", "a", "b", "t", "beta")
 
 
 def _cmd_eval(args) -> int:
     required, optional, fn = EVAL_KINDS[args.kind]
-    grids = {}
-    for name in required:
-        raw = getattr(args, name)
-        if raw is None:
-            print(f"eval {args.kind}: missing required flag --{name}",
-                  file=sys.stderr)
-            return 2
-        grids[name] = raw
-    for name, default in optional.items():
-        raw = getattr(args, name)
-        grids[name] = [default] if raw is None else raw
-    names = list(grids)
+    flags = _read_flags(args, required, optional)
+    names = [*required, *optional]
     _emit(names + ["value"])
-    for combo in itertools.product(*(grids[n] for n in names)):
-        params = dict(zip(names, combo))
-        value = fn(params)
-        _emit([_fmt(params[n]) if params[n] is not None else "" for n in names]
-              + [_fmt(value)])
+    # a given flag is a grid, a default one value
+    for combo in itertools.product(*(v if isinstance(v, list) else [v]
+                                     for v in flags.values())):
+        params = dict(zip(flags, combo))
+        _emit([_fmt(params[n]) if n in params else "" for n in names]
+              + [_fmt(fn(**params))])
     return 0
 
 
 # ------------------------------------------------------------------ sample
 
+def _gamma_series(a, t, stream, size, terms=None):
+    kw = {} if terms is None else {"n_terms": terms}
+    return smp.sample_gamma_series_subordinator(a, t, stream, size, **kw)
+
+
+def _tanh_law(stream, size, **t):
+    return smp.sample_from_lt(smp.tanh_subordinator_lt(**t), stream, size)
+
+
 SAMPLE_DISTS = {
-    "gamma": (("a",), lambda p, s, n: smp.sample_gamma(p["a"], s, n)),
-    "beta": (("a", "b"), lambda p, s, n: smp.sample_beta(p["a"], p["b"], s, n)),
-    "exponential": ((), lambda p, s, n: smp.sample_exponential(s, n)),
-    "uniform": ((), lambda p, s, n: smp.sample_uniform(s, n)),
-    "sign": ((), lambda p, s, n: smp.sample_bernoulli_sign(s, n)),
-    "sym-stable": (("alpha",), lambda p, s, n: smp.sample_sym_stable(p["alpha"], s, n)),
-    "unilateral": (("beta",), lambda p, s, n: smp.sample_unilateral_stable(p["beta"], s, n)),
-    "size-biased": (("beta",), lambda p, s, n: smp.sample_size_biased_stable(p["beta"], s, n)),
-    "alpha-cauchy": (("alpha",), lambda p, s, n: smp.sample_alpha_cauchy(p["alpha"], s, n)),
-    "alpha-rayleigh": (("alpha",), lambda p, s, n: smp.sample_alpha_rayleigh(p["alpha"], s, n)),
-    "linnik": (("alpha",), lambda p, s, n: smp.sample_linnik(p["alpha"], s, n)),
-    "t-point": (("alpha", "a"), lambda p, s, n: smp.sample_hitting_time(p["alpha"], p["a"], s, n)),
-    "overshoot": (("alpha", "a"), lambda p, s, n: smp.sample_overshoot(p["alpha"], p["a"], s, n)),
-    "excursion": (("gamma",), lambda p, s, n: smp.sample_excursion_age_duration(p["gamma"], s, n)),
-    "excursion-exp": (("gamma",), lambda p, s, n: smp.sample_excursion_at_exp_time(p["gamma"], s, n)),
-    "gamma-series": (("a", "t"), lambda p, s, n: smp.sample_gamma_series_subordinator(
-        p["a"], p["t"], s, n, **({"n_terms": p["terms"]} if "terms" in p else {}))),
-    "tanh-law": ((), lambda p, s, n: smp.sample_from_lt(
-        smp.tanh_subordinator_lt(**({"t": p["t"]} if "t" in p else {})), s, n)),
+    # dist: (required flags, optional flags with defaults, sampler); the
+    # sampler is called with the flags, stream and size as keywords
+    "gamma": (("a",), {}, smp.sample_gamma),
+    "beta": (("a", "b"), {}, smp.sample_beta),
+    "exponential": ((), {}, smp.sample_exponential),
+    "uniform": ((), {}, smp.sample_uniform),
+    "sign": ((), {}, smp.sample_bernoulli_sign),
+    "sym-stable": (("alpha",), {}, smp.sample_sym_stable),
+    "unilateral": (("beta",), {}, smp.sample_unilateral_stable),
+    "size-biased": (("beta",), {}, smp.sample_size_biased_stable),
+    "alpha-cauchy": (("alpha",), {}, smp.sample_alpha_cauchy),
+    "alpha-rayleigh": (("alpha",), {}, smp.sample_alpha_rayleigh),
+    "linnik": (("alpha",), {}, smp.sample_linnik),
+    "t-point": (("alpha", "a"), {}, smp.sample_hitting_time),
+    "overshoot": (("alpha", "a"), {}, smp.sample_overshoot),
+    "excursion": (("gamma",), {}, smp.sample_excursion_age_duration),
+    "excursion-exp": (("gamma",), {}, smp.sample_excursion_at_exp_time),
+    "gamma-series": (("a", "t"), {"terms": None}, _gamma_series),
+    "tanh-law": ((), {"t": None}, _tanh_law),
 }
 
 _COLUMNS = {
@@ -131,31 +153,16 @@ _COLUMNS = {
 
 
 def _cmd_sample(args) -> int:
-    required, fn = SAMPLE_DISTS[args.dist]
-    params = {}
-    for name in required:
-        raw = getattr(args, name)
-        if raw is None:
-            print(f"sample {args.dist}: missing required flag --{name}",
-                  file=sys.stderr)
-            return 2
-        params[name] = raw
-    for name in ("t", "terms"):
-        raw = getattr(args, name, None)
-        if raw is not None and name not in params:
-            params[name] = raw
+    required, optional, fn = SAMPLE_DISTS[args.kind]
+    params = _read_flags(args, required, optional)
     n, streams = args.n, args.streams
     counts = [n // streams + (1 if i < n % streams else 0)
               for i in range(streams)]
-    chunks = [fn(params, smp.RandomStream(args.seed, i), c)
+    chunks = [fn(**params, stream=smp.RandomStream(args.seed, i), size=c)
               for i, c in enumerate(counts) if c > 0]
-    if isinstance(chunks[0], tuple):
-        cols = _COLUMNS[args.dist]
-        draws = [np.concatenate([np.atleast_1d(ch[j]) for ch in chunks])
-                 for j in range(len(cols))]
-    else:
-        cols = ("draw",)
-        draws = [np.concatenate([np.atleast_1d(ch) for ch in chunks])]
+    cols = _COLUMNS.get(args.kind, ("draw",))
+    draws = [np.concatenate([np.atleast_1d(ch if len(cols) == 1 else ch[j])
+                             for ch in chunks]) for j in range(len(cols))]
     if args.summary:
         _emit(["column", "n", "mean", "variance", "stderr", "ks"])
         for name, d in zip(cols, draws):
@@ -177,43 +184,33 @@ _INVERT_CHOICES = sorted(kind for kind, (required, _, _) in EVAL_KINDS.items()
 
 
 def _cmd_invert(args) -> int:
-    _, optional, fn = EVAL_KINDS[args.kind]
-    params = {**optional, "alpha": args.alpha, "a": args.a}
-    if args.x is not None:
-        params["x"] = args.x
+    required, optional, fn = EVAL_KINDS[args.kind]
+    if args.x is not None and "x" not in optional:
+        raise _UsageError("--x given, but this transform starts at 0")
+    params = _read_flags(args, [n for n in required if n != "q"], optional)
 
     def phi(q):
-        return fn({**params, "q": float(q)})
+        return fn(**params, q=float(q))
 
-    t_grid = sorted(args.t)
     _emit(["t", "p", "note"])
-    rows = []
-    failed = False
-    for t in t_grid:
+    failed, best = False, 0.0
+    for t in sorted(args.t):
         try:
-            rows.append((t, laplace_invert_cdf(phi, t, n_terms=args.terms), ""))
+            # clamp the CDF monotone along the grid
+            best = max(best, laplace_invert_cdf(phi, t, n_terms=args.terms))
         except NumericInstability as exc:
-            rows.append((t, math.nan, f"unstable: {exc}"))
+            _emit([_fmt(t), "", f"unstable: {exc}"])
             failed = True
-    # clamp the CDF monotone along the grid
-    best = 0.0
-    for t, p, note in rows:
-        if not math.isnan(p):
-            best = max(best, p)
-            p = best
-        _emit([_fmt(t), "" if math.isnan(p) else _fmt(p), note])
+            continue
+        _emit([_fmt(t), _fmt(best), ""])
     return 1 if failed else 0
 
 
 # ------------------------------------------------------------------ verify
 
 def _cmd_verify(args) -> int:
-    try:
-        reports = vf.run_suite(args.suite, idx_grid=args.alpha, seed=args.seed,
-                               n_samples=args.n)
-    except UnknownSuite as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
+    reports = vf.run_suite(args.suite, idx_grid=args.alpha, seed=args.seed,
+                           n_samples=args.n)
     sys.stdout.write(vf.report_to_csv(reports))
     if args.out:
         out = Path(args.out)
@@ -259,12 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate a formula on a parameter grid")
     ev.add_argument("kind", choices=sorted(EVAL_KINDS))
-    for flag in _EVAL_FLAGS:
+    for flag in ("alpha", "q", "r", "x", "a", "b", "t", "beta"):
         ev.add_argument(f"--{flag}", type=_float_grid,
                         help="value or comma-separated grid")
 
     sa = sub.add_parser("sample", help="draw from a named law")
-    sa.add_argument("dist", choices=sorted(SAMPLE_DISTS))
+    sa.add_argument("kind", metavar="dist", choices=sorted(SAMPLE_DISTS))
     for flag in ("alpha", "beta", "gamma", "a", "b", "t"):
         sa.add_argument(f"--{flag}", type=_finite_float)
     sa.add_argument("--terms", type=int)
@@ -284,11 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     iv.add_argument("--terms", type=int, default=12)
 
     ve = sub.add_parser("verify", help="run a verification suite")
-    ve.add_argument("suite")
+    ve.add_argument("suite", choices=vf.SUITE_NAMES)
     ve.add_argument("--alpha", type=_float_grid,
                     help="comma-separated alpha grid")
     ve.add_argument("--seed", type=int, default=0)
-    ve.add_argument("--n", type=int, default=1_000_000)
+    ve.add_argument("--n", type=_positive_int, default=1_000_000)
     ve.add_argument("--out", help="directory for JSON/CSV report files")
     return ap
 
@@ -299,13 +296,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "sample":
-            return _cmd_sample(args)
-        if args.command == "invert":
-            return _cmd_invert(args)
-        return _cmd_verify(args)
+        return {"eval": _cmd_eval, "sample": _cmd_sample, "invert": _cmd_invert,
+                "verify": _cmd_verify}[args.command](args)
+    except _UsageError as exc:
+        print(f"{args.command} {args.kind}: {exc}", file=sys.stderr)
+        return 2
     except _NUMERIC_ERRORS as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1

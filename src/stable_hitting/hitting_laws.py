@@ -23,25 +23,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConsistencyError, DegenerateDenominator, DomainError
-from .resolvent import _point_alpha, potential_kernel, resolvent_density
+from .resolvent import _point_alpha, _resolvent, potential_kernel
 
 
 @dataclass(frozen=True)
 class HittingQuery:
-    """Parameters of one hitting-law evaluation.
-
-    ``alpha`` is the stability index, a float in (1, 2], ``q`` the rate,
-    ``x`` the start position, ``a`` the target point, ``b`` an optional
-    second target, ``r`` an optional second rate for joint excursion
-    transforms.
-    """
+    """The input of ``lt_hit_point``, ``lt_hit_either`` and ``lt_hit_before``:
+    the stability index ``alpha`` in (1, 2], the rate ``q``, the start
+    position ``x``, the target ``a`` and an optional second target ``b``."""
 
     alpha: float
     q: float
     x: float = 0.0
     a: float = 1.0
     b: Optional[float] = None
-    r: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _point_alpha(self.alpha))
@@ -49,16 +44,12 @@ class HittingQuery:
             raise DomainError("q must be positive")
         if self.b is not None and self.a == self.b:
             raise DomainError("targets a and b must differ")
-        if self.r is not None and self.r <= 0:
-            raise DomainError("r must be positive")
-
-    def u(self, y: float) -> float:
-        return resolvent_density(self.alpha, self.q, y)
 
 
 def lt_hit_point(query: HittingQuery) -> float:
     """E[e^{-q T_a}] started at x: u(x-a) / u(0)."""
-    return query.u(query.x - query.a) / query.u(0.0)
+    u = _resolvent(query.alpha, query.q)
+    return u(query.x - query.a) / u(0.0)
 
 
 def lt_hit_either(query: HittingQuery) -> float:
@@ -66,7 +57,7 @@ def lt_hit_either(query: HittingQuery) -> float:
     (u(x-a) + u(x-b)) / (u(0) + u(a-b))."""
     if query.b is None:
         raise DomainError("second target b required")
-    u = query.u
+    u = _resolvent(query.alpha, query.q)
     return ((u(query.x - query.a) + u(query.x - query.b))
             / (u(0.0) + u(query.a - query.b)))
 
@@ -75,7 +66,7 @@ def lt_hit_before(query: HittingQuery) -> float:
     """E[e^{-q T_a}; T_a < T_b] started at x."""
     if query.b is None:
         raise DomainError("second target b required")
-    u = query.u
+    u = _resolvent(query.alpha, query.q)
     u0 = u(0.0)
     uab = u(query.a - query.b)
     den = _u_gap(u0, uab, query.a - query.b)
@@ -103,16 +94,16 @@ def prob_hit_before(alpha, x: float, a: float, b: float) -> float:
 
 def lt_last_exit(alpha, q: float, a: float) -> float:
     """E[e^{-q G_a}] = (u(0)^2 - u(a)^2) / (2 h(a) u(0))."""
-    query = HittingQuery(alpha, q, a=_nonzero(a))
-    u0, ua = query.u(0.0), query.u(a)
-    return (u0 * u0 - ua * ua) / (2.0 * potential_kernel(query.alpha, a) * u0)
+    u = _resolvent(alpha, q)
+    u0, ua = u(0.0), u(_nonzero(a))
+    return (u0 * u0 - ua * ua) / (2.0 * potential_kernel(alpha, a) * u0)
 
 
 def lt_post_exit(alpha, q: float, a: float) -> float:
     """E[e^{-q (T_a - G_a)}] = 2 h(a) u(a) / (u(0)^2 - u(a)^2)."""
-    query = HittingQuery(alpha, q, a=_nonzero(a))
-    u0, ua = query.u(0.0), query.u(a)
-    return 2.0 * potential_kernel(query.alpha, a) * ua / _u_gap(u0, ua, a)
+    u = _resolvent(alpha, q)
+    u0, ua = u(0.0), u(_nonzero(a))
+    return 2.0 * potential_kernel(alpha, a) * ua / _u_gap(u0, ua, a)
 
 
 def excursion_hit_mass(alpha, a: float) -> float:
@@ -121,23 +112,29 @@ def excursion_hit_mass(alpha, a: float) -> float:
     return 1.0 / (2.0 * potential_kernel(alpha, _nonzero(a)))
 
 
+def _after_hit(alpha, r: Optional[float], a: float) -> float:
+    """u_r(a)/u_r(0), the factor of zeta - T_a; 1 at r = None (r -> 0+)."""
+    if r is None:
+        return 1.0
+    if r <= 0:
+        raise DomainError("r must be positive")
+    u = _resolvent(alpha, r)
+    return u(a) / u(0.0)
+
+
 def excursion_hit_lt(alpha, q: float, a: float, r: Optional[float] = None) -> float:
     """n[e^{-q T_a - r (zeta - T_a)}; T_a < zeta]
     = (u_r(a)/u_r(0)) u_q(a) / (u_q(0)^2 - u_q(a)^2); r = None takes r -> 0+,
     where the leading ratio tends to 1."""
-    query = HittingQuery(alpha, q, a=_nonzero(a), r=r)
-    u0, ua = query.u(0.0), query.u(a)
-    out = ua / _u_gap(u0, ua, a)
-    if r is not None:
-        out *= (resolvent_density(query.alpha, r, a)
-                / resolvent_density(query.alpha, r, 0.0))
-    return out
+    u = _resolvent(alpha, q)
+    u0, ua = u(0.0), u(_nonzero(a))
+    return ua / _u_gap(u0, ua, a) * _after_hit(alpha, r, a)
 
 
 def lt_hit_abs(alpha, q: float, a: float) -> float:
     """E[e^{-q T_a(|X|)}] = 2 u(a) / (u(0) + u(2a))."""
-    query = HittingQuery(alpha, q, a=_nonzero(a))
-    return 2.0 * query.u(a) / (query.u(0.0) + query.u(2.0 * a))
+    u = _resolvent(alpha, q)
+    return 2.0 * u(_nonzero(a)) / (u(0.0) + u(2.0 * a))
 
 
 def lt_hit_abs_series(alpha, q: float, a: float, n_terms: int):
@@ -149,10 +146,10 @@ def lt_hit_abs_series(alpha, q: float, a: float, n_terms: int):
     """
     if n_terms < 2:
         raise DomainError("need n_terms >= 2")
-    query = HittingQuery(alpha, q, a=_nonzero(a))
-    u0 = query.u(0.0)
-    phi_a = query.u(a) / u0
-    phi_2a = query.u(2.0 * a) / u0
+    u = _resolvent(alpha, q)
+    u0 = u(0.0)
+    phi_a = u(_nonzero(a)) / u0
+    phi_2a = u(2.0 * a) / u0
     total = 0.0
     term = 2.0 * phi_a
     prev = 0.0
@@ -174,8 +171,8 @@ def leg_decomposition_gap(alpha, q: float, a: float, n: int) -> float:
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    query = HittingQuery(alpha, q, a=_nonzero(a))
-    u = query.u
+    a = _nonzero(a)
+    u = _resolvent(alpha, q)
     u0 = u(0.0)
     direct = (u((2 * n + 1) * a) / u0
               - (u((2 * n - 1) * a) / u0) * (u(2.0 * a) / u0))
@@ -188,9 +185,11 @@ def leg_decomposition_gap(alpha, q: float, a: float, n: int) -> float:
     return 0.5 * (direct + routed)
 
 
-def _v_q(query: HittingQuery) -> float:
-    u0 = query.u(0.0)
-    v = u0 * u0 + u0 * query.u(2.0 * query.a) - 2.0 * query.u(query.a) ** 2
+def _v_q(u, a: float) -> float:
+    """V_q(a) for the resolvent density u = u_q, at a level a != 0."""
+    _nonzero(a)
+    u0 = u(0.0)
+    v = u0 * u0 + u0 * u(2.0 * a) - 2.0 * u(a) ** 2
     if v <= 0.0:
         raise DegenerateDenominator(f"V_q(a) = {v} <= 0")
     return v
@@ -198,9 +197,8 @@ def _v_q(query: HittingQuery) -> float:
 
 def lt_hit_three(alpha, q: float, x: float, a: float) -> float:
     """E[e^{-q T_{{0, a, -a}}}] started at x."""
-    query = HittingQuery(alpha, q, x=x, a=_nonzero(a))
-    u = query.u
-    v = _v_q(query)
+    u = _resolvent(alpha, q)
+    v = _v_q(u, a)
     u0 = u(0.0)
     c_zero = (u0 + u(2.0 * a) - 2.0 * u(a)) / v
     c_side = (u0 - u(a)) / v
@@ -210,10 +208,9 @@ def lt_hit_three(alpha, q: float, x: float, a: float) -> float:
 def lt_hit_pair_before_zero(alpha, q: float, x: float, a: float) -> float:
     """E[e^{-q T_{{a,-a}}}; T_{{a,-a}} < T_0] started at x:
     (u(0) (u(x-a) + u(x+a)) - 2 u(a) u(x)) / V_q(a)."""
-    query = HittingQuery(alpha, q, x=x, a=_nonzero(a))
-    u = query.u
+    u = _resolvent(alpha, q)
     return ((u(0.0) * (u(x - a) + u(x + a)) - 2.0 * u(a) * u(x))
-            / _v_q(query))
+            / _v_q(u, a))
 
 
 def _h_combo(alpha, a: float) -> float:
@@ -224,15 +221,14 @@ def _h_combo(alpha, a: float) -> float:
 
 def lt_last_exit_abs(alpha, q: float, a: float) -> float:
     """E[e^{-q G_a(|X|)}] = 2 V_q(a) / ((u(0) + u(2a)) (4h(a) - h(2a)))."""
-    query = HittingQuery(alpha, q, a=_nonzero(a))
-    return (2.0 * _v_q(query)
-            / ((query.u(0.0) + query.u(2.0 * a)) * _h_combo(query.alpha, a)))
+    u = _resolvent(alpha, q)
+    return 2.0 * _v_q(u, a) / ((u(0.0) + u(2.0 * a)) * _h_combo(alpha, a))
 
 
 def lt_post_exit_abs(alpha, q: float, a: float) -> float:
     """E[e^{-q (T_a - G_a)(|X|)}] = u(a) (4h(a) - h(2a)) / V_q(a)."""
-    query = HittingQuery(alpha, q, a=_nonzero(a))
-    return query.u(a) * _h_combo(query.alpha, a) / _v_q(query)
+    u = _resolvent(alpha, q)
+    return u(a) * _h_combo(alpha, a) / _v_q(u, a)
 
 
 def excursion_hit_mass_abs(alpha, a: float) -> float:
@@ -248,12 +244,8 @@ def excursion_hit_lt_abs(alpha, q: float, a: float, r: Optional[float] = None) -
     = (u_r(a)/u_r(0)) 2 u_q(a) / V_q(a); r = None takes r -> 0+."""
     if a <= 0:
         raise DomainError("a must be positive")
-    query = HittingQuery(alpha, q, a=a, r=r)
-    out = 2.0 * query.u(a) / _v_q(query)
-    if r is not None:
-        out *= (resolvent_density(query.alpha, r, a)
-                / resolvent_density(query.alpha, r, 0.0))
-    return out
+    u = _resolvent(alpha, q)
+    return 2.0 * u(a) / _v_q(u, a) * _after_hit(alpha, r, a)
 
 
 def _nonzero(a: float) -> float:

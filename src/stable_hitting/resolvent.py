@@ -324,13 +324,20 @@ def transition_density(alpha, t: float, x: float) -> float:
     return scale * _p1(alpha, abs(x) * scale)
 
 
-def resolvent_density(alpha, q: float, x: float) -> float:
-    """Resolvent density u_q(x), via u_q(x) = q^{1/a - 1} u_1(x q^{1/a})."""
+def _resolvent(alpha, q: float):
+    """y -> u_q(y) = q^{1/a - 1} u_1(|y| q^{1/a}), with alpha and q checked
+    and q^{1/a} formed once for all the points read."""
     alpha = _point_alpha(alpha)
     if q <= 0:
         raise DomainError("q must be positive")
     scale = q ** (1.0 / alpha)
-    return (scale / q) * _u1(alpha, float(abs(x) * scale))
+    factor = scale / q
+    return lambda y: factor * _u1(alpha, float(abs(y) * scale))
+
+
+def resolvent_density(alpha, q: float, x: float) -> float:
+    """Resolvent density u_q(x), via u_q(x) = q^{1/a - 1} u_1(x q^{1/a})."""
+    return _resolvent(alpha, q)(x)
 
 
 def potential_kernel_at_one(alpha: float) -> float:

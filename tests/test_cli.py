@@ -7,10 +7,14 @@ import pytest
 
 from stable_hitting import hitting_laws as hl
 from stable_hitting import sampling as smp
-from stable_hitting import verify as vf
-from stable_hitting.cli import EVAL_KINDS, main
-from stable_hitting.errors import NonConvergence
+from stable_hitting import cli, verify as vf
+from stable_hitting.cli import EVAL_KINDS, SAMPLE_DISTS, main
+from stable_hitting.distributions import (alpha_rayleigh_survival, linnik_density,
+                                          meixner_density, z_density)
+from stable_hitting.errors import NonConvergence, NumericInstability
 from stable_hitting.numerics import laplace_invert_cdf
+from stable_hitting.resolvent import (potential_kernel, resolvent_density,
+                                      transition_density)
 
 
 def run(capsys, *argv):
@@ -72,6 +76,16 @@ class TestEval:
 
     def test_unknown_kind_usage(self, capsys):
         assert run(capsys, "eval", "nope", "--alpha", "2")[0] == 2
+
+    @pytest.mark.parametrize("kind", ["exc-n", "exc-m"])
+    def test_second_rate_without_rate_usage(self, capsys, kind):
+        # r is the second rate of the joint transform in q; without --q the
+        # row would be the mass, whatever r is
+        code, out, err = run(capsys, "eval", kind, "--alpha", "1.5",
+                             "--a", "1", "--r", "2")
+        assert code == 2
+        assert out == ""
+        assert err == f"eval {kind}: --r needs --q\n"
 
 
 class TestSample:
@@ -217,6 +231,23 @@ class TestInvert:
                 lambda q: INVERTED[kind](1.5, float(q), 1.0), float(r["t"]))
             assert float(r["p"]) == want
 
+    @pytest.mark.parametrize("kind", sorted(set(INVERTED) - {"lt-T"}))
+    def test_start_point_without_x_flag_usage(self, capsys, kind):
+        # only lt-T has a start point; the other transforms start at 0
+        code, out, err = run(capsys, "invert", kind, "--alpha", "1.5",
+                             "--a", "1", "--x", "5", "--t", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"invert {kind}: --x given, but this transform starts at 0\n"
+
+    def test_start_point(self, capsys):
+        code, out, _ = run(capsys, "invert", "lt-T", "--alpha", "1.5",
+                           "--a", "1", "--x", "0.5", "--t", "1")
+        want = laplace_invert_cdf(lambda q: hl.lt_hit_point(
+            hl.HittingQuery(1.5, float(q), x=0.5, a=1.0)), 1.0)
+        assert code == 0
+        assert float(rows(out)[0]["p"]) == want
+
     def test_non_transform_kind_usage(self, capsys):
         assert run(capsys, "invert", "exc-n", "--alpha", "1.5", "--a", "1",
                    "--t", "1")[0] == 2
@@ -230,6 +261,23 @@ class TestInvert:
         for r in got:
             t = float(r["t"])
             assert float(r["p"]) == pytest.approx(erfc(1 / (2 * math.sqrt(t))), abs=1e-4)
+
+    def test_unstable_point_and_clamp(self, capsys, monkeypatch):
+        # the CDF is clamped monotone along the sorted grid; a point whose
+        # inversion diverges is left blank, and the exit code is 1
+        values = {0.5: 0.3, 1.0: None, 2.0: 0.2, 4.0: 0.6}
+
+        def invert(phi, t, n_terms):
+            if values[t] is None:
+                raise NumericInstability("gap 0.2")
+            return values[t]
+
+        monkeypatch.setattr(cli, "laplace_invert_cdf", invert)
+        code, out, _ = run(capsys, "invert", "lt-T", "--alpha", "1.5",
+                           "--a", "1", "--t", "2,0.5,1,4")
+        assert code == 1
+        assert out == ("t,p,note\n0.5,0.3,\n1.0,,unstable: gap 0.2\n"
+                       "2.0,0.3,\n4.0,0.6,\n")
 
     def test_monotone_output(self, capsys):
         code, out, _ = run(capsys, "invert", "lt-T-abs", "--alpha", "1.5",
@@ -266,6 +314,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "formula_algebra",
                            "--alpha", "1.5,2.0")
         assert code == 0
+
+    @pytest.mark.parametrize("suite,n", [("mc_vs_formula", "-5"),
+                                         ("inversion", "0")])
+    def test_n_below_one_usage_error(self, capsys, suite, n):
+        code, out, err = run(capsys, "verify", suite, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "argument --n: must be >= 1" in err
+        assert "Traceback" not in err
 
     def test_mc_small(self, capsys):
         code, _, _ = run(capsys, "verify", "mc_vs_formula", "--alpha", "1.5",
@@ -411,3 +468,101 @@ def test_eval_edge_values_keep_exit_codes(capsys, kind):
                 if code == 0:
                     values = [float(row["value"]) for row in rows(out)]
                     assert all(math.isfinite(v) for v in values), argv
+
+
+# each eval kind and the library call one of its rows stands for; a flag the
+# kind does not list reads as None
+_EVAL_DIRECT = {
+    "density": lambda p: transition_density(p["alpha"], p["t"], p["x"]),
+    "resolvent": lambda p: resolvent_density(p["alpha"], p["q"], p["x"]),
+    "h": lambda p: potential_kernel(p["alpha"], p["x"]),
+    "lt-T": lambda p: hl.lt_hit_point(
+        hl.HittingQuery(p["alpha"], p["q"], x=p["x"], a=p["a"])),
+    "lt-G": lambda p: hl.lt_last_exit(p["alpha"], p["q"], p["a"]),
+    "lt-Xi": lambda p: hl.lt_post_exit(p["alpha"], p["q"], p["a"]),
+    "lt-T-abs": lambda p: hl.lt_hit_abs(p["alpha"], p["q"], p["a"]),
+    "lt-G-abs": lambda p: hl.lt_last_exit_abs(p["alpha"], p["q"], p["a"]),
+    "lt-Xi-abs": lambda p: hl.lt_post_exit_abs(p["alpha"], p["q"], p["a"]),
+    "exc-n": lambda p: (
+        hl.excursion_hit_mass(p["alpha"], p["a"]) if p["q"] is None
+        else hl.excursion_hit_lt(p["alpha"], p["q"], p["a"], r=p["r"])),
+    "exc-m": lambda p: (
+        hl.excursion_hit_mass_abs(p["alpha"], p["a"]) if p["q"] is None
+        else hl.excursion_hit_lt_abs(p["alpha"], p["q"], p["a"], r=p["r"])),
+    "getoor": lambda p: hl.prob_hit_before(p["alpha"], p["x"], p["a"], p["b"]),
+    "linnik": lambda p: linnik_density(p["alpha"], p["x"]),
+    "meixner": lambda p: meixner_density(p["beta"], p["t"], p["x"]),
+    "z": lambda p: z_density(p["a"], p["x"]),
+    "rayleigh-survival": lambda p: alpha_rayleigh_survival(p["alpha"], p["x"]),
+}
+_EVAL_GRID = {"alpha": "1.5", "q": "0.5,2", "r": "1", "x": "0.5,1.5",
+              "a": "1,2", "b": "-1", "t": "0.5,2", "beta": "0.5"}
+
+
+@pytest.mark.parametrize("kind,given", [
+    *[(kind, tuple(_EVAL_GRID)) for kind in sorted(EVAL_KINDS)],
+    ("exc-n", ("alpha", "a", "q")), ("exc-m", ("alpha", "a", "q")),
+    ("exc-n", ("alpha", "a")), ("exc-m", ("alpha", "a")),
+    ("lt-T", ("alpha", "q", "a")),
+])
+def test_eval_rows_are_the_library_values(capsys, kind, given):
+    code, out, _ = run(capsys, "eval", kind,
+                       *[f"--{name}={_EVAL_GRID[name]}" for name in given])
+    assert code == 0
+    required, optional, _ = EVAL_KINDS[kind]
+    got = rows(out)
+    assert len(got) == math.prod(
+        len(_EVAL_GRID[name].split(",")) for name in (*required, *optional)
+        if name in given)
+    for row in got:
+        p = dict.fromkeys(_EVAL_GRID)
+        p.update({k: float(v) for k, v in row.items() if k != "value" and v})
+        assert row["value"] == repr(float(_EVAL_DIRECT[kind](p))), row
+
+
+# each sample dist, its flags, and the draws of one stream
+_SAMPLE_DIRECT = {
+    "gamma": ({"a": 2.0}, lambda s, n: smp.sample_gamma(2.0, s, n)),
+    "beta": ({"a": 1.0, "b": 2.0}, lambda s, n: smp.sample_beta(1.0, 2.0, s, n)),
+    "exponential": ({}, smp.sample_exponential),
+    "uniform": ({}, smp.sample_uniform),
+    "sign": ({}, smp.sample_bernoulli_sign),
+    "sym-stable": ({"alpha": 1.5}, lambda s, n: smp.sample_sym_stable(1.5, s, n)),
+    "unilateral": ({"beta": 0.5},
+                   lambda s, n: smp.sample_unilateral_stable(0.5, s, n)),
+    "size-biased": ({"beta": 0.5},
+                    lambda s, n: smp.sample_size_biased_stable(0.5, s, n)),
+    "alpha-cauchy": ({"alpha": 1.5},
+                     lambda s, n: smp.sample_alpha_cauchy(1.5, s, n)),
+    "alpha-rayleigh": ({"alpha": 1.5},
+                       lambda s, n: smp.sample_alpha_rayleigh(1.5, s, n)),
+    "linnik": ({"alpha": 1.5}, lambda s, n: smp.sample_linnik(1.5, s, n)),
+    "t-point": ({"alpha": 1.5, "a": 1.0},
+                lambda s, n: smp.sample_hitting_time(1.5, 1.0, s, n)),
+    "overshoot": ({"alpha": 1.5, "a": 1.0},
+                  lambda s, n: smp.sample_overshoot(1.5, 1.0, s, n)),
+    "excursion": ({"gamma": 0.5},
+                  lambda s, n: smp.sample_excursion_age_duration(0.5, s, n)),
+    "excursion-exp": ({"gamma": 0.5},
+                      lambda s, n: smp.sample_excursion_at_exp_time(0.5, s, n)),
+    "gamma-series": ({"a": 0.5, "t": 1.0},
+                     lambda s, n: smp.sample_gamma_series_subordinator(0.5, 1.0, s, n)),
+    "tanh-law": ({}, lambda s, n: smp.sample_from_lt(smp.tanh_subordinator_lt(), s, n)),
+}
+
+
+@pytest.mark.parametrize("dist", sorted(_SAMPLE_DIRECT))
+def test_sample_rows_are_the_library_draws(capsys, dist):
+    flags, draw = _SAMPLE_DIRECT[dist]
+    code, out, _ = run(capsys, "sample", dist, "-n", "5", "--seed", "7",
+                       *[f"--{name}={value!r}" for name, value in flags.items()])
+    draws = draw(smp.RandomStream(7, 0), 5)
+    columns = draws if isinstance(draws, tuple) else (draws,)
+    assert code == 0
+    assert out.splitlines()[1:] == [",".join(repr(float(v)) for v in row)
+                                    for row in zip(*columns)]
+
+
+def test_every_eval_kind_and_sample_dist_is_pinned():
+    assert set(_EVAL_DIRECT) == set(EVAL_KINDS)
+    assert set(_SAMPLE_DIRECT) == set(SAMPLE_DISTS)

@@ -453,6 +453,14 @@ class TestGammaSeries:
         draws = sample_gamma_series_subordinator(1e-150, 1.0, RandomStream(116), size=3)
         assert np.all(np.isfinite(draws)) and np.all(draws > 0)
 
+    def test_draws_past_the_double_range_are_inf_without_warning(self):
+        # just above the shape floor the coefficient is a double, but the
+        # draws, of mean about t (2/pi^2)/a^2 = 6.3e308 here, are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sample_gamma_series_subordinator(4e-155, 5.0, RandomStream(116), size=3)
+        assert np.all(np.isposinf(draws))
+
     def test_size_shapes(self):
         stream = RandomStream(115)
         assert isinstance(sample_gamma_series_subordinator(0.5, 1.0, stream),
