@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, _alpha, _inside, _positive
 from .numerics import integrate_oscillatory_cos
-from .resolvent import _alpha, _u1, transition_density
+from .resolvent import _u1, transition_density
 
 
 def _log_beta(a: float, b: float, law: str) -> float:
@@ -34,18 +34,16 @@ def _log_beta(a: float, b: float, law: str) -> float:
 
 def beta_prime_density(a: float, b: float, x: float) -> float:
     """Density of Gamma_a / Gamma_b at x > 0: x^{a-1} (1+x)^{-a-b} / B(a,b)."""
-    if a <= 0 or b <= 0:
-        raise DomainError("beta-prime shapes must be positive")
-    if x <= 0:
-        raise DomainError("beta-prime support is x > 0")
+    _positive("a", a)
+    _positive("b", b)
+    _positive("x", x)
     return math.exp((a - 1.0) * math.log(x) - (a + b) * math.log1p(x)
                     - _log_beta(a, b, "beta-prime density"))
 
 
 def alpha_cauchy_density(alpha: float, x: float) -> float:
     """Density sin(pi/a)/(2 pi/a) * 1/(1+|x|^a) on the whole line, a > 1."""
-    if alpha <= 1.0:
-        raise DomainError("alpha-Cauchy density requires alpha > 1")
+    _inside("alpha", alpha, 1.0, math.inf)
     c = math.sin(math.pi / alpha) / (2.0 * math.pi / alpha)
     return c / (1.0 + abs(x) ** alpha)
 
@@ -58,15 +56,12 @@ def linnik_density(alpha: float, x: float) -> float:
     alpha < 2 and x != 0, e^{-|x|}/2 at alpha = 2, and the closed form
     ``resolvent.u1_zero`` at x = 0, where the density is infinite for
     alpha <= 1 and this raises DomainError."""
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError("Linnik index must lie in (0, 2]")
-    return _u1(float(alpha), abs(float(x)))
+    return _u1(_alpha(alpha), abs(float(x)))
 
 
 def alpha_cauchy_charfn(alpha: float, theta: float) -> float:
     """E[e^{i theta C_alpha}] by cosine quadrature of the density."""
-    if alpha <= 1.0:
-        raise DomainError("alpha-Cauchy requires alpha > 1")
+    _inside("alpha", alpha, 1.0, math.inf)
     return 2.0 * integrate_oscillatory_cos(
         lambda x: alpha_cauchy_density(alpha, x), theta)
 
@@ -96,8 +91,7 @@ def z_density(a: float, x: float) -> float:
     too large, and from a = 1e16 on it is meaningless.  Where log B(a, a) is
     not finite, below a = 2.2e-308 and from about a = 1.3e305, this raises
     DomainError."""
-    if a <= 0:
-        raise DomainError("z-law shape must be positive")
+    _positive("a", a)
     y = math.pi * x
     return math.exp(math.log(math.pi) - _log_beta(a, a, "z density")
                     + a * y - 2.0 * a * _softplus(y))
@@ -111,8 +105,7 @@ def z_levy_exponent(a: float, theta: float) -> float:
     Pitman, J. and Yor, M. (2003).  Infinitely divisible laws associated with
     hyperbolic functions.  Canadian Journal of Mathematics 55(2):292-330.
     """
-    if a <= 0:
-        raise DomainError("shape must be positive")
+    _positive("a", a)
     if theta == 0.0:
         return 0.0
     from scipy.special import gammaln, loggamma
@@ -127,10 +120,8 @@ def meixner_density(beta: float, t: float, x: float) -> float:
     The exponent argument is pi x: |Gamma(t/2 + ix)|^2 equals
     Gamma(t/2)^2 e^{-Phi_{t/2}(pi x)} since Phi_a absorbs a 1/pi rescaling.
     """
-    if abs(beta) >= math.pi:
-        raise DomainError("Meixner asymmetry must satisfy |beta| < pi")
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _inside("beta", beta, -math.pi, math.pi)
+    _positive("t", t)
     log_norm = (t * math.log(2.0 * math.cos(0.5 * beta))
                 + _log_beta(0.5 * t, 0.5 * t, "Meixner density")
                 - math.log(2.0 * math.pi))
@@ -140,7 +131,7 @@ def meixner_density(beta: float, t: float, x: float) -> float:
 def alpha_rayleigh_survival(alpha: float, x: float) -> float:
     """P(R_alpha > x) = p_1(x) / p_1(0), clamped to [0, 1]."""
     alpha = _alpha(alpha)
-    if x < 0:
+    if not x >= 0:
         raise DomainError("x must be nonnegative")
     ratio = transition_density(alpha, 1.0, x) / transition_density(alpha, 1.0, 0.0)
     return min(1.0, max(0.0, ratio))

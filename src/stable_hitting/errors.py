@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the five validators that
+every domain check of the package calls.  Each tests that the value lies
+inside its domain, so a NaN fails all of them, and returns the value; the
+name it is given is the one the CLI flag uses."""
 
 
 class DomainError(ValueError):
@@ -27,3 +30,43 @@ class TableBuildError(RuntimeError):
 
 class UnknownSuite(ValueError):
     """Requested verification suite name is not registered."""
+
+
+def _alpha(alpha) -> float:
+    """alpha as a float, or DomainError outside (0, 2]."""
+    alpha = float(alpha)
+    if not 0.0 < alpha <= 2.0:
+        raise DomainError(f"alpha={alpha} outside (0, 2]")
+    return alpha
+
+
+def _point_alpha(alpha) -> float:
+    """``_alpha``, restricted to 1 < alpha <= 2: points are regular for
+    themselves only there."""
+    alpha = _alpha(alpha)
+    if alpha <= 1.0:
+        raise DomainError(
+            f"alpha={alpha}: point hitting (and the resolvent "
+            "density at points) requires 1 < alpha <= 2")
+    return alpha
+
+
+def _positive(name: str, value):
+    """``value``, or DomainError unless it is above 0."""
+    if not value > 0:
+        raise DomainError(f"{name} must be positive")
+    return value
+
+
+def _inside(name: str, value, lo: float, hi: float):
+    """``value``, or DomainError outside the open interval (lo, hi)."""
+    if not lo < value < hi:
+        raise DomainError(f"{name}={value} outside ({lo:g}, {hi:g})")
+    return value
+
+
+def _nonzero(a):
+    """The target level ``a``, or DomainError at 0."""
+    if not abs(a) > 0.0:
+        raise DomainError("target level a must be nonzero")
+    return a

@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConsistencyError, DegenerateDenominator, DomainError
-from .resolvent import _point_alpha, _resolvent, potential_kernel
+from .errors import (ConsistencyError, DegenerateDenominator, DomainError,
+                     _nonzero, _point_alpha, _positive)
+from .resolvent import _resolvent, potential_kernel
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,7 @@ class HittingQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _point_alpha(self.alpha))
-        if self.q <= 0:
-            raise DomainError("q must be positive")
+        _positive("q", self.q)
         if self.b is not None and self.a == self.b:
             raise DomainError("targets a and b must differ")
 
@@ -116,9 +116,7 @@ def _after_hit(alpha, r: Optional[float], a: float) -> float:
     """u_r(a)/u_r(0), the factor of zeta - T_a; 1 at r = None (r -> 0+)."""
     if r is None:
         return 1.0
-    if r <= 0:
-        raise DomainError("r must be positive")
-    u = _resolvent(alpha, r)
+    u = _resolvent(alpha, _positive("r", r))
     return u(a) / u(0.0)
 
 
@@ -234,21 +232,12 @@ def lt_post_exit_abs(alpha, q: float, a: float) -> float:
 def excursion_hit_mass_abs(alpha, a: float) -> float:
     """m(T_a < zeta) for |X|: 2 / (4 h(a) - h(2a))."""
     alpha = _point_alpha(alpha)
-    if a <= 0:
-        raise DomainError("a must be positive")
-    return 2.0 / _h_combo(alpha, a)
+    return 2.0 / _h_combo(alpha, _positive("a", a))
 
 
 def excursion_hit_lt_abs(alpha, q: float, a: float, r: Optional[float] = None) -> float:
     """m[e^{-q T_a - r (zeta - T_a)}; T_a < zeta]
     = (u_r(a)/u_r(0)) 2 u_q(a) / V_q(a); r = None takes r -> 0+."""
-    if a <= 0:
-        raise DomainError("a must be positive")
+    _positive("a", a)
     u = _resolvent(alpha, q)
     return 2.0 * u(a) / _v_q(u, a) * _after_hit(alpha, r, a)
-
-
-def _nonzero(a: float) -> float:
-    if a == 0.0:
-        raise DomainError("target level a must be nonzero")
-    return a

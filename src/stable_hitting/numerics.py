@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, NumericInstability
+from .errors import (DomainError, NonConvergence, NumericInstability,
+                     _positive)
 
 _LD = np.longdouble
 
@@ -123,8 +124,7 @@ def laplace_invert_cdf(phi, t: float, n_terms: int = 12) -> float:
     above ~16.  The estimate at n_terms is cross-checked against n_terms - 2;
     a large gap raises NumericInstability instead of being clamped away.
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _positive("t", t)
     if n_terms < 4 or n_terms % 2:
         raise DomainError("n_terms must be an even integer >= 4")
     ln2_t = np.log(_LD(2)) / _LD(t)

@@ -23,7 +23,8 @@ quadratures ``one_minus_cos_integral`` and
 ``distributions.alpha_cauchy_charfn`` integrate a cosine.
 
 The stability index ``alpha`` is a plain float throughout the package;
-``_alpha`` and ``_point_alpha`` check its range for every module.
+the validators ``_alpha`` and ``_point_alpha`` that check its range, like
+every other domain check, live in ``errors``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence
+from .errors import (DomainError, NonConvergence, _alpha, _inside,
+                     _point_alpha, _positive)
 from .numerics import (integrate_adaptive, integrate_oscillatory_cos,
                        tolerance)
 
@@ -50,25 +52,6 @@ _TS_W = math.pi * np.cosh(_TS_T) * _TS_R / 64.0
 _TS_LOGD = np.log(math.pi * np.cosh(_TS_T) / 64.0)
 _TS_HALF = slice(1, None, 2)
 _HALF_PI = 0.5 * math.pi
-
-
-def _alpha(alpha) -> float:
-    """alpha as a float, or DomainError outside (0, 2]."""
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError(f"alpha={alpha} outside (0, 2]")
-    return alpha
-
-
-def _point_alpha(alpha) -> float:
-    """``_alpha``, restricted to 1 < alpha <= 2: points are regular for
-    themselves only there."""
-    alpha = _alpha(alpha)
-    if alpha <= 1.0:
-        raise DomainError(
-            f"alpha={alpha}: point hitting (and the resolvent "
-            "density at points) requires 1 < alpha <= 2")
-    return alpha
 
 
 def _far_field(alpha: float, w: float):
@@ -318,9 +301,7 @@ def u1_zero(alpha: float) -> float:
 def transition_density(alpha, t: float, x: float) -> float:
     """Density of X(t) at x, via p_t(x) = t^{-1/a} p_1(x t^{-1/a})."""
     alpha = _alpha(alpha)
-    if t <= 0:
-        raise DomainError("t must be positive")
-    scale = t ** -(1.0 / alpha)
+    scale = _positive("t", t) ** -(1.0 / alpha)
     return scale * _p1(alpha, abs(x) * scale)
 
 
@@ -328,9 +309,7 @@ def _resolvent(alpha, q: float):
     """y -> u_q(y) = q^{1/a - 1} u_1(|y| q^{1/a}), with alpha and q checked
     and q^{1/a} formed once for all the points read."""
     alpha = _point_alpha(alpha)
-    if q <= 0:
-        raise DomainError("q must be positive")
-    scale = q ** (1.0 / alpha)
+    scale = _positive("q", q) ** (1.0 / alpha)
     factor = scale / q
     return lambda y: factor * _u1(alpha, float(abs(y) * scale))
 
@@ -361,8 +340,7 @@ def one_minus_cos_integral(alpha: float) -> float:
     cancellation-free form 2 sin^2(x/2), the tail contributes the exact
     power-law piece minus the cosine integral of x^{-alpha} over (z, inf).
     """
-    if not 1.0 < alpha < 3.0:
-        raise DomainError(f"alpha={alpha} outside (1, 3)")
+    _inside("alpha", alpha, 1.0, 3.0)
     z = 8.5 * math.pi
     head = integrate_adaptive(
         lambda x: 2.0 * math.sin(0.5 * x) ** 2 / x ** alpha, 0.0, z)

@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, TableBuildError
+from .errors import (DomainError, TableBuildError, _alpha, _inside,
+                     _nonzero, _point_alpha, _positive)
 from .numerics import laplace_invert_cdf
-from .resolvent import _point_alpha
 
 
 @dataclass
@@ -52,7 +52,13 @@ class SampleStats:
     def from_draws(cls, draws, ref_cdf=None) -> "SampleStats":
         draws = np.asarray(draws, dtype=float)
         n = draws.size
-        var = float(np.var(draws, ddof=1)) if n > 1 else 0.0
+        if n < 2:
+            var = 0.0
+        elif np.isinf(draws).any():
+            # draws past the double range (sample_hitting_time near alpha = 1)
+            var = math.inf
+        else:
+            var = float(np.var(draws, ddof=1))
         ks = ks_distance(draws, ref_cdf) if ref_cdf is not None else None
         return cls(n=n, mean=float(np.mean(draws)), variance=var,
                    stderr=math.sqrt(var / n), ks=ks)
@@ -70,15 +76,11 @@ def ks_distance(draws, cdf) -> float:
 # ---------------------------------------------------------------- primitives
 
 def sample_gamma(a: float, stream: RandomStream, size=None):
-    if a <= 0:
-        raise DomainError("gamma shape must be positive")
-    return stream.rng.gamma(a, size=size)
+    return stream.rng.gamma(_positive("a", a), size=size)
 
 
 def sample_beta(a: float, b: float, stream: RandomStream, size=None):
-    if a <= 0 or b <= 0:
-        raise DomainError("beta shapes must be positive")
-    return stream.rng.beta(a, b, size=size)
+    return stream.rng.beta(_positive("a", a), _positive("b", b), size=size)
 
 
 def sample_exponential(stream: RandomStream, size=None):
@@ -102,16 +104,16 @@ def sample_sym_stable(alpha: float, stream: RandomStream, size=None):
     exponential; the alpha = 2 branch returns sqrt(2) times a standard
     normal rather than the degenerate limit of the formula.
     """
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError("alpha must lie in (0, 2]")
+    alpha = _alpha(alpha)
     rng = stream.rng
     if alpha == 2.0:
         return math.sqrt(2.0) * rng.standard_normal(size)
     u = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size)
+    # drawn at alpha = 1 too, so the stream advances alike for every alpha
     w = rng.standard_exponential(size)
-    s = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
     if alpha == 1.0:
         return np.tan(u)
+    s = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
     return s * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
 
 
@@ -129,8 +131,7 @@ def sample_unilateral_stable(beta: float, stream: RandomStream, size=None):
     Kanter (1975): T = (A(U)/W)^{(1-beta)/beta} with U uniform and W a unit
     exponential; computed in log space so draws from the far tail stay finite.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError("one-sided index must lie in (0, 1)")
+    _inside("beta", beta, 0.0, 1.0)
     rng = stream.rng
     u = rng.uniform(0.0, 1.0, size)
     w = rng.standard_exponential(size)
@@ -138,15 +139,16 @@ def sample_unilateral_stable(beta: float, stream: RandomStream, size=None):
     return np.exp(log_t)
 
 
-def _bracket_quantiles(cdf, p_lo, p_hi, t0=1.0, max_steps=200):
-    t_lo = t_hi = t0
-    for _ in range(max_steps):
+def _bracket_quantiles(cdf, p_lo, p_hi):
+    """Step out from t = 1 by factors of 4, at most 200 times each way."""
+    t_lo = t_hi = 1.0
+    for _ in range(200):
         if cdf(t_lo) <= p_lo:
             break
         t_lo /= 4.0
     else:
         raise TableBuildError("lower quantile bracket not found")
-    for _ in range(max_steps):
+    for _ in range(200):
         if cdf(t_hi) >= p_hi:
             break
         t_hi *= 4.0
@@ -181,8 +183,7 @@ def sample_size_biased_stable(beta: float, stream: RandomStream, size=None):
     A(0+) = (1-beta) beta^{beta/(1-beta)}, so a uniform U is kept when a unit
     exponential is at least s (log A(U) - log A(0+)); the acceptance rate is
     0.64 at beta = 0.5, 0.86 at 0.9 and 0.998 at 0.9995."""
-    if not 0.0 < beta < 1.0:
-        raise DomainError("one-sided index must lie in (0, 1)")
+    _inside("beta", beta, 0.0, 1.0)
     s = (1.0 - beta) / (2.0 * beta)
     log_a0 = math.log1p(-beta) + (beta / (1.0 - beta)) * math.log(beta)
 
@@ -198,9 +199,7 @@ def sample_size_biased_stable(beta: float, stream: RandomStream, size=None):
 def sample_alpha_cauchy(alpha: float, stream: RandomStream, size=None):
     """Draw with density proportional to 1/(1+|x|^alpha):
     a sign times (Gamma_{1/a} / Gamma_{1-1/a})^{1/a}."""
-    if alpha <= 1.0:
-        raise DomainError("alpha-Cauchy requires alpha > 1")
-    g = 1.0 / alpha
+    g = 1.0 / _inside("alpha", alpha, 1.0, math.inf)
     rng = stream.rng
     num = rng.gamma(g, size=size)
     den = rng.gamma(1.0 - g, size=size)
@@ -211,8 +210,7 @@ def sample_alpha_cauchy(alpha: float, stream: RandomStream, size=None):
 def sample_alpha_rayleigh(alpha: float, stream: RandomStream, size=None):
     """Exact draw with survival p_1(x)/p_1(0): 2 sqrt(e T') with T' the
     size-biased one-sided stable of index alpha/2; alpha = 2 gives 2 sqrt(e)."""
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError("alpha must lie in (0, 2]")
+    alpha = _alpha(alpha)
     e = stream.rng.standard_exponential(size)
     if alpha == 2.0:
         return 2.0 * np.sqrt(e)
@@ -223,8 +221,7 @@ def sample_alpha_rayleigh(alpha: float, stream: RandomStream, size=None):
 def sample_linnik(alpha: float, stream: RandomStream, size=None):
     """Draw with characteristic function 1/(1+|theta|^alpha): the stable
     process at an independent unit exponential time, e^{1/alpha} X(1)."""
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError("Linnik index must lie in (0, 2]")
+    alpha = _alpha(alpha)
     e = stream.rng.standard_exponential(size)
     x = sample_sym_stable(alpha, stream, size)
     return e ** (1.0 / alpha) * x
@@ -249,10 +246,8 @@ def sample_hitting_time(alpha, a: float, stream: RandomStream, size=None):
     the draws passes the double range and comes back as inf: at a = 1, about
     half of them at alpha = 1.001, 1e-3 at 1.01 and none in 1e5 at 1.05."""
     alpha = _point_alpha(alpha)
-    if a == 0.0:
-        raise DomainError("target level a must be nonzero")
     k = 1.0 / alpha
-    scale = abs(a) ** alpha
+    scale = abs(_nonzero(a)) ** alpha
     stable = sample_unilateral_stable(k, stream, size)
     if alpha == 2.0:
         return scale * stable
@@ -279,10 +274,8 @@ def sample_hitting_time(alpha, a: float, stream: RandomStream, size=None):
 def sample_overshoot(alpha: float, a: float, stream: RandomStream, size=None):
     """Overshoot above the level a at first passage (Ray's law):
     a Gamma_{1-a/2} / Gamma_{a/2}; zero at alpha = 2 (continuous paths)."""
-    if not 0.0 < alpha <= 2.0:
-        raise DomainError("alpha must lie in (0, 2]")
-    if a <= 0:
-        raise DomainError("level a must be positive")
+    alpha = _alpha(alpha)
+    _positive("a", a)
     if alpha == 2.0:
         return 0.0 if size is None else np.zeros(size)
     rng = stream.rng
@@ -297,8 +290,7 @@ def sample_excursion_age_duration(gamma: float, stream: RandomStream, size=None)
     """(age, duration) of the excursion straddling time 1 when local time is
     self-similar of index gamma: (B, B / U^{1/gamma}) with a shared beta
     variable B = B_{1-gamma, gamma} and an independent uniform U."""
-    if not 0.0 < gamma < 1.0:
-        raise DomainError("self-similarity index must lie in (0, 1)")
+    _inside("gamma", gamma, 0.0, 1.0)
     rng = stream.rng
     b = rng.beta(1.0 - gamma, gamma, size=size)
     u = rng.random(size)
@@ -309,8 +301,7 @@ def sample_excursion_at_exp_time(gamma: float, stream: RandomStream, size=None):
     """(last zero, age, duration) at an independent exponential time:
     (G_gamma, G'_{1-gamma}, G'_{1-gamma} / U^{1/gamma}) with the same
     G'_{1-gamma} in the last two coordinates."""
-    if not 0.0 < gamma < 1.0:
-        raise DomainError("self-similarity index must lie in (0, 1)")
+    _inside("gamma", gamma, 0.0, 1.0)
     rng = stream.rng
     g = rng.gamma(gamma, size=size)
     ghat = rng.gamma(1.0 - gamma, size=size)
@@ -380,8 +371,8 @@ def sample_gamma_series_subordinator(a: float, t: float, stream: RandomStream,
     past the double range come back as inf, with no warning: at a = 4e-155
     and t = 5 all of them do.
     """
-    if a <= 0 or t <= 0:
-        raise DomainError("need a > 0 and t > 0")
+    _positive("a", a)
+    _positive("t", t)
     if a < _SERIES_A_MIN:
         raise DomainError(f"gamma-series shape a = {a!r} is below "
                           f"{_SERIES_A_MIN:.3g}, where the first coefficient "
@@ -411,8 +402,7 @@ def tanh_subordinator_lt(t: float = 1.0):
     C_t = T_t + S_t in law with independent summands.  No constructive
     sampler exists for it here; draw through sample_from_lt.
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _positive("t", t)
 
     def phi(q):
         rq = np.sqrt(2.0 * q)

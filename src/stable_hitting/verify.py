@@ -23,9 +23,9 @@ import numpy as np
 from . import distributions as dist
 from . import hitting_laws as hl
 from . import sampling as smp
-from .errors import UnknownSuite
+from .errors import DomainError, UnknownSuite, _alpha
 from .numerics import laplace_invert_cdf
-from .resolvent import (_alpha, one_minus_cos_integral, potential_kernel,
+from .resolvent import (one_minus_cos_integral, potential_kernel,
                         potential_kernel_at_one, resolvent_density,
                         transition_density)
 
@@ -51,6 +51,15 @@ def _check(reports, check_id, lhs, rhs, tol, n_samples=None, relative=False,
         check_id=check_id, lhs=lhs, rhs=rhs, tolerance=float(tol),
         passed=bool(abs(lhs - rhs) <= bound), n_samples=n_samples,
         notes=notes))
+
+
+def _check_mean(reports, check_id, values, want):
+    """The mean of the draws ``values`` against ``want``, within 4 standard
+    errors."""
+    n = values.size
+    se = float(np.std(values, ddof=1) / math.sqrt(n))
+    _check(reports, check_id, float(np.mean(values)), want, 4 * se,
+           n_samples=n, notes=f"stderr={se:.3e}")
 
 
 def _alphas(idx_grid, default):
@@ -141,12 +150,9 @@ def _suite_mc_vs_formula(idx_grid, seed, n_samples):
         stream = smp.RandomStream(seed, i)
         draws = smp.sample_hitting_time(al, 1.0, stream, size=n_samples)
         for q in (0.5, 1.0, 2.0):
-            vals = np.exp(-q * draws)
-            mc = float(np.mean(vals))
-            se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-            want = hl.lt_hit_point(hl.HittingQuery(al, q, a=1.0))
-            _check(reports, f"hit_mc/alpha={al}/q={q}", mc, want,
-                   4 * se, n_samples=n_samples, notes=f"stderr={se:.3e}")
+            _check_mean(reports, f"hit_mc/alpha={al}/q={q}",
+                        np.exp(-q * draws),
+                        hl.lt_hit_point(hl.HittingQuery(al, q, a=1.0)))
     return reports
 
 
@@ -186,20 +192,14 @@ def _suite_excursion(idx_grid, seed, n_samples):
         stream = smp.RandomStream(seed, 100 + i)
         xi, delta = smp.sample_excursion_age_duration(g, stream, size=n_samples)
         for p, q, r in ((1.0, 1.0, 1.0), (2.0, 1.0, 0.5)):
-            vals = 1.0 / (p + q * xi + r * delta)
-            mc = float(np.mean(vals))
-            se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-            want = _stieltjes_reference(p, q, r, g)
-            _check(reports, f"stieltjes/gamma={g:.4f}/pqr={p},{q},{r}",
-                   mc, want, 4 * se, n_samples=n_samples,
-                   notes=f"stderr={se:.3e}")
+            _check_mean(reports, f"stieltjes/gamma={g:.4f}/pqr={p},{q},{r}",
+                        1.0 / (p + q * xi + r * delta),
+                        _stieltjes_reference(p, q, r, g))
         stream = smp.RandomStream(seed, 200 + i)
         gg, age, _ = smp.sample_excursion_at_exp_time(g, stream, size=n_samples)
         for name, draws, want in (("last_zero", gg, g), ("age", age, 1 - g)):
-            se = float(np.std(draws, ddof=1) / math.sqrt(n_samples))
-            _check(reports, f"exp_triplet_mean/{name}/gamma={g:.4f}",
-                   float(np.mean(draws)), want, 4 * se, n_samples=n_samples,
-                   notes=f"stderr={se:.3e}")
+            _check_mean(reports, f"exp_triplet_mean/{name}/gamma={g:.4f}",
+                        draws, want)
     return reports
 
 
@@ -252,15 +252,22 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
+# the suites that compare a sample of n_samples draws with a formula
+_MONTE_CARLO = frozenset({"mc_vs_formula", "excursion", "inversion"})
+
 
 def run_suite(suite_name: str, idx_grid=None, seed: int = 0,
               n_samples: int = 1_000_000) -> list[VerificationReport]:
-    """Run every check of a named suite; failures collect, never abort."""
+    """Run every check of a named suite; failures collect, never abort.
+    A Monte Carlo suite needs n_samples >= 2 for a standard error."""
     try:
         fn = _SUITES[suite_name]
     except KeyError:
         raise UnknownSuite(
             f"unknown suite {suite_name!r}; choose from {', '.join(_SUITES)}")
+    if suite_name in _MONTE_CARLO and not n_samples >= 2:
+        raise DomainError(
+            f"n={n_samples}: the {suite_name} suite needs at least 2 draws")
     return fn(idx_grid, seed, n_samples)
 
 

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import pytest
 
@@ -118,6 +119,16 @@ class TestSample:
         assert int(row["n"]) == 1000
         assert float(row["stderr"]) == pytest.approx(
             math.sqrt(float(row["variance"]) / 1000), rel=1e-12)
+
+    def test_summary_of_draws_past_double_range(self, capsys):
+        # about half the draws are inf at alpha = 1.001; their spread is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sample", "t-point", "--alpha",
+                                 "1.001", "--a", "1", "-n", "200", "--seed",
+                                 "7", "--summary")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == "draw,200,inf,inf,inf,"
 
     def test_streams_split_deterministically(self, capsys):
         a = run(capsys, "sample", "exponential", "-n", "7", "--seed", "3",
@@ -328,6 +339,16 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "mc_vs_formula", "--alpha", "1.5",
                          "--seed", "4", "--n", "20000")
         assert code == 0
+
+    @pytest.mark.parametrize("suite", ["mc_vs_formula", "excursion",
+                                       "inversion"])
+    def test_one_draw_domain_error(self, capsys, suite):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", suite, "--n", "1")
+        assert code == 1
+        assert out == ""
+        assert err == f"verify: n=1: the {suite} suite needs at least 2 draws\n"
 
 
 def test_no_command_usage(capsys):

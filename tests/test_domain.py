@@ -1,0 +1,113 @@
+"""Domain checks: every parameter rule is one validator of ``errors``, and a
+NaN parameter fails each of them with DomainError."""
+
+import math
+
+import pytest
+
+from stable_hitting import distributions as dist
+from stable_hitting import hitting_laws as hl
+from stable_hitting import resolvent
+from stable_hitting import sampling as smp
+from stable_hitting.errors import (DomainError, _alpha, _inside, _nonzero,
+                                   _point_alpha, _positive)
+from stable_hitting.numerics import laplace_invert_cdf
+
+NAN = math.nan
+
+
+def _stream():
+    return smp.RandomStream(1)
+
+
+def _phi(q):
+    return 1.0 / (1.0 + q)
+
+
+# (label, call); each call passes NaN for exactly one checked parameter
+NAN_CALLS = [
+    ("transition_density/alpha", lambda: resolvent.transition_density(NAN, 1.0, 0.5)),
+    ("transition_density/t", lambda: resolvent.transition_density(1.5, NAN, 0.5)),
+    ("resolvent_density/q", lambda: resolvent.resolvent_density(1.5, NAN, 0.5)),
+    ("lt_last_exit/alpha", lambda: hl.lt_last_exit(NAN, 1.0, 1.0)),
+    ("lt_last_exit/q", lambda: hl.lt_last_exit(1.5, NAN, 1.0)),
+    ("lt_last_exit/a", lambda: hl.lt_last_exit(1.5, 1.0, NAN)),
+    ("lt_hit_point/alpha", lambda: hl.lt_hit_point(hl.HittingQuery(NAN, 1.0))),
+    ("lt_hit_point/q", lambda: hl.lt_hit_point(hl.HittingQuery(1.5, NAN))),
+    ("excursion_hit_mass_abs/alpha", lambda: hl.excursion_hit_mass_abs(NAN, 1.0)),
+    ("excursion_hit_mass_abs/a", lambda: hl.excursion_hit_mass_abs(1.5, NAN)),
+    ("excursion_hit_lt/r", lambda: hl.excursion_hit_lt(1.5, 1.0, 1.0, r=NAN)),
+    ("excursion_hit_lt_abs/a", lambda: hl.excursion_hit_lt_abs(1.5, 1.0, NAN)),
+    ("alpha_cauchy_density/alpha", lambda: dist.alpha_cauchy_density(NAN, 0.5)),
+    ("meixner_density/beta", lambda: dist.meixner_density(NAN, 1.0, 0.5)),
+    ("meixner_density/t", lambda: dist.meixner_density(0.5, NAN, 0.5)),
+    ("alpha_rayleigh_survival/alpha", lambda: dist.alpha_rayleigh_survival(NAN, 0.5)),
+    ("alpha_rayleigh_survival/x", lambda: dist.alpha_rayleigh_survival(1.5, NAN)),
+    ("beta_prime_density/x", lambda: dist.beta_prime_density(1.0, 2.0, NAN)),
+    ("z_density/a", lambda: dist.z_density(NAN, 0.5)),
+    ("sample_gamma/a", lambda: smp.sample_gamma(NAN, _stream(), 3)),
+    ("sample_beta/b", lambda: smp.sample_beta(1.0, NAN, _stream(), 3)),
+    ("sample_overshoot/alpha", lambda: smp.sample_overshoot(NAN, 1.0, _stream(), 3)),
+    ("sample_overshoot/a", lambda: smp.sample_overshoot(1.5, NAN, _stream(), 3)),
+    ("sample_hitting_time/alpha", lambda: smp.sample_hitting_time(NAN, 1.0, _stream(), 3)),
+    ("sample_hitting_time/a", lambda: smp.sample_hitting_time(1.5, NAN, _stream(), 3)),
+    ("sample_gamma_series_subordinator/a",
+     lambda: smp.sample_gamma_series_subordinator(NAN, 1.0, _stream(), 3)),
+    ("sample_gamma_series_subordinator/t",
+     lambda: smp.sample_gamma_series_subordinator(1.0, NAN, _stream(), 3)),
+    ("sample_unilateral_stable/beta",
+     lambda: smp.sample_unilateral_stable(NAN, _stream(), 3)),
+    ("sample_excursion_age_duration/gamma",
+     lambda: smp.sample_excursion_age_duration(NAN, _stream(), 3)),
+    ("tanh_subordinator_lt/t", lambda: smp.tanh_subordinator_lt(NAN)),
+    ("laplace_invert_cdf/t", lambda: laplace_invert_cdf(_phi, NAN)),
+]
+
+
+@pytest.mark.parametrize("label,call", NAN_CALLS, ids=[c[0] for c in NAN_CALLS])
+def test_nan_parameter_raises_domain_error(label, call):
+    with pytest.raises(DomainError):
+        call()
+
+
+# the functions that check alpha in (0, 2] through ``_alpha``
+ALPHA_CALLS = {
+    "sample_sym_stable": lambda al: smp.sample_sym_stable(al, _stream(), 3),
+    "sample_alpha_rayleigh": lambda al: smp.sample_alpha_rayleigh(al, _stream(), 3),
+    "sample_linnik": lambda al: smp.sample_linnik(al, _stream(), 3),
+    "sample_overshoot": lambda al: smp.sample_overshoot(al, 1.0, _stream(), 3),
+    "linnik_density": lambda al: dist.linnik_density(al, 1.0),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.5, NAN])
+@pytest.mark.parametrize("name", sorted(ALPHA_CALLS))
+def test_alpha_outside_zero_two_names_alpha(name, alpha):
+    with pytest.raises(DomainError, match="alpha"):
+        ALPHA_CALLS[name](alpha)
+
+
+class TestValidators:
+    def test_each_returns_its_value(self):
+        assert _alpha(2) == 2.0 and isinstance(_alpha(2), float)
+        assert _point_alpha(1.5) == 1.5
+        assert _positive("q", 0.25) == 0.25
+        assert _inside("beta", -3.0, -math.pi, math.pi) == -3.0
+        assert _nonzero(-1.0) == -1.0
+
+    @pytest.mark.parametrize("check", [
+        lambda v: _alpha(v), lambda v: _point_alpha(v),
+        lambda v: _positive("t", v), lambda v: _inside("gamma", v, 0.0, 1.0),
+        lambda v: _nonzero(v)])
+    def test_nan_fails_each(self, check):
+        with pytest.raises(DomainError):
+            check(NAN)
+
+    def test_open_interval_excludes_both_ends(self):
+        for v in (0.0, 1.0):
+            with pytest.raises(DomainError, match=r"gamma=.* outside \(0, 1\)"):
+                _inside("gamma", v, 0.0, 1.0)
+
+    def test_positive_names_the_parameter(self):
+        with pytest.raises(DomainError, match="^t must be positive$"):
+            _positive("t", 0.0)

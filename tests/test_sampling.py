@@ -69,6 +69,13 @@ class TestSampleStats:
         assert stats.stderr == pytest.approx(math.sqrt(stats.variance / stats.n))
         assert stats.ks is None
 
+    def test_draws_past_double_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = SampleStats.from_draws([1.0, math.inf, 2.0])
+        assert stats.mean == math.inf
+        assert stats.variance == math.inf and stats.stderr == math.inf
+
     def test_ks_only_with_reference(self):
         draws = RandomStream(3).rng.random(5000)
         stats = SampleStats.from_draws(draws, ref_cdf=lambda x: np.clip(x, 0, 1))

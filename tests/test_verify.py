@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from stable_hitting.errors import UnknownSuite
+from stable_hitting.errors import DomainError, UnknownSuite
 from stable_hitting.verify import (SUITE_NAMES, VerificationReport, all_passed,
                                    report_to_csv, report_to_json, run_suite)
 
@@ -53,6 +57,13 @@ class TestRunSuite:
         b = run_suite("mc_vs_formula", idx_grid=[1.5], seed=2, n_samples=10_000)
         assert [r.lhs for r in a] != [r.lhs for r in b]
 
+    @pytest.mark.parametrize("suite", ["mc_vs_formula", "excursion",
+                                       "inversion"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_monte_carlo_suite_needs_two_draws(self, suite, n):
+        with pytest.raises(DomainError, match="at least 2 draws"):
+            run_suite(suite, n_samples=n)
+
     def test_suite_names_exposed(self):
         assert set(SUITE_NAMES) == {"brownian_oracle", "formula_algebra",
                                     "mc_vs_formula", "relation_R", "excursion",
@@ -94,3 +105,19 @@ class TestReports:
         third = VerificationReport("t", 1 / 3, 1 / 3, 1e-9, True)
         parsed = json.loads(report_to_json([third]))
         assert parsed[0]["lhs"] == 1 / 3
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_run_all_suites_rejects_n_below_two(n, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_all_suites.py"),
+         "--n", n, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument --n: must be >= 2, got {n}" in proc.stderr
+    assert "Traceback" not in proc.stderr
