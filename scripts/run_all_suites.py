@@ -8,10 +8,9 @@ Usage:
 import argparse
 import sys
 import time
-from pathlib import Path
 
-from stable_hitting.verify import (SUITE_NAMES, all_passed, report_to_csv,
-                                   report_to_json, run_suite)
+from stable_hitting.verify import (SUITE_NAMES, all_passed, run_suite,
+                                   write_reports)
 
 
 def _draw_count(raw: str) -> int:
@@ -32,15 +31,12 @@ def main():
     ap.add_argument("--out", default="reports")
     args = ap.parse_args()
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ok = True
     for suite in SUITE_NAMES:
         t0 = time.perf_counter()
         reports = run_suite(suite, seed=args.seed, n_samples=args.n)
         elapsed = time.perf_counter() - t0
-        (out / f"{suite}.json").write_text(report_to_json(reports))
-        (out / f"{suite}.csv").write_text(report_to_csv(reports))
+        write_reports(args.out, suite, reports)
         n_pass = sum(r.passed for r in reports)
         status = "ok" if all_passed(reports) else "FAIL"
         print(f"{suite:16s} {n_pass:4d}/{len(reports):<4d} checks pass "

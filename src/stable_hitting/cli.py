@@ -14,7 +14,6 @@ import argparse
 import itertools
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -213,10 +212,7 @@ def _cmd_verify(args) -> int:
                            n_samples=args.n)
     sys.stdout.write(vf.report_to_csv(reports))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{args.suite}.json").write_text(vf.report_to_json(reports))
-        (out / f"{args.suite}.csv").write_text(vf.report_to_csv(reports))
+        vf.write_reports(args.out, args.suite, reports)
     return 0 if vf.all_passed(reports) else 1
 
 

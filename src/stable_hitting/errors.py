@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the five validators that
+"""Exception types shared across the package, and the six validators that
 every domain check of the package calls.  Each tests that the value lies
 inside its domain, so a NaN fails all of them, and returns the value; the
 name it is given is the one the CLI flag uses."""
@@ -70,3 +70,13 @@ def _nonzero(a):
     if not abs(a) > 0.0:
         raise DomainError("target level a must be nonzero")
     return a
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int, or DomainError unless it is a whole number of at
+    least ``least``."""
+    if not value >= least:
+        raise DomainError(f"{name} must be >= {least}")
+    if not float(value).is_integer():
+        raise DomainError(f"{name}={value} is not an integer")
+    return int(value)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (ConsistencyError, DegenerateDenominator, DomainError,
-                     _nonzero, _point_alpha, _positive)
+                     _count, _nonzero, _point_alpha, _positive)
 from .resolvent import _resolvent, potential_kernel
 
 
@@ -142,8 +142,7 @@ def lt_hit_abs_series(alpha, q: float, a: float, n_terms: int):
     last two partial sums; the alternating geometric structure guarantees it
     contains lt_hit_abs.
     """
-    if n_terms < 2:
-        raise DomainError("need n_terms >= 2")
+    n_terms = _count("n_terms", n_terms, 2)
     u = _resolvent(alpha, q)
     u0 = u(0.0)
     phi_a = u(_nonzero(a)) / u0
@@ -167,8 +166,7 @@ def leg_decomposition_gap(alpha, q: float, a: float, n: int) -> float:
     to 1e-9 and the mean is returned.  Vanishes identically at alpha = 2 and
     is strictly positive for alpha < 2.
     """
-    if n < 1:
-        raise DomainError("need n >= 1")
+    n = _count("n", n, 1)
     a = _nonzero(a)
     u = _resolvent(alpha, q)
     u0 = u(0.0)

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (DomainError, NonConvergence, NumericInstability,
-                     _positive)
+                     _count, _positive)
 
 _LD = np.longdouble
 
@@ -125,8 +125,9 @@ def laplace_invert_cdf(phi, t: float, n_terms: int = 12) -> float:
     a large gap raises NumericInstability instead of being clamped away.
     """
     _positive("t", t)
-    if n_terms < 4 or n_terms % 2:
-        raise DomainError("n_terms must be an even integer >= 4")
+    n_terms = _count("n_terms", n_terms, 4)
+    if n_terms % 2:
+        raise DomainError(f"n_terms={n_terms} is not even")
     ln2_t = np.log(_LD(2)) / _LD(t)
     values = [_LD(phi(_LD(k) * ln2_t)) for k in range(1, n_terms + 1)]
     est = _stehfest_sum(values, n_terms)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (DomainError, NonConvergence, _alpha, _inside,
                      _point_alpha, _positive)
-from .numerics import (integrate_adaptive, integrate_oscillatory_cos,
+from .numerics import (REL_TOL, integrate_adaptive, integrate_oscillatory_cos,
                        tolerance)
 
 # Tanh-sinh rule (Takahasi and Mori, 1974) for ``_u1`` and ``_p1``: nodes
@@ -249,10 +249,10 @@ def _u1(alpha: float, w: float) -> float:
     centres the nodes between those two places, the other, at large w,
     follows the cutoff of e^{-wv} to v ~ e/w.
 
-    The rule is checked against its every-other-node half, the way
-    ``numerics.integrate_adaptive`` checks QUADPACK's error estimate: a gap
-    above ten times ``numerics.tolerance``, or a value that is not finite and
-    positive, raises ``NonConvergence``.  w = 0 is the closed form
+    The rule is checked against its every-other-node half, relative to its
+    own sum as in ``_p1``: a gap above ten times ``numerics.REL_TOL`` of the
+    value, or a value that is not finite and positive, raises
+    ``NonConvergence``.  w = 0 is the closed form
     ``u1_zero`` (infinite for alpha <= 1) and alpha = 2 is e^{-w}/2.  For
     alpha > 1 and w <= 1e-12 it is u_1(0) - h(1) w^{alpha-1}, h(1) =
     ``potential_kernel_at_one``: within 3.8e-14 of 40-digit mpmath at
@@ -280,17 +280,20 @@ def _u1(alpha: float, w: float) -> float:
     if not (math.isfinite(value) and value > 0.0):
         raise NonConvergence(
             f"u_1 rule gave {value!r} at alpha={alpha}, w={w}")
-    if abs(value - half) > 10.0 * tolerance(value):
+    if abs(value - half) > 10.0 * REL_TOL * value:
         raise NonConvergence(
-            f"u_1 rule and its half-step rule differ by {abs(value - half):.3g}"
-            f" at alpha={alpha}, w={w}")
+            f"u_1 rule and its half-step rule differ by "
+            f"{abs(value - half) / value:.3g} relative at alpha={alpha}, "
+            f"w={w}")
     return value
 
 
 def u1_zero(alpha: float) -> float:
     """Closed form of u_1(0): Gamma(1 - 1/a) Gamma(1/a) / (a pi).
 
-    The integral diverges for alpha <= 1, where this raises DomainError."""
+    The integral diverges for alpha <= 1, where this raises DomainError, as
+    it does outside (0, 2]."""
+    alpha = _alpha(alpha)
     if alpha <= 1.0:
         raise DomainError(
             f"alpha={alpha}: u_1(0) is infinite for alpha <= 1")
@@ -320,7 +323,9 @@ def resolvent_density(alpha, q: float, x: float) -> float:
 
 
 def potential_kernel_at_one(alpha: float) -> float:
-    """The constant 1 / (2 Gamma(alpha) sin((alpha - 1) pi / 2))."""
+    """The constant 1 / (2 Gamma(alpha) sin((alpha - 1) pi / 2)) for
+    1 < alpha < 3, which ``one_minus_cos_integral`` gives by quadrature."""
+    _inside("alpha", alpha, 1.0, 3.0)
     return 1.0 / (2.0 * math.gamma(alpha) * math.sin(0.5 * math.pi * (alpha - 1.0)))
 
 

@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DomainError, TableBuildError, _alpha, _inside,
-                     _nonzero, _point_alpha, _positive)
+from .errors import (DomainError, TableBuildError, _alpha, _count,
+                     _inside, _nonzero, _point_alpha, _positive)
 from .numerics import laplace_invert_cdf
 
 
@@ -377,8 +377,7 @@ def sample_gamma_series_subordinator(a: float, t: float, stream: RandomStream,
         raise DomainError(f"gamma-series shape a = {a!r} is below "
                           f"{_SERIES_A_MIN:.3g}, where the first coefficient "
                           "(2/pi^2)/a^2 overflows")
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
+    n_terms = _count("n_terms", n_terms, 1)
     rng = stream.rng
     shape = () if size is None else (size if isinstance(size, tuple) else (size,))
     m = math.prod(shape)

@@ -9,8 +9,8 @@ from stable_hitting import distributions as dist
 from stable_hitting import hitting_laws as hl
 from stable_hitting import resolvent
 from stable_hitting import sampling as smp
-from stable_hitting.errors import (DomainError, _alpha, _inside, _nonzero,
-                                   _point_alpha, _positive)
+from stable_hitting.errors import (DomainError, _alpha, _count, _inside,
+                                   _nonzero, _point_alpha, _positive)
 from stable_hitting.numerics import laplace_invert_cdf
 
 NAN = math.nan
@@ -61,6 +61,18 @@ NAN_CALLS = [
      lambda: smp.sample_excursion_age_duration(NAN, _stream(), 3)),
     ("tanh_subordinator_lt/t", lambda: smp.tanh_subordinator_lt(NAN)),
     ("laplace_invert_cdf/t", lambda: laplace_invert_cdf(_phi, NAN)),
+    ("u1_zero/alpha", lambda: resolvent.u1_zero(NAN)),
+    ("potential_kernel_at_one/alpha",
+     lambda: resolvent.potential_kernel_at_one(NAN)),
+    ("leg_decomposition_gap/n",
+     lambda: hl.leg_decomposition_gap(1.5, 1.0, 1.0, NAN)),
+    ("lt_hit_abs_series/n_terms",
+     lambda: hl.lt_hit_abs_series(1.5, 1.0, 1.0, NAN)),
+    ("sample_gamma_series_subordinator/n_terms",
+     lambda: smp.sample_gamma_series_subordinator(1.0, 1.0, _stream(), 3,
+                                                  n_terms=NAN)),
+    ("laplace_invert_cdf/n_terms",
+     lambda: laplace_invert_cdf(_phi, 1.0, n_terms=NAN)),
 ]
 
 
@@ -87,6 +99,39 @@ def test_alpha_outside_zero_two_names_alpha(name, alpha):
         ALPHA_CALLS[name](alpha)
 
 
+# (label, call); each call passes one finite value outside its domain
+OUTSIDE_CALLS = [
+    ("u1_zero/alpha=2.5", lambda: resolvent.u1_zero(2.5)),
+    ("potential_kernel_at_one/alpha=0.5",
+     lambda: resolvent.potential_kernel_at_one(0.5)),
+    ("potential_kernel_at_one/alpha=1",
+     lambda: resolvent.potential_kernel_at_one(1.0)),
+    ("potential_kernel_at_one/alpha=3.5",
+     lambda: resolvent.potential_kernel_at_one(3.5)),
+    ("leg_decomposition_gap/n=1.5",
+     lambda: hl.leg_decomposition_gap(1.5, 1.0, 1.0, 1.5)),
+    ("lt_hit_abs_series/n_terms=2.5",
+     lambda: hl.lt_hit_abs_series(1.5, 1.0, 1.0, 2.5)),
+    ("sample_gamma_series_subordinator/n_terms=2.5",
+     lambda: smp.sample_gamma_series_subordinator(1.0, 1.0, _stream(), 3,
+                                                  n_terms=2.5)),
+    ("laplace_invert_cdf/n_terms=5",
+     lambda: laplace_invert_cdf(_phi, 1.0, n_terms=5)),
+]
+
+
+@pytest.mark.parametrize("label,call", OUTSIDE_CALLS,
+                         ids=[c[0] for c in OUTSIDE_CALLS])
+def test_outside_domain_raises_domain_error(label, call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_u1_zero_keeps_its_own_rule_below_one():
+    with pytest.raises(DomainError, match="infinite for alpha <= 1"):
+        resolvent.u1_zero(0.5)
+
+
 class TestValidators:
     def test_each_returns_its_value(self):
         assert _alpha(2) == 2.0 and isinstance(_alpha(2), float)
@@ -94,11 +139,13 @@ class TestValidators:
         assert _positive("q", 0.25) == 0.25
         assert _inside("beta", -3.0, -math.pi, math.pi) == -3.0
         assert _nonzero(-1.0) == -1.0
+        assert _count("n", 3.0, 1) == 3
+        assert isinstance(_count("n", 3.0, 1), int)
 
     @pytest.mark.parametrize("check", [
         lambda v: _alpha(v), lambda v: _point_alpha(v),
         lambda v: _positive("t", v), lambda v: _inside("gamma", v, 0.0, 1.0),
-        lambda v: _nonzero(v)])
+        lambda v: _nonzero(v), lambda v: _count("n", v, 1)])
     def test_nan_fails_each(self, check):
         with pytest.raises(DomainError):
             check(NAN)
@@ -111,3 +158,11 @@ class TestValidators:
     def test_positive_names_the_parameter(self):
         with pytest.raises(DomainError, match="^t must be positive$"):
             _positive("t", 0.0)
+
+    def test_count_names_the_parameter(self):
+        with pytest.raises(DomainError, match="^n_terms must be >= 1$"):
+            _count("n_terms", 0, 1)
+        with pytest.raises(DomainError, match=r"^n=1\.5 is not an integer$"):
+            _count("n", 1.5, 1)
+        with pytest.raises(DomainError, match="^n=inf is not an integer$"):
+            _count("n", math.inf, 1)

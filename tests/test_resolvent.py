@@ -260,6 +260,15 @@ class TestU1Kernel:
         with pytest.raises(NonConvergence, match="half-step"):
             _u1(1.999, 5e-12)
 
+    def test_half_step_check_is_relative(self):
+        # at alpha = 0.1, w = 1e151 the rule is 3.4e-4 off the asymptotic
+        # series, and u_1 ~ 4e-168 lies far below the 1e-10 absolute floor of
+        # numerics.tolerance, so only a relative check can see the gap
+        with pytest.raises(NonConvergence, match="relative"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _u1(0.1, 1e151)
+
     @pytest.mark.parametrize("alpha", [1.5, 1.999])
     def test_far_field_is_the_asymptote(self, alpha):
         # the rule's products underflow at w = 1e100

@@ -106,17 +106,69 @@ class TestReports:
         parsed = json.loads(report_to_json([third]))
         assert parsed[0]["lhs"] == 1 / 3
 
+    # a check_id with a comma and quotes, 1/3, no, zero and a positive sample
+    # count, and empty notes
+    PINNED = [
+        VerificationReport("lt_hit/q=1.0/a=0.5", 1 / 3, 0.1, 1e-8, True, None,
+                           ""),
+        VerificationReport('stieltjes/pqr=1,2,"x"', 0.5, 0.25, 0.0, False,
+                           2000, "stderr=1.000e-03"),
+        VerificationReport("exp", 2.0, -1e-300, 3e20, True, 0,
+                           't=0.12345, "q"'),
+    ]
+
+    def test_csv_text_is_pinned(self):
+        assert report_to_csv(self.PINNED) == (
+            "check_id,lhs,rhs,tolerance,pass,n_samples,notes\n"
+            "lt_hit/q=1.0/a=0.5,0.33333333333333331,0.10000000000000001,"
+            "1e-08,true,,\n"
+            '"stieltjes/pqr=1,2,""x""",0.5,0.25,0,false,2000,'
+            "stderr=1.000e-03\n"
+            'exp,2,-1e-300,3e+20,true,0,"t=0.12345, ""q"""\n')
+
+    def test_json_text_is_pinned(self):
+        assert report_to_json(self.PINNED) == (
+            '[{"check_id": "lt_hit/q=1.0/a=0.5", "lhs": 0.33333333333333331, '
+            '"rhs": 0.10000000000000001, "tolerance": 1e-08, "pass": true, '
+            '"n_samples": null, "notes": ""},\n'
+            ' {"check_id": "stieltjes/pqr=1,2,\\"x\\"", "lhs": 0.5, '
+            '"rhs": 0.25, "tolerance": 0, "pass": false, "n_samples": 2000, '
+            '"notes": "stderr=1.000e-03"},\n'
+            ' {"check_id": "exp", "lhs": 2, "rhs": -1e-300, '
+            '"tolerance": 3e+20, "pass": true, "n_samples": 0, '
+            '"notes": "t=0.12345, \\"q\\""}]')
+
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _run_all_suites(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_all_suites.py"), *args],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_run_all_suites_writes_the_library_reports(tmp_path):
+    proc = _run_all_suites("--n", "2000", "--seed", "4", "--out",
+                           str(tmp_path / "out"))
+    assert "Traceback" not in proc.stderr
+    ok = True
+    for suite in SUITE_NAMES:
+        reports = run_suite(suite, seed=4, n_samples=2000)
+        assert (tmp_path / "out" / f"{suite}.json").read_text() \
+            == report_to_json(reports)
+        assert (tmp_path / "out" / f"{suite}.csv").read_text() \
+            == report_to_csv(reports)
+        ok = ok and all_passed(reports)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        f"{suite}.{ext}" for suite in SUITE_NAMES for ext in ("csv", "json"))
+    assert proc.returncode == (0 if ok else 1)
+
+
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_run_all_suites_rejects_n_below_two(n, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_all_suites.py"),
-         "--n", n, "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_all_suites("--n", n, "--out", str(tmp_path))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"argument --n: must be >= 2, got {n}" in proc.stderr
