@@ -11,6 +11,7 @@ fixed (seed, streams, n).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -37,20 +38,42 @@ def _fmt(v) -> str:
 
 
 def _emit(row) -> None:
-    # buffered; ``main`` flushes once when the command returns
+    # a header, or a row of eval, invert or --summary (``sample`` rows go
+    # through ``_write_rows``); buffered, and ``main`` flushes once when the
+    # command returns
     print(",".join(str(c) for c in row))
+
+
+_ROW_BLOCK = 2 ** 16
+
+
+def _write_rows(columns) -> None:
+    """The rows of equal-length columns as CSV, one write per block of
+    ``_ROW_BLOCK`` rows: memory stays bounded at any length, and each cell
+    is ``_fmt`` of its value (integer draws print as floats)."""
+    for i in range(0, len(columns[0]), _ROW_BLOCK):
+        cells = [map(repr, c[i:i + _ROW_BLOCK].astype(float).tolist())
+                 for c in columns]
+        lines = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 class _UsageError(Exception):
     """A flag the command needs is missing, or one it cannot use is given."""
 
 
-def _read_flags(args, required, optional) -> dict:
+def _read_flags(args, required, optional, offered=()) -> dict:
     """The flags an entry lists, read from ``args`` as the keywords of its
     function.  An optional flag not given takes the entry's default, and is
-    left out where that is None, so that the function's own default applies."""
+    left out where that is None, so that the function's own default applies.
+    A flag of ``offered`` (the command's) that the entry does not list must
+    not be given."""
+    listed = (*required, *optional)
+    for name in offered:
+        if name not in listed and getattr(args, name) is not None:
+            raise _UsageError(f"--{name} given, but this kind does not take it")
     params = {}
-    for name in (*required, *optional):
+    for name in listed:
         value = getattr(args, name)
         if value is None and name in required:
             raise _UsageError(f"missing required flag --{name}")
@@ -97,10 +120,13 @@ EVAL_KINDS = {
     "rayleigh-survival": (("alpha", "x"), {}, alpha_rayleigh_survival),
 }
 
+# the flags of ``eval``; each kind takes the ones its entry lists
+_EVAL_FLAGS = ("alpha", "q", "r", "x", "a", "b", "t", "beta")
+
 
 def _cmd_eval(args) -> int:
     required, optional, fn = EVAL_KINDS[args.kind]
-    flags = _read_flags(args, required, optional)
+    flags = _read_flags(args, required, optional, _EVAL_FLAGS)
     names = [*required, *optional]
     _emit(names + ["value"])
     # a given flag is a grid, a default one value
@@ -145,6 +171,9 @@ SAMPLE_DISTS = {
     "tanh-law": ((), {"t": None}, _tanh_law),
 }
 
+# the flags of ``sample``; each dist takes the ones its entry lists
+_SAMPLE_FLAGS = ("alpha", "beta", "gamma", "a", "b", "t", "terms")
+
 _COLUMNS = {
     "excursion": ("age", "duration"),
     "excursion-exp": ("last_zero", "age", "duration"),
@@ -153,7 +182,7 @@ _COLUMNS = {
 
 def _cmd_sample(args) -> int:
     required, optional, fn = SAMPLE_DISTS[args.kind]
-    params = _read_flags(args, required, optional)
+    params = _read_flags(args, required, optional, _SAMPLE_FLAGS)
     n, streams = args.n, args.streams
     counts = [n // streams + (1 if i < n % streams else 0)
               for i in range(streams)]
@@ -170,8 +199,7 @@ def _cmd_sample(args) -> int:
                    _fmt(st.stderr), "" if st.ks is None else _fmt(st.ks)])
     else:
         _emit(cols)
-        for row in zip(*draws):
-            _emit([_fmt(v) for v in row])
+        _write_rows(draws)
     return 0
 
 
@@ -252,15 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate a formula on a parameter grid")
     ev.add_argument("kind", choices=sorted(EVAL_KINDS))
-    for flag in ("alpha", "q", "r", "x", "a", "b", "t", "beta"):
+    for flag in _EVAL_FLAGS:
         ev.add_argument(f"--{flag}", type=_float_grid,
                         help="value or comma-separated grid")
 
     sa = sub.add_parser("sample", help="draw from a named law")
     sa.add_argument("kind", metavar="dist", choices=sorted(SAMPLE_DISTS))
-    for flag in ("alpha", "beta", "gamma", "a", "b", "t"):
-        sa.add_argument(f"--{flag}", type=_finite_float)
-    sa.add_argument("--terms", type=int)
+    for flag in _SAMPLE_FLAGS:
+        sa.add_argument(f"--{flag}",
+                        type=int if flag == "terms" else _finite_float)
     sa.add_argument("-n", type=_positive_int, default=10)
     sa.add_argument("--seed", type=int, default=0)
     sa.add_argument("--streams", type=_positive_int, default=1)
@@ -286,9 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on the first call of ``main``, not at import; parsing leaves the
+# parser unchanged, so one serves every call in a process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,11 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
+import stable_hitting
 from stable_hitting import hitting_laws as hl
 from stable_hitting import sampling as smp
 from stable_hitting import cli, verify as vf
@@ -521,7 +525,8 @@ _EVAL_GRID = {"alpha": "1.5", "q": "0.5,2", "r": "1", "x": "0.5,1.5",
 
 
 @pytest.mark.parametrize("kind,given", [
-    *[(kind, tuple(_EVAL_GRID)) for kind in sorted(EVAL_KINDS)],
+    *[(kind, (*EVAL_KINDS[kind][0], *EVAL_KINDS[kind][1]))
+      for kind in sorted(EVAL_KINDS)],
     ("exc-n", ("alpha", "a", "q")), ("exc-m", ("alpha", "a", "q")),
     ("exc-n", ("alpha", "a")), ("exc-m", ("alpha", "a")),
     ("lt-T", ("alpha", "q", "a")),
@@ -582,6 +587,93 @@ def test_sample_rows_are_the_library_draws(capsys, dist):
     assert code == 0
     assert out.splitlines()[1:] == [",".join(repr(float(v)) for v in row)
                                     for row in zip(*columns)]
+
+
+def _library_rows(draw, seed, n, streams):
+    """The CSV rows of ``n`` draws split over ``streams`` as ``sample`` splits
+    them, each cell ``repr`` of the draw as a float."""
+    columns = []
+    for i in range(streams):
+        count = n // streams + (1 if i < n % streams else 0)
+        draws = draw(smp.RandomStream(seed, i), count)
+        columns.append(draws if isinstance(draws, tuple) else (draws,))
+    return [",".join(repr(float(v)) for v in row)
+            for row in zip(*(np.concatenate(c) for c in zip(*columns)))]
+
+
+@pytest.mark.parametrize("streams", [1, 3])
+@pytest.mark.parametrize("dist", sorted(_SAMPLE_DIRECT))
+def test_sample_rows_written_in_blocks(capsys, monkeypatch, dist, streams):
+    # 7 rows in blocks of 3 end one block short; stdout must be the rows
+    # written one at a time
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
+    flags, draw = _SAMPLE_DIRECT[dist]
+    code, out, _ = run(capsys, "sample", dist, "-n", "7", "--seed", "11",
+                       "--streams", str(streams),
+                       *[f"--{name}={value!r}" for name, value in flags.items()])
+    assert code == 0
+    assert out.splitlines()[1:] == _library_rows(draw, 11, 7, streams)
+    assert out.endswith("\n") and not out.endswith("\n\n")
+
+
+def test_sample_inf_rows_written_in_blocks(capsys, monkeypatch):
+    # about half the hitting times at alpha = 1.001 pass the double range
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
+    code, out, _ = run(capsys, "sample", "t-point", "--alpha", "1.001",
+                       "--a", "1", "-n", "7", "--seed", "7", "--streams", "3")
+    want = _library_rows(
+        lambda s, n: smp.sample_hitting_time(1.001, 1.0, s, n), 7, 7, 3)
+    assert code == 0
+    assert "inf" in want and any(row != "inf" for row in want)
+    assert out == "\n".join(["draw", *want]) + "\n"
+
+
+def _fresh_process(argv):
+    """Exit code, stdout and stderr of ``argv`` in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(stable_hitting.__file__))
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "stable_hitting.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cached_parser_keeps_no_state(capsys, monkeypatch):
+    # one parser serves every main call in a process; each call must print
+    # what it prints as the first call of a fresh process
+    monkeypatch.setenv("COLUMNS", "80")
+    gamma = ("sample", "gamma", "--a", "2", "-n", "3", "--seed", "1")
+    exponential = ("sample", "exponential", "-n", "3", "--seed", "1")
+    usage_error = ("sample", "gamma", "--a", "2", "-n", "0")
+    help_ = ("sample", "--help")
+    fresh = {argv: _fresh_process(argv)
+             for argv in (gamma, exponential, usage_error, help_)}
+    assert fresh[exponential][0] == 0
+    assert fresh[usage_error][0] == 2 and fresh[help_][0] == 0
+    for first in (gamma, usage_error, help_):
+        assert run(capsys, *first) == fresh[first], first
+        assert run(capsys, *exponential) == fresh[exponential], first
+    assert cli.build_parser() is not cli.build_parser()
+
+
+@pytest.mark.parametrize("command,table,offered", [
+    ("eval", EVAL_KINDS, cli._EVAL_FLAGS),
+    ("sample", SAMPLE_DISTS, cli._SAMPLE_FLAGS),
+])
+def test_unlisted_flag_usage_error(capsys, command, table, offered):
+    # every kind with all its flags and one it does not list
+    values = {"alpha": "1.5", "q": "1", "r": "2", "x": "0.5", "a": "1",
+              "b": "2", "t": "1", "beta": "0.5", "gamma": "0.5", "terms": "8"}
+    for kind, (required, optional, _) in table.items():
+        listed = [*required, *optional]
+        for extra in (f for f in offered if f not in listed):
+            argv = [command, kind, *[f"--{f}={values[f]}" for f in listed],
+                    f"--{extra}={values[extra]}"]
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == (f"{command} {kind}: --{extra} given, but this "
+                           "kind does not take it\n")
 
 
 def test_every_eval_kind_and_sample_dist_is_pinned():

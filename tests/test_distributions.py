@@ -141,12 +141,25 @@ class TestZDensity:
     @pytest.mark.parametrize("a", [10.0, 1000.0])
     @pytest.mark.parametrize("x", [0.0, 0.01, -0.02, 0.1])
     def test_large_shape_against_mpmath(self, a, x):
-        # betaln loses relative accuracy like eps * a; at a = 1000 the
-        # density is still within 7e-13 of the 50-digit value
+        # betaln below a = 30, the duplication formula's series above
         with mp.workdps(50):
             aa, y = mp.mpf(a), mp.pi * mp.mpf(x)
             want = mp.pi * mp.exp(aa * y) / ((1 + mp.exp(y)) ** (2 * aa) * mp.beta(aa, aa))
         assert z_density(a, x) == pytest.approx(float(want), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("a", [1e3, 1e6, 1e10, 1e15, 1e16, 1e23, 1e50,
+                                   1e100, 1e200, 1e300])
+    @pytest.mark.parametrize("s", [0.0, 0.37, -1.3, 2.9])
+    def test_huge_shape_against_mpmath(self, a, s):
+        # the density has width 1/sqrt(a); log B(a, a) is about -2a log 2,
+        # so the reference keeps 50 digits beyond the log10(a) that the
+        # cancellation in its normaliser takes
+        x = s / math.sqrt(a)
+        with mp.workdps(50 + int(math.log10(a))):
+            aa, y = mp.mpf(a), mp.pi * mp.mpf(x)
+            want = mp.exp(mp.log(mp.pi) - mp.log(mp.beta(aa, aa)) + aa * y
+                          - 2 * aa * mp.log1p(mp.exp(y)))
+        assert z_density(a, x) == pytest.approx(float(want), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("a", [1e308, 1e-310])
     def test_nonfinite_normaliser_raises(self, a):
