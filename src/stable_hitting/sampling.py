@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DomainError, TableBuildError, _alpha, _count,
                      _inside, _nonzero, _point_alpha, _positive)
-from .numerics import laplace_invert_cdf
+from .numerics import _invert_cdf_rows
 
 
 @dataclass
@@ -137,24 +137,6 @@ def sample_unilateral_stable(beta: float, stream: RandomStream, size=None):
     w = rng.standard_exponential(size)
     log_t = ((1.0 - beta) / beta) * (_log_zolotarev_a(u, beta) - np.log(w))
     return np.exp(log_t)
-
-
-def _bracket_quantiles(cdf, p_lo, p_hi):
-    """Step out from t = 1 by factors of 4, at most 200 times each way."""
-    t_lo = t_hi = 1.0
-    for _ in range(200):
-        if cdf(t_lo) <= p_lo:
-            break
-        t_lo /= 4.0
-    else:
-        raise TableBuildError("lower quantile bracket not found")
-    for _ in range(200):
-        if cdf(t_hi) >= p_hi:
-            break
-        t_hi *= 4.0
-    else:
-        raise TableBuildError("upper quantile bracket not found")
-    return t_lo, t_hi
 
 
 def _accepted(propose, size):
@@ -398,8 +380,10 @@ def tanh_subordinator_lt(t: float = 1.0):
     the standard normalization E[e^{i th B(s)}] = e^{-s th^2 / 2}.
 
     The sqrt(2q) argument keeps it consistent with the gamma-series laws:
-    C_t = T_t + S_t in law with independent summands.  No constructive
-    sampler exists for it here; draw through sample_from_lt.
+    C_t = T_t + S_t in law with independent summands.  It is drawn through
+    sample_from_lt: the exact constructions known for it, U^2 C_2 at t = 1
+    and a product of compound Poisson laws at any t, cost several times more
+    per draw than the table.  ``phi`` broadcasts over arrays of q.
     """
     _positive("t", t)
 
@@ -410,8 +394,10 @@ def tanh_subordinator_lt(t: float = 1.0):
     return phi
 
 
-# Log-spaced CDF points in the table of ``sample_from_lt``.
+# Log-spaced CDF points in the table of ``sample_from_lt``, and the ladder
+# points of its quantile bracket inverted per call of the transform.
 _LT_TABLE_SIZE = 512
+_BRACKET_BLOCK = 16
 
 
 def sample_from_lt(phi, stream: RandomStream, size=None, n_terms: int = 12):
@@ -419,7 +405,13 @@ def sample_from_lt(phi, stream: RandomStream, size=None, n_terms: int = 12):
     transform, a callable phi(q) = E[e^{-qT}]: Gaver-Stehfest CDF values on
     a log grid, inverse-sampled by monotone interpolation on
     ``_LT_TABLE_SIZE`` points.  Bias is bounded by the table resolution plus
-    the inversion error and is deterministic for a fixed table."""
+    the inversion error and is deterministic for a fixed table.
+
+    ``phi`` is called on 2-d arrays of extended-precision ``q`` and must
+    broadcast over them, as a transform written with np.* functions does:
+    one call per ``_BRACKET_BLOCK`` points of the quantile bracket, and one
+    for the whole table.  ``n_terms`` must be even and at least 4, and is
+    checked before ``phi`` is called."""
     log_grid, probs = _lt_table(phi, n_terms)
     v = stream.rng.random(size)
     v = np.clip(v, probs[0], probs[-1])
@@ -427,15 +419,31 @@ def sample_from_lt(phi, stream: RandomStream, size=None, n_terms: int = 12):
 
 
 def _lt_table(phi, n_terms: int):
-    def cdf(t):
-        return laplace_invert_cdf(phi, t, n_terms=n_terms)
-
-    t_lo, t_hi = _bracket_quantiles(cdf, 1e-5, 1.0 - 1e-5)
+    t_lo, t_hi = _bracket_quantiles(phi, n_terms, 1e-5, 1.0 - 1e-5)
     grid = np.geomspace(t_lo, t_hi, _LT_TABLE_SIZE)
-    probs = np.array([cdf(t) for t in grid])
+    probs = _invert_cdf_rows(phi, grid, n_terms)
     # dips beyond the Gaver-Stehfest error scale mean the input was not a
     # valid transform; smaller wiggles are inversion noise and get flattened
     if np.any(np.diff(probs) < -1e-4):
         raise TableBuildError(f"inverted CDF not monotone for {phi!r}")
     probs = np.maximum.accumulate(probs)
     return np.log(grid), probs
+
+
+def _bracket_quantiles(phi, n_terms, p_lo, p_hi):
+    """Step out from t = 1 by factors of 4, at most 200 times each way."""
+    return (_ladder(phi, n_terms, -2, lambda p: p <= p_lo, "lower"),
+            _ladder(phi, n_terms, 2, lambda p: p >= p_hi, "upper"))
+
+
+def _ladder(phi, n_terms, log2_step, crossed, side):
+    """First t = 2^(log2_step i), i < 200, whose CDF value is ``crossed``,
+    inverted ``_BRACKET_BLOCK`` points at a time; the points past it are
+    never checked."""
+    for i0 in range(0, 200, _BRACKET_BLOCK):
+        steps = np.arange(i0, min(i0 + _BRACKET_BLOCK, 200))
+        ts = np.ldexp(1.0, log2_step * steps)
+        probs = _invert_cdf_rows(phi, ts, n_terms, stop=crossed)
+        if crossed(probs[-1]):
+            return float(ts[probs.size - 1])
+    raise TableBuildError(f"{side} quantile bracket not found")

@@ -73,6 +73,8 @@ NAN_CALLS = [
                                                   n_terms=NAN)),
     ("laplace_invert_cdf/n_terms",
      lambda: laplace_invert_cdf(_phi, 1.0, n_terms=NAN)),
+    ("sample_from_lt/n_terms",
+     lambda: smp.sample_from_lt(_phi, _stream(), 3, n_terms=NAN)),
 ]
 
 
@@ -117,6 +119,12 @@ OUTSIDE_CALLS = [
                                                   n_terms=2.5)),
     ("laplace_invert_cdf/n_terms=5",
      lambda: laplace_invert_cdf(_phi, 1.0, n_terms=5)),
+    ("sample_from_lt/n_terms=12.5",
+     lambda: smp.sample_from_lt(_phi, _stream(), 3, n_terms=12.5)),
+    ("sample_from_lt/n_terms=13",
+     lambda: smp.sample_from_lt(_phi, _stream(), 3, n_terms=13)),
+    ("sample_from_lt/n_terms=2",
+     lambda: smp.sample_from_lt(_phi, _stream(), 3, n_terms=2)),
 ]
 
 

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from stable_hitting.errors import DomainError
+from stable_hitting import sampling as smp
+from stable_hitting.errors import (DomainError, NumericInstability,
+                                   TableBuildError)
 from stable_hitting.hitting_laws import HittingQuery, lt_hit_point
 from stable_hitting.distributions import alpha_cauchy_density
-from stable_hitting.numerics import laplace_invert_cdf
+from stable_hitting.numerics import _invert_cdf_rows, laplace_invert_cdf
 from stable_hitting.sampling import (_SERIES_BLOCK, RandomStream, SampleStats,
                                      gamma_series_coefficient,
                                      gamma_series_tail_gamma,
@@ -537,3 +539,101 @@ class TestSampleFromLt:
         se = math.hypot(np.std(lhs) / math.sqrt(lhs.size),
                         np.std(rhs) / math.sqrt(rhs.size))
         assert abs(np.mean(lhs) - np.mean(rhs)) <= 4 * se + 1e-3
+
+
+def _exponential_lt(q):
+    return 1.0 / (1.0 + q)
+
+
+# (label, transform); the table and bracket rows must equal the scalar
+# inversions bit for bit on each
+LT_LAWS = [("exponential", _exponential_lt)] + [
+    (f"tanh-{t}", tanh_subordinator_lt(t)) for t in (0.7, 1.0, 1.37, 2.0)]
+
+
+def _scalar_bracket(phi, n_terms):
+    """The quantile bracket of ``sample_from_lt`` as a walk that inverts one
+    ladder point at a time."""
+    t_lo = t_hi = 1.0
+    while laplace_invert_cdf(phi, t_lo, n_terms) > 1e-5:
+        t_lo /= 4.0
+    while laplace_invert_cdf(phi, t_hi, n_terms) < 1.0 - 1e-5:
+        t_hi *= 4.0
+    return t_lo, t_hi
+
+
+class TestLtTable:
+    @pytest.mark.parametrize("n_terms", [12, 16])
+    @pytest.mark.parametrize("label,phi", LT_LAWS, ids=[c[0] for c in LT_LAWS])
+    def test_rows_equal_scalar_inversion(self, label, phi, n_terms):
+        t_lo, t_hi = smp._bracket_quantiles(phi, n_terms, 1e-5, 1.0 - 1e-5)
+        grid = np.geomspace(t_lo, t_hi, smp._LT_TABLE_SIZE)
+        want = np.array([laplace_invert_cdf(phi, t, n_terms) for t in grid])
+        assert np.array_equal(_invert_cdf_rows(phi, grid, n_terms), want)
+        log_grid, probs = smp._lt_table(phi, n_terms)
+        assert np.array_equal(log_grid, np.log(grid))
+        assert np.array_equal(probs, np.maximum.accumulate(want))
+
+    @pytest.mark.parametrize("n_terms", [12, 16])
+    @pytest.mark.parametrize(
+        "label,phi", LT_LAWS + [("tanh-0.5", tanh_subordinator_lt(0.5))],
+        ids=[c[0] for c in LT_LAWS] + ["tanh-0.5"])
+    def test_bracket_equals_scalar_walk(self, label, phi, n_terms):
+        bracket = smp._bracket_quantiles(phi, n_terms, 1e-5, 1.0 - 1e-5)
+        assert bracket == _scalar_bracket(phi, n_terms)
+
+    def test_long_lower_walk_spans_blocks(self):
+        # at t = 0.5 the lower walk takes 35 steps, to 4^-34 = 3.4e-21
+        t_lo, _ = smp._bracket_quantiles(tanh_subordinator_lt(0.5), 12,
+                                         1e-5, 1.0 - 1e-5)
+        assert t_lo == 4.0 ** -34
+        assert 34 > 2 * smp._BRACKET_BLOCK
+
+    def test_first_draws_pinned(self):
+        draws = sample_from_lt(tanh_subordinator_lt(1.37), RandomStream(7), 5)
+        assert draws.tolist() == [1.5001793308129925, 0.02382894574253509,
+                                  0.836684274350425, 1.8953839626036357,
+                                  1.2289283315255155]
+
+    def test_rows_past_the_crossing_are_not_checked(self):
+        # nan beyond q = 1e13: the lower walk of the tanh law at t = 1
+        # crosses at 4^-17, and the nan rows from 4^-21 on share its block
+        tanh = tanh_subordinator_lt(1.0)
+        phi = lambda q: np.where(q > 1e13, np.nan, tanh(q))
+        block = np.ldexp(1.0, -2 * np.arange(smp._BRACKET_BLOCK,
+                                             2 * smp._BRACKET_BLOCK))
+        with pytest.raises(NumericInstability, match="non-finite"):
+            _invert_cdf_rows(phi, block, 12)
+        draws = sample_from_lt(phi, RandomStream(3), 1000)
+        assert np.array_equal(
+            draws, sample_from_lt(tanh, RandomStream(3), 1000))
+
+    @pytest.mark.parametrize("bump,match", [(50.0, "terms differ"),
+                                            (np.nan, "non-finite")])
+    def test_failing_table_row_raises(self, bump, match):
+        # a valid transform, except on the last node of table row 200
+        def phi(q):
+            out = _exponential_lt(q)
+            if q.shape[0] == smp._LT_TABLE_SIZE:
+                out[200, -1] += bump
+            return out
+
+        with pytest.raises(NumericInstability, match=match):
+            sample_from_lt(phi, RandomStream(3), 10)
+
+    def test_non_monotone_table_raises(self):
+        # the CDF 1 - e^{-t} + e^{-t/5} - e^{-t/10} falls from 0.762 near
+        # t = 3.6 to 0.749 near t = 6.7 before it rises to 1
+        def phi(q):
+            return 1.0 / (1.0 + q) + 0.1 / (0.1 + q) - 0.2 / (0.2 + q)
+
+        with pytest.raises(TableBuildError, match="not monotone"):
+            sample_from_lt(phi, RandomStream(3), 10)
+
+    @pytest.mark.parametrize("n_terms", [math.nan, 12.5, 13, 2])
+    def test_bad_n_terms_raises_before_phi(self, n_terms):
+        def phi(q):
+            raise AssertionError("phi called")
+
+        with pytest.raises(DomainError, match="n_terms"):
+            sample_from_lt(phi, RandomStream(3), 10, n_terms=n_terms)
