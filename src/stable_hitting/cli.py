@@ -62,7 +62,7 @@ class _UsageError(Exception):
     """A flag the command needs is missing, or one it cannot use is given."""
 
 
-def _read_flags(args, required, optional, offered=()) -> dict:
+def _read_flags(args, required, optional, offered) -> dict:
     """The flags an entry lists, read from ``args`` as the keywords of its
     function.  An optional flag not given takes the entry's default, and is
     left out where that is None, so that the function's own default applies.
@@ -192,11 +192,11 @@ def _cmd_sample(args) -> int:
     draws = [np.concatenate([np.atleast_1d(ch if len(cols) == 1 else ch[j])
                              for ch in chunks]) for j in range(len(cols))]
     if args.summary:
-        _emit(["column", "n", "mean", "variance", "stderr", "ks"])
+        _emit(["column", "n", "mean", "variance", "stderr"])
         for name, d in zip(cols, draws):
             st = smp.SampleStats.from_draws(d)
             _emit([name, st.n, _fmt(st.mean), _fmt(st.variance),
-                   _fmt(st.stderr), "" if st.ks is None else _fmt(st.ks)])
+                   _fmt(st.stderr)])
     else:
         _emit(cols)
         _write_rows(draws)
@@ -209,12 +209,14 @@ def _cmd_sample(args) -> int:
 _INVERT_CHOICES = sorted(kind for kind, (required, _, _) in EVAL_KINDS.items()
                          if required == ("alpha", "q", "a"))
 
+# the flags of ``invert``; each kind takes the ones its entry lists but q
+_INVERT_FLAGS = ("alpha", "a", "x")
+
 
 def _cmd_invert(args) -> int:
     required, optional, fn = EVAL_KINDS[args.kind]
-    if args.x is not None and "x" not in optional:
-        raise _UsageError("--x given, but this transform starts at 0")
-    params = _read_flags(args, [n for n in required if n != "q"], optional)
+    params = _read_flags(args, [n for n in required if n != "q"], optional,
+                         _INVERT_FLAGS)
 
     def phi(q):
         return fn(**params, q=float(q))
@@ -297,9 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     iv = sub.add_parser("invert", help="numerically invert a hitting-law "
                                        "transform into P(T < t)")
     iv.add_argument("kind", choices=_INVERT_CHOICES)
-    iv.add_argument("--alpha", type=_finite_float, required=True)
-    iv.add_argument("--a", type=_finite_float, required=True)
-    iv.add_argument("--x", type=_finite_float)
+    for flag in _INVERT_FLAGS:
+        iv.add_argument(f"--{flag}", type=_finite_float)
     iv.add_argument("--t", type=_float_grid, required=True,
                     help="comma-separated time grid")
     iv.add_argument("--terms", type=int, default=12)

@@ -102,19 +102,22 @@ def z_density(a: float, x: float) -> float:
     Against 50-digit mpmath, at x = 0 and at x = s/sqrt(a) for |s| <= 3, the
     relative error is below 4e-15 for a from 0.5 to 30, below 6e-15 up to
     a = 1e15 and 1e-14 up to a = 1e100, and it grows with log a to 3.5e-14
-    at a = 1e300.  Where log B(a, a) is not finite, below a = 2.2e-308 and
-    from about a = 1.3e305, this raises DomainError."""
+    at a = 1e300 and 4.1e-14 at a = 1e308.  Below a = 2.2e-308, where
+    log B(a, a) is not finite, this raises DomainError."""
     _positive("a", a)
-    # raises where log B(a, a) is not finite; its value serves below a = 30
-    log_b = _log_beta(a, a, "z density")
     if a < _Z_SERIES_FROM:
-        log_norm = math.log(math.pi) - log_b - 2.0 * a * math.log(2.0)
+        log_norm = (math.log(math.pi) - _log_beta(a, a, "z density")
+                    - 2.0 * a * math.log(2.0))
     else:
         a2 = a * a
         r = (0.125 - (1.0 / 192.0 - (1.0 / 640.0 - 17.0 / (14336.0 * a2))
                       / a2) / a2) / a
-        log_norm = 0.5 * math.log(math.pi * a) - math.log(2.0) - r
-    return math.exp(log_norm - 2.0 * a * _log_cosh(0.5 * math.pi * x))
+        # pi a overflows from a = 5.7e307
+        log_pi_a = (math.log(math.pi * a) if a < 5e307
+                    else math.log(math.pi) + math.log(a))
+        log_norm = 0.5 * log_pi_a - math.log(2.0) - r
+    # a (2 log cosh), not 2a log cosh: 2a overflows from a = 9e307
+    return math.exp(log_norm - a * (2.0 * _log_cosh(0.5 * math.pi * x)))
 
 
 def z_levy_exponent(a: float, theta: float) -> float:

@@ -14,24 +14,23 @@ the last visit to the origin before T_a, and the post-exit part T_a - G_a is
 independent of G_a.  The same objects for |X| hit the set {a, -a}.
 
 Every law takes the stability index ``alpha`` as a float and raises
-DomainError outside 1 < alpha <= 2.
+DomainError outside 1 < alpha <= 2; a law in q checks ``alpha`` and ``q``
+once, in ``_resolvent``, also where they come in a ``HittingQuery``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (ConsistencyError, DegenerateDenominator, DomainError,
                      _count, _nonzero, _point_alpha, _positive)
 from .resolvent import _resolvent, potential_kernel
 
 
-@dataclass(frozen=True)
-class HittingQuery:
-    """The input of ``lt_hit_point``, ``lt_hit_either`` and ``lt_hit_before``:
-    the stability index ``alpha`` in (1, 2], the rate ``q``, the start
-    position ``x``, the target ``a`` and an optional second target ``b``."""
+class HittingQuery(NamedTuple):
+    """The input of ``lt_hit_point``, ``lt_hit_either`` and ``lt_hit_before``,
+    which check its fields: the index ``alpha`` in (1, 2], the rate ``q``,
+    the start ``x``, the target ``a`` and an optional second target ``b``."""
 
     alpha: float
     q: float
@@ -39,11 +38,15 @@ class HittingQuery:
     a: float = 1.0
     b: Optional[float] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _point_alpha(self.alpha))
-        _positive("q", self.q)
-        if self.b is not None and self.a == self.b:
-            raise DomainError("targets a and b must differ")
+
+def _second_target(a: float, b: Optional[float]) -> float:
+    """The second target ``b``, or DomainError where it is missing, equal to
+    ``a`` or NaN."""
+    if b is None:
+        raise DomainError("second target b required")
+    if not abs(a - b) > 0.0:
+        raise DomainError("targets a and b must differ")
+    return b
 
 
 def lt_hit_point(query: HittingQuery) -> float:
@@ -55,22 +58,20 @@ def lt_hit_point(query: HittingQuery) -> float:
 def lt_hit_either(query: HittingQuery) -> float:
     """E[e^{-q (T_a ^ T_b)}] started at x:
     (u(x-a) + u(x-b)) / (u(0) + u(a-b))."""
-    if query.b is None:
-        raise DomainError("second target b required")
-    u = _resolvent(query.alpha, query.q)
-    return ((u(query.x - query.a) + u(query.x - query.b))
-            / (u(0.0) + u(query.a - query.b)))
+    alpha, q, x, a, b = query
+    b = _second_target(a, b)
+    u = _resolvent(alpha, q)
+    return (u(x - a) + u(x - b)) / (u(0.0) + u(a - b))
 
 
 def lt_hit_before(query: HittingQuery) -> float:
     """E[e^{-q T_a}; T_a < T_b] started at x."""
-    if query.b is None:
-        raise DomainError("second target b required")
-    u = _resolvent(query.alpha, query.q)
-    u0 = u(0.0)
-    uab = u(query.a - query.b)
-    den = _u_gap(u0, uab, query.a - query.b)
-    return (u0 * u(query.x - query.a) - uab * u(query.x - query.b)) / den
+    alpha, q, x, a, b = query
+    b = _second_target(a, b)
+    u = _resolvent(alpha, q)
+    u0, uab = u(0.0), u(a - b)
+    den = _u_gap(u0, uab, a - b)
+    return (u0 * u(x - a) - uab * u(x - b)) / den
 
 
 def _u_gap(u0: float, ud: float, d: float) -> float:
@@ -85,10 +86,8 @@ def _u_gap(u0: float, ud: float, d: float) -> float:
 def prob_hit_before(alpha, x: float, a: float, b: float) -> float:
     """P(T_a < T_b) started at x; Getoor's two-point formula
     (the q -> 0 limit of lt_hit_before)."""
-    alpha = _point_alpha(alpha)
-    if a == b:
-        raise DomainError("targets a and b must differ")
-    e = alpha - 1.0
+    e = _point_alpha(alpha) - 1.0
+    b = _second_target(a, b)
     return 0.5 * (1.0 + (abs(x - b) ** e - abs(x - a) ** e) / abs(a - b) ** e)
 
 

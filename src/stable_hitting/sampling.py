@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,16 +39,15 @@ class RandomStream:
 
 @dataclass(frozen=True)
 class SampleStats:
-    """Summary of a Monte Carlo batch; ks only when a reference CDF was given."""
+    """Size, mean, sample variance and standard error of a Monte Carlo batch."""
 
     n: int
     mean: float
     variance: float
     stderr: float
-    ks: Optional[float] = None
 
     @classmethod
-    def from_draws(cls, draws, ref_cdf=None) -> "SampleStats":
+    def from_draws(cls, draws) -> "SampleStats":
         draws = np.asarray(draws, dtype=float)
         n = draws.size
         if n < 2:
@@ -59,9 +57,8 @@ class SampleStats:
             var = math.inf
         else:
             var = float(np.var(draws, ddof=1))
-        ks = ks_distance(draws, ref_cdf) if ref_cdf is not None else None
         return cls(n=n, mean=float(np.mean(draws)), variance=var,
-                   stderr=math.sqrt(var / n), ks=ks)
+                   stderr=math.sqrt(var / n))
 
 
 def ks_distance(draws, cdf) -> float:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 from stable_hitting import verify  # noqa: E402
@@ -31,3 +32,28 @@ def test_setup_mix_runs():
 def test_run_suite_takes_idx_grid():
     reports = verify.run_suite("formula_algebra", idx_grid=[1.5])
     assert reports and verify.all_passed(reports)
+
+
+def test_invert_takes_the_benchmark_arguments():
+    value = workloads._invert(tracing.NullTracer(), 1.5, 1.0, 1.0)
+    assert 0.0 <= value <= 1.0
+
+
+def _jobs():
+    jobs = workloads.Jobs(workloads.MonteCarloChecks())
+    return [
+        jobs.eval_grid("lt-T", {"alpha": [1.5], "q": [0.5, 2.0], "a": [1.0]},
+                       "replay"),
+        jobs.eval_grid("exc-n", {"alpha": [1.5], "a": [1.0, 2.0], "q": [1.0]},
+                       "replay"),
+        jobs.invert_grid(1.5, 1.0, [0.5, 1.0], "replay"),
+        jobs.sample_t_point(1.5, 1.0, 50, 3),
+    ]
+
+
+def test_jobs_run_and_check_clean():
+    # each cli.main call, then the direct calls it is paired with
+    for pair in _jobs():
+        for op in pair:
+            result = op.call(tracing.NullTracer())
+            assert op.check(result) == [], op.name

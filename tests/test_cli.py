@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -132,7 +133,7 @@ class TestSample:
                                  "1.001", "--a", "1", "-n", "200", "--seed",
                                  "7", "--summary")
         assert code == 0 and err == ""
-        assert out.splitlines()[1] == "draw,200,inf,inf,inf,"
+        assert out.splitlines()[1] == "draw,200,inf,inf,inf"
 
     def test_streams_split_deterministically(self, capsys):
         a = run(capsys, "sample", "exponential", "-n", "7", "--seed", "3",
@@ -253,7 +254,19 @@ class TestInvert:
                              "--a", "1", "--x", "5", "--t", "1")
         assert code == 2
         assert out == ""
-        assert err == f"invert {kind}: --x given, but this transform starts at 0\n"
+        assert err == f"invert {kind}: --x given, but this kind does not take it\n"
+
+    @pytest.mark.parametrize("kind", sorted(INVERTED))
+    @pytest.mark.parametrize("flag", ["alpha", "a"])
+    def test_missing_flag_usage(self, capsys, kind, flag):
+        # invert reads its flags as eval does, with the same messages
+        given = {"alpha": "1.5", "a": "1"}
+        del given[flag]
+        code, out, err = run(capsys, "invert", kind,
+                             *[f"--{f}={v}" for f, v in given.items()],
+                             "--t", "1")
+        assert (code, out) == (2, "")
+        assert err == f"invert {kind}: missing required flag --{flag}\n"
 
     def test_start_point(self, capsys):
         code, out, _ = run(capsys, "invert", "lt-T", "--alpha", "1.5",
@@ -406,8 +419,8 @@ def test_gamma_series_zero_terms_exit_one(capsys):
 @pytest.mark.parametrize("argv,message", [
     (("eval", "meixner", "--beta", "0", "--t", "1e-310", "--x", "1"),
      "eval: Meixner density: log B(5e-311, 5e-311) is not finite"),
-    (("eval", "z", "--a", "1e308", "--x", "1"),
-     "eval: z density: log B(1e+308, 1e+308) is not finite"),
+    (("eval", "z", "--a", "1e-310", "--x", "1"),
+     "eval: z density: log B(1e-310, 1e-310) is not finite"),
     (("sample", "gamma-series", "--a", "1e-200", "--t", "1", "-n", "3"),
      "sample: gamma-series shape a = 1e-200 is below 3.36e-155"),
 ])
@@ -417,6 +430,26 @@ def test_unrepresentable_shape_exit_one(capsys, argv, message):
     assert code == 1
     assert "nan" not in out and "inf" not in out
     assert err.startswith(message)
+
+
+def test_degenerate_denominator_exit_one(capsys):
+    # u_q(0)^2 - u_q(a)^2 rounds to 0 at a level far below q^{-1/alpha}
+    code, out, err = run(capsys, "eval", "lt-Xi", "--alpha", "1.5", "--q", "1",
+                         "--a", "1e-300")
+    assert code == 1
+    assert out == "alpha,q,a,value\n"
+    assert err == "eval: u_q(0)^2 - u_q(d)^2 = 0.0 for d = 1e-300\n"
+
+
+def test_huge_z_shape_against_mpmath(capsys):
+    # the normaliser is a series from a = 30 on, finite up to 1.8e308; at
+    # x = 0 the density is pi / (4^a B(a, a)), about sqrt(pi a)/2
+    code, out, err = run(capsys, "eval", "z", "--a", "1e308", "--x", "0")
+    assert code == 0 and err == ""
+    with mp.workdps(360):
+        aa = mp.mpf(1e308)
+        want = mp.exp(mp.log(mp.pi) - mp.log(mp.beta(aa, aa)) - 2 * aa * mp.log(2))
+    assert float(rows(out)[0]["value"]) == pytest.approx(float(want), rel=1e-13, abs=0)
 
 
 class FlushCounter(io.StringIO):

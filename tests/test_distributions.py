@@ -148,7 +148,7 @@ class TestZDensity:
         assert z_density(a, x) == pytest.approx(float(want), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("a", [1e3, 1e6, 1e10, 1e15, 1e16, 1e23, 1e50,
-                                   1e100, 1e200, 1e300])
+                                   1e100, 1e200, 1e300, 1e308])
     @pytest.mark.parametrize("s", [0.0, 0.37, -1.3, 2.9])
     def test_huge_shape_against_mpmath(self, a, s):
         # the density has width 1/sqrt(a); log B(a, a) is about -2a log 2,
@@ -161,10 +161,10 @@ class TestZDensity:
                           - 2 * aa * mp.log1p(mp.exp(y)))
         assert z_density(a, x) == pytest.approx(float(want), rel=1e-13, abs=0)
 
-    @pytest.mark.parametrize("a", [1e308, 1e-310])
+    @pytest.mark.parametrize("a", [1e-310])
     def test_nonfinite_normaliser_raises(self, a):
-        # betaln(a, a) is nan at 1e308 and inf at 1e-310, which would make
-        # the density nan or 0.0
+        # betaln(a, a) is inf at 1e-310, which would make the density 0.0;
+        # from a = 30 on the normaliser is a series, finite up to 1.8e308
         with pytest.raises(DomainError, match="2.2e-308.*2.6e305"):
             z_density(a, 1.0)
 

@@ -34,6 +34,11 @@ NAN_CALLS = [
     ("lt_last_exit/a", lambda: hl.lt_last_exit(1.5, 1.0, NAN)),
     ("lt_hit_point/alpha", lambda: hl.lt_hit_point(hl.HittingQuery(NAN, 1.0))),
     ("lt_hit_point/q", lambda: hl.lt_hit_point(hl.HittingQuery(1.5, NAN))),
+    ("lt_hit_either/b",
+     lambda: hl.lt_hit_either(hl.HittingQuery(1.5, 1.0, a=1.0, b=NAN))),
+    ("lt_hit_before/b",
+     lambda: hl.lt_hit_before(hl.HittingQuery(1.5, 1.0, a=1.0, b=NAN))),
+    ("prob_hit_before/b", lambda: hl.prob_hit_before(1.5, 0.0, 1.0, NAN)),
     ("excursion_hit_mass_abs/alpha", lambda: hl.excursion_hit_mass_abs(NAN, 1.0)),
     ("excursion_hit_mass_abs/a", lambda: hl.excursion_hit_mass_abs(1.5, NAN)),
     ("excursion_hit_lt/r", lambda: hl.excursion_hit_lt(1.5, 1.0, 1.0, r=NAN)),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stable_hitting import errors, hitting_laws, resolvent
 from stable_hitting.errors import DegenerateDenominator, DomainError
 from stable_hitting.hitting_laws import (HittingQuery, excursion_hit_lt,
                                          excursion_hit_lt_abs,
@@ -321,20 +322,68 @@ class TestScaleInvariance:
 
 
 class TestQueryValidation:
+    # a HittingQuery holds any values; the law that reads them checks them
     def test_alpha_range(self):
-        with pytest.raises(DomainError):
-            HittingQuery(1.0, 1.0)
+        query = HittingQuery(1.0, 1.0)
+        with pytest.raises(DomainError, match="requires 1 < alpha <= 2"):
+            lt_hit_point(query)
 
     def test_rate_positive(self):
-        with pytest.raises(DomainError):
-            HittingQuery(1.5, 0.0)
+        query = HittingQuery(1.5, 0.0)
+        with pytest.raises(DomainError, match="q must be positive"):
+            lt_hit_point(query)
 
     def test_coincident_targets(self):
-        with pytest.raises(DomainError):
-            HittingQuery(1.5, 1.0, a=1.0, b=1.0)
+        query = HittingQuery(1.5, 1.0, a=1.0, b=1.0)
+        for law in (lt_hit_either, lt_hit_before):
+            with pytest.raises(DomainError, match="targets a and b must differ"):
+                law(query)
 
     def test_zero_target_rejected(self):
         with pytest.raises(DomainError):
             lt_last_exit(1.5, 1.0, 0.0)
         with pytest.raises(DomainError):
             excursion_hit_mass(1.5, 0.0)
+
+    def test_second_target_rule_is_shared(self):
+        # b must be given and differ from a, and a NaN b fails
+        for b, message in ((None, "second target b required"),
+                           (1.0, "targets a and b must differ"),
+                           (math.nan, "targets a and b must differ")):
+            query = HittingQuery(1.5, 1.0, a=1.0, b=b)
+            for law in (lt_hit_either, lt_hit_before):
+                with pytest.raises(DomainError, match=message):
+                    law(query)
+            if b is not None:
+                with pytest.raises(DomainError, match=message):
+                    prob_hit_before(1.5, 0.0, 1.0, b)
+
+    @pytest.mark.parametrize("law", [lt_hit_point, lt_hit_either, lt_hit_before])
+    def test_alpha_and_q_checked_once(self, monkeypatch, law):
+        seen = []
+
+        def point_alpha(alpha):
+            seen.append("alpha")
+            return errors._point_alpha(alpha)
+
+        def positive(name, value):
+            seen.append(name)
+            return errors._positive(name, value)
+
+        for module in (hitting_laws, resolvent):
+            monkeypatch.setattr(module, "_point_alpha", point_alpha)
+            monkeypatch.setattr(module, "_positive", positive)
+        law(HittingQuery(1.5, 0.7, x=0.3, a=1.0, b=-1.0))
+        assert seen == ["alpha", "q"]
+
+
+class TestDegenerateDenominator:
+    # at a level far below the scale q^{-1/alpha} the denominators round to 0
+    def test_post_exit(self):
+        with pytest.raises(DegenerateDenominator,
+                           match=r"u_q\(0\)\^2 - u_q\(d\)\^2 = 0.0 for d = 1e-300"):
+            lt_post_exit(1.5, 1.0, 1e-300)
+
+    def test_post_exit_abs(self):
+        with pytest.raises(DegenerateDenominator, match=r"V_q\(a\) = 0.0 <= 0"):
+            lt_post_exit_abs(1.5, 1.0, 1e-300)

@@ -67,3 +67,13 @@ def test_lazy_imports_give_in_process_values():
              "sampling": sampling, "verify": verify}
     here = [eval(call, scope) for call in LAZY_CALLS]
     assert fresh == json.loads(json.dumps(here))
+
+
+def test_z_density_series_range_loads_no_scipy():
+    # from a = 30 on the normaliser is a series and betaln is not called
+    loaded = _fresh("import json, sys\n"
+                    "from stable_hitting import distributions\n"
+                    "distributions.z_density(30.0, 0.3)\n"
+                    "distributions.z_density(1e308, 0.0)\n"
+                    f"print(json.dumps({_LOADED_SCIPY}))")
+    assert loaded == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stable_hitting.errors import DomainError, NonConvergence
-from stable_hitting.hitting_laws import HittingQuery
+from stable_hitting.hitting_laws import HittingQuery, lt_hit_point
 from stable_hitting.numerics import (integrate_adaptive,
                                      integrate_oscillatory_cos, tolerance)
 from stable_hitting.resolvent import (_p1, _u1, one_minus_cos_integral,
@@ -137,7 +137,7 @@ class TestAlphaDomain:
         with pytest.raises(DomainError):
             resolvent_density(1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            HittingQuery(0.9, 1.0)
+            lt_hit_point(HittingQuery(0.9, 1.0))
         with pytest.raises(DomainError):
             sample_hitting_time(0.9, 1.0, RandomStream(0), size=3)
 

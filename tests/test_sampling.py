@@ -69,7 +69,6 @@ class TestSampleStats:
     def test_stderr_definition(self):
         stats = SampleStats.from_draws(np.arange(10.0))
         assert stats.stderr == pytest.approx(math.sqrt(stats.variance / stats.n))
-        assert stats.ks is None
 
     def test_draws_past_double_range(self):
         with warnings.catch_warnings():
@@ -77,12 +76,6 @@ class TestSampleStats:
             stats = SampleStats.from_draws([1.0, math.inf, 2.0])
         assert stats.mean == math.inf
         assert stats.variance == math.inf and stats.stderr == math.inf
-
-    def test_ks_only_with_reference(self):
-        draws = RandomStream(3).rng.random(5000)
-        stats = SampleStats.from_draws(draws, ref_cdf=lambda x: np.clip(x, 0, 1))
-        assert stats.ks is not None
-        assert stats.ks < 0.03
 
 
 class TestPrimitives:
