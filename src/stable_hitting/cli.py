@@ -1,6 +1,11 @@
 """Command-line front end: evaluators, samplers, Laplace inversion and the
 verification suites, all emitting CSV on stdout.
 
+``eval`` of a kind in q, given a grid of at least ``_Q_GROUP_MIN`` values
+of q, calls its law once for each combination of the other flags, with the
+q grid as an array, and prints the rows in the product order of the flags,
+as row-by-row evaluation would.
+
 Exit codes: 0 on success (and all checks passing for ``verify``), 1 on domain
 or numeric failure, 2 on usage errors.  All randomness is controlled by the
 global ``--seed`` and ``--streams`` flags; stream_id equals the worker index,
@@ -124,17 +129,60 @@ EVAL_KINDS = {
 _EVAL_FLAGS = ("alpha", "q", "r", "x", "a", "b", "t", "beta")
 
 
+def _row_by_row(fn, grids):
+    """Each row's flags and value, in the product order of the grids."""
+    for combo in itertools.product(*grids.values()):
+        params = dict(zip(grids, combo))
+        yield params, fn(**params)
+
+
+# the shortest q grid that ``eval`` evaluates by ``_by_q_group``.  An array
+# call has a larger fixed cost than a float call: against row-by-row
+# evaluation in one process (lt-T, lt-G-abs and exc-n, two levels a) it was
+# 10-15% slower at 3 values of q, even at 4 and 2-10% faster at 5
+_Q_GROUP_MIN = 5
+
+
+def _by_q_group(fn, grids):
+    """``_row_by_row``, from one call of ``fn`` per combination of the flags
+    other than q, with q's grid as an array.
+
+    The laws in q give each element bit for bit as a float q does.  A group
+    whose call raises, or meets a floating-point overflow, division by zero
+    or invalid operation, gives its rows by one call each, so that the rows
+    printed before a failing row, its message and the exit code are those
+    of ``_row_by_row``."""
+    at = list(grids).index("q")
+    qs = np.array(grids["q"])
+    where = {q: i for i, q in enumerate(grids["q"])}
+    groups = {}
+    for combo in itertools.product(*grids.values()):
+        params = dict(zip(grids, combo))
+        key = combo[:at] + combo[at + 1:]
+        if key not in groups:
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    groups[key] = fn(**{**params, "q": qs}).tolist()
+            except (ArithmeticError, ValueError):
+                groups[key] = None
+        values = groups[key]
+        yield params, (fn(**params) if values is None
+                       else values[where[combo[at]]])
+
+
 def _cmd_eval(args) -> int:
     required, optional, fn = EVAL_KINDS[args.kind]
     flags = _read_flags(args, required, optional, _EVAL_FLAGS)
     names = [*required, *optional]
     _emit(names + ["value"])
     # a given flag is a grid, a default one value
-    for combo in itertools.product(*(v if isinstance(v, list) else [v]
-                                     for v in flags.values())):
-        params = dict(zip(flags, combo))
+    grids = {name: v if isinstance(v, list) else [v]
+             for name, v in flags.items()}
+    rows = (_by_q_group if len(grids.get("q", ())) >= _Q_GROUP_MIN
+            else _row_by_row)
+    for params, value in rows(fn, grids):
         _emit([_fmt(params[n]) if n in params else "" for n in names]
-              + [_fmt(fn(**params))])
+              + [_fmt(value)])
     return 0
 
 

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the six validators that
+"""Exception types shared across the package, and the seven validators that
 every domain check of the package calls.  Each tests that the value lies
 inside its domain, so a NaN fails all of them, and returns the value; the
 name it is given is the one the CLI flag uses."""
+
+import math
 
 
 class DomainError(ValueError):
@@ -62,6 +64,13 @@ def _inside(name: str, value, lo: float, hi: float):
     """``value``, or DomainError outside the open interval (lo, hi)."""
     if not lo < value < hi:
         raise DomainError(f"{name}={value} outside ({lo:g}, {hi:g})")
+    return value
+
+
+def _finite(name: str, value):
+    """``value``, or DomainError unless it is a finite number."""
+    if not -math.inf < value < math.inf:
+        raise DomainError(f"{name} must be finite")
     return value
 
 

@@ -15,15 +15,26 @@ independent of G_a.  The same objects for |X| hit the set {a, -a}.
 
 Every law takes the stability index ``alpha`` as a float and raises
 DomainError outside 1 < alpha <= 2; a law in q checks ``alpha`` and ``q``
-once, in ``_resolvent``, also where they come in a ``HittingQuery``.
+once, in ``_resolvent``, also where they come in a ``HittingQuery``.  A
+start point ``x`` must be finite, and so must ``lt_hit_point``'s target.
+
+Every law in q also takes an array of q, with the other arguments floats,
+and returns an array of q's shape whose elements equal the float calls' bit
+for bit: ``_resolvent`` reads u_1 for the whole array through
+``resolvent._u1_rows``, the bodies are the same numpy-safe arithmetic, and a
+check that any element fails raises.  Squares are products, ``u * u``,
+since Python's ``u ** 2`` calls C ``pow``, which can differ from numpy's
+square in the last bit.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .errors import (ConsistencyError, DegenerateDenominator, DomainError,
-                     _count, _nonzero, _point_alpha, _positive)
+                     _count, _finite, _nonzero, _point_alpha, _positive)
 from .resolvent import _resolvent, potential_kernel
 
 
@@ -52,7 +63,7 @@ def _second_target(a: float, b: Optional[float]) -> float:
 def lt_hit_point(query: HittingQuery) -> float:
     """E[e^{-q T_a}] started at x: u(x-a) / u(0)."""
     u = _resolvent(query.alpha, query.q)
-    return u(query.x - query.a) / u(0.0)
+    return u(_finite("x", query.x) - _finite("a", query.a)) / u(0.0)
 
 
 def lt_hit_either(query: HittingQuery) -> float:
@@ -61,6 +72,7 @@ def lt_hit_either(query: HittingQuery) -> float:
     alpha, q, x, a, b = query
     b = _second_target(a, b)
     u = _resolvent(alpha, q)
+    x = _finite("x", x)
     return (u(x - a) + u(x - b)) / (u(0.0) + u(a - b))
 
 
@@ -71,6 +83,7 @@ def lt_hit_before(query: HittingQuery) -> float:
     u = _resolvent(alpha, q)
     u0, uab = u(0.0), u(a - b)
     den = _u_gap(u0, uab, a - b)
+    x = _finite("x", x)
     return (u0 * u(x - a) - uab * u(x - b)) / den
 
 
@@ -78,9 +91,17 @@ def _u_gap(u0: float, ud: float, d: float) -> float:
     """u_q(0)^2 - u_q(d)^2, or DegenerateDenominator where it rounds to 0
     or below, as it does for |d| far below the scale q^{-1/alpha}."""
     den = u0 * u0 - ud * ud
-    if den <= 0.0:
-        raise DegenerateDenominator(f"u_q(0)^2 - u_q(d)^2 = {den} for d = {d}")
+    if _any(den <= 0.0):
+        raise DegenerateDenominator(
+            f"u_q(0)^2 - u_q(d)^2 = {np.min(den)} for d = {d}")
     return den
+
+
+def _any(flags) -> bool:
+    """Whether a check fails: ``flags`` is a bool (numpy's, for a numpy
+    float q), or an array of them for an array of q, which fails where any
+    element does."""
+    return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
 
 
 def prob_hit_before(alpha, x: float, a: float, b: float) -> float:
@@ -88,6 +109,7 @@ def prob_hit_before(alpha, x: float, a: float, b: float) -> float:
     (the q -> 0 limit of lt_hit_before)."""
     e = _point_alpha(alpha) - 1.0
     b = _second_target(a, b)
+    x = _finite("x", x)
     return 0.5 * (1.0 + (abs(x - b) ** e - abs(x - a) ** e) / abs(a - b) ** e)
 
 
@@ -150,9 +172,11 @@ def lt_hit_abs_series(alpha, q: float, a: float, n_terms: int):
     term = 2.0 * phi_a
     prev = 0.0
     for _ in range(n_terms):
-        prev = total
-        total += term
-        term *= -phi_2a
+        # not +=, which would change an array of q under prev
+        prev, total = total, total + term
+        term = term * -phi_2a
+    if isinstance(total, np.ndarray):
+        return total, (np.minimum(prev, total), np.maximum(prev, total))
     return total, (min(prev, total), max(prev, total))
 
 
@@ -169,12 +193,12 @@ def leg_decomposition_gap(alpha, q: float, a: float, n: int) -> float:
     a = _nonzero(a)
     u = _resolvent(alpha, q)
     u0 = u(0.0)
-    direct = (u((2 * n + 1) * a) / u0
-              - (u((2 * n - 1) * a) / u0) * (u(2.0 * a) / u0))
+    phi_2a = u(2.0 * a) / u0
+    direct = u((2 * n + 1) * a) / u0 - (u((2 * n - 1) * a) / u0) * phi_2a
     before = lt_hit_before(HittingQuery(alpha, q, x=0.0, a=(2 * n + 1) * a,
                                         b=(2 * n - 1) * a))
-    routed = before * (1.0 - (u(2.0 * a) / u0) ** 2)
-    if abs(direct - routed) > 1e-9:
+    routed = before * (1.0 - phi_2a * phi_2a)
+    if _any(abs(direct - routed) > 1e-9):
         raise ConsistencyError(
             f"D_n routes disagree: {direct} vs {routed} at n={n}")
     return 0.5 * (direct + routed)
@@ -183,16 +207,17 @@ def leg_decomposition_gap(alpha, q: float, a: float, n: int) -> float:
 def _v_q(u, a: float) -> float:
     """V_q(a) for the resolvent density u = u_q, at a level a != 0."""
     _nonzero(a)
-    u0 = u(0.0)
-    v = u0 * u0 + u0 * u(2.0 * a) - 2.0 * u(a) ** 2
-    if v <= 0.0:
-        raise DegenerateDenominator(f"V_q(a) = {v} <= 0")
+    u0, ua = u(0.0), u(a)
+    v = u0 * u0 + u0 * u(2.0 * a) - 2.0 * ua * ua
+    if _any(v <= 0.0):
+        raise DegenerateDenominator(f"V_q(a) = {np.min(v)} <= 0")
     return v
 
 
 def lt_hit_three(alpha, q: float, x: float, a: float) -> float:
     """E[e^{-q T_{{0, a, -a}}}] started at x."""
     u = _resolvent(alpha, q)
+    x = _finite("x", x)
     v = _v_q(u, a)
     u0 = u(0.0)
     c_zero = (u0 + u(2.0 * a) - 2.0 * u(a)) / v
@@ -204,6 +229,7 @@ def lt_hit_pair_before_zero(alpha, q: float, x: float, a: float) -> float:
     """E[e^{-q T_{{a,-a}}}; T_{{a,-a}} < T_0] started at x:
     (u(0) (u(x-a) + u(x+a)) - 2 u(a) u(x)) / V_q(a)."""
     u = _resolvent(alpha, q)
+    x = _finite("x", x)
     return ((u(0.0) * (u(x - a) + u(x + a)) - 2.0 * u(a) * u(x))
             / _v_q(u, a))
 

@@ -3,8 +3,13 @@ symmetric stable process normalized by E[e^{i theta X(t)}] = e^{-t|theta|^alpha}
 
 All evaluations reduce to t = 1 (density) or q = 1 (resolvent) through the
 self-similarity scaling before any quadrature runs.  p_1 and u_1 each have
-exactly one evaluator, the cached kernels ``_p1`` and ``_u1``; the Linnik
-density of ``distributions`` is u_1 itself and shares that cache.
+one cached kernel, ``_p1`` and ``_u1``; the Linnik density of
+``distributions`` is u_1 itself and shares that cache.  ``_u1_rows`` gives
+u_1 of an array, equal to ``_u1`` element by element, from blocks of the
+same rule (``_u1_rule``), cached per tuple of w in ``_u1_tuple``; it hands
+``_u1`` the rows the rule does not take (w <= 1e-12, the far field,
+alpha = 2) and any row that fails the rule's check.  So u_q, and every
+hitting law with it, takes an array of q.
 
 Neither kernel takes an oscillatory route.  ``_p1`` is Zolotarev's integral
 of a positive function for every alpha != 1, ``_u1`` the integral of a
@@ -267,16 +272,9 @@ def _u1(alpha: float, w: float) -> float:
     far = _far_field(alpha, w)
     if far is not None:
         return far
-    c, s = math.cos(0.5 * math.pi * alpha), math.sin(0.5 * math.pi * alpha)
-    root = max(1.0, 2.0 * alpha / (math.pi * (2.0 - alpha)))  # e^{logit v}
-    m = max(1.0 / math.sqrt(w * root), w / math.e)
-    q = 1.0 + m * _TS_R
-    v = 1.0 / q
-    va = q ** -alpha
-    g = va * (v * v * np.exp(-w * v) + np.exp(-w * q)) / ((va + c) ** 2 + s * s)
-    scale = m * s / math.pi
-    value = scale * float(_TS_W @ g)
-    half = 2.0 * scale * float(_TS_W[_TS_HALF] @ g[_TS_HALF])
+    scale, g = _u1_rule(alpha, w)
+    value = scale * float(_TS_W.dot(g))
+    half = 2.0 * scale * float(_TS_W[_TS_HALF].dot(g[_TS_HALF]))
     if not (math.isfinite(value) and value > 0.0):
         raise NonConvergence(
             f"u_1 rule gave {value!r} at alpha={alpha}, w={w}")
@@ -286,6 +284,67 @@ def _u1(alpha: float, w: float) -> float:
             f"{abs(value - half) / value:.3g} relative at alpha={alpha}, "
             f"w={w}")
     return value
+
+
+def _u1_rule(alpha: float, w):
+    """The scale m sin(pi a/2)/pi of ``_u1``'s rule and its integrand at the
+    nodes, for a float w, or for a column of w with one row of nodes each."""
+    c, s = math.cos(0.5 * math.pi * alpha), math.sin(0.5 * math.pi * alpha)
+    root = max(1.0, 2.0 * alpha / (math.pi * (2.0 - alpha)))  # e^{logit v}
+    if isinstance(w, np.ndarray):
+        m = np.maximum(1.0 / np.sqrt(w * root), w / math.e)
+    else:
+        m = max(1.0 / math.sqrt(w * root), w / math.e)
+    q = 1.0 + m * _TS_R
+    v = 1.0 / q
+    va = q ** -alpha
+    g = va * (v * v * np.exp(-w * v) + np.exp(-w * q)) / ((va + c) ** 2 + s * s)
+    return m * s / math.pi, g
+
+
+# rows of ``_u1``'s rule evaluated at once: a block is at most
+# _U1_BLOCK x 411 doubles
+_U1_BLOCK = 16
+
+
+def _u1_rows(alpha: float, w) -> np.ndarray:
+    """``_u1(alpha, x)`` for each x of the array ``w``, bit for bit, in an
+    array of w's shape; see ``_u1_tuple``."""
+    flat = tuple(np.asarray(w, dtype=float).ravel().tolist())
+    return np.array(_u1_tuple(alpha, flat)).reshape(np.shape(w))
+
+
+@lru_cache(maxsize=None)
+def _u1_tuple(alpha: float, ws: tuple) -> tuple:
+    """``_u1(alpha, x)`` for each x of ``ws``.
+
+    The rows that ``_u1`` gives to its rule (0 < alpha < 2, w above 1e-12
+    and short of ``_far_field``) are evaluated on blocks of at most
+    ``_U1_BLOCK`` rows of ``_u1_rule``.  Each row's sum and half-step sum is
+    the same 1-d dot that ``_u1`` takes, since a matrix product would sum in
+    another order.  Every other row, and a row that fails ``_u1``'s checks,
+    is ``_u1`` itself, called in the order of ws: the closed forms and the
+    error messages stay there, and the first row to fail raises.
+
+    The cache keys on the whole tuple.  A law reads u(0) and u(2a) more than
+    once, and an ``eval`` grid reads the same tuple of w wherever one level
+    is twice another, as u(2a) at a = 1/2 and u(a) at a = 1 do."""
+    rule = [x for x in ws if alpha != 2.0 and x > 1e-12
+            and _far_field(alpha, x) is None]
+    values = {}
+    half_w = _TS_W[_TS_HALF]
+    for start in range(0, len(rule), _U1_BLOCK):
+        block = rule[start:start + _U1_BLOCK]
+        scale, g = _u1_rule(alpha, np.array(block)[:, None])
+        for x, sc, row, half_row in zip(block, scale[:, 0].tolist(), g,
+                                        g[:, _TS_HALF]):
+            value = sc * float(_TS_W.dot(row))
+            half = 2.0 * sc * float(half_w.dot(half_row))
+            # the checks of ``_u1``
+            if (math.isfinite(value) and value > 0.0
+                    and not abs(value - half) > 10.0 * REL_TOL * value):
+                values[x] = value
+    return tuple(values[x] if x in values else _u1(alpha, x) for x in ws)
 
 
 def u1_zero(alpha: float) -> float:
@@ -308,17 +367,30 @@ def transition_density(alpha, t: float, x: float) -> float:
     return scale * _p1(alpha, abs(x) * scale)
 
 
-def _resolvent(alpha, q: float):
+def _resolvent(alpha, q):
     """y -> u_q(y) = q^{1/a - 1} u_1(|y| q^{1/a}), with alpha and q checked
-    and q^{1/a} formed once for all the points read."""
+    and q^{1/a} formed once for all the points read.
+
+    ``q`` is a float, or an array for which u_q(y) is an array of q's shape:
+    its q^{1/a} is C ``pow`` per element, as for a float (numpy's ``power``
+    differs in the last bit), and u_1 comes from ``_u1_rows``, so each
+    element equals the float call's bit for bit."""
     alpha = _point_alpha(alpha)
-    scale = _positive("q", q) ** (1.0 / alpha)
+    k = 1.0 / alpha
+    if isinstance(q, np.ndarray):
+        q = q.astype(float)
+        _positive("q", q.min(initial=math.inf))
+        scale = np.array([x ** k for x in q.ravel().tolist()]).reshape(q.shape)
+        factor = scale / q
+        return lambda y: factor * _u1_rows(alpha, abs(y) * scale)
+    scale = _positive("q", q) ** k
     factor = scale / q
     return lambda y: factor * _u1(alpha, float(abs(y) * scale))
 
 
-def resolvent_density(alpha, q: float, x: float) -> float:
-    """Resolvent density u_q(x), via u_q(x) = q^{1/a - 1} u_1(x q^{1/a})."""
+def resolvent_density(alpha, q, x: float):
+    """Resolvent density u_q(x), via u_q(x) = q^{1/a - 1} u_1(x q^{1/a}),
+    for a float q or an array of q."""
     return _resolvent(alpha, q)(x)
 
 

@@ -165,15 +165,16 @@ def _suite_relation_r(idx_grid, seed, n_samples):
 
 
 def _stieltjes_reference(p, q, r, g):
-    """E[1/(p + q B + r B U^{-1/g})] by nested quadrature over (B, U)."""
+    """E[1/(p + q B + r B U^{-1/g})] by quadrature over B.
+
+    The integral over U is closed: with A = p + q v and C = r v,
+    int_0^1 du / (A + C u^{-1/g}) = (1 - 2F1(1, g; 1 + g; -A/C)) / A."""
     from scipy import integrate, special
 
     def inner(v):
         fb = v ** (-g) * (1 - v) ** (g - 1) / special.beta(1 - g, g)
-        val = integrate.quad(
-            lambda u: 1.0 / (p + q * v + r * v * u ** (-1.0 / g)),
-            0, 1, limit=200)[0]
-        return fb * val
+        big = p + q * v
+        return fb * (1.0 - special.hyp2f1(1.0, g, 1.0 + g, -big / (r * v))) / big
     return integrate.quad(inner, 0, 1, points=[0.0, 1.0], limit=200)[0]
 
 

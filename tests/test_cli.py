@@ -579,6 +579,107 @@ def test_eval_rows_are_the_library_values(capsys, kind, given):
         assert row["value"] == repr(float(_EVAL_DIRECT[kind](p))), row
 
 
+# the eval kinds in q; each is called once per combination of its other
+# flags, with the q grid as an array
+_Q_KINDS = sorted(kind for kind, (required, optional, _) in EVAL_KINDS.items()
+                  if "q" in (*required, *optional))
+_Q_GRID = {"alpha": [1.05, 1.3, 1.5, 1.8, 2.0],
+           "q": [float(v) for v in np.geomspace(1e-3, 1e3, 100)],
+           "a": [0.3, 1.0, 2.5, 7.0], "x": [0.0, 0.5], "r": [0.4]}
+
+
+def _flag(name, values):
+    return f"--{name}=" + ",".join(map(repr, values))
+
+
+@pytest.mark.parametrize("kind", _Q_KINDS)
+def test_q_grid_rows_are_the_library_values(capsys, kind):
+    required, optional, _ = EVAL_KINDS[kind]
+    grid = dict(_Q_GRID)
+    if kind == "resolvent":
+        grid["x"] = [0.0, 1e-3, -1.0, 50.0]
+    given = [name for name in (*required, *optional) if name in grid]
+    code, out, err = run(capsys, "eval", kind,
+                         *[_flag(name, grid[name]) for name in given])
+    assert (code, err) == (0, "")
+    got = rows(out)
+    assert len(got) == math.prod(len(grid[name]) for name in given) >= 2000
+    for row in got:
+        p = dict.fromkeys(_EVAL_GRID)
+        p.update({k: float(v) for k, v in row.items() if k != "value" and v})
+        assert row["value"] == repr(float(_EVAL_DIRECT[kind](p))), row
+
+
+@pytest.mark.parametrize("kind", _Q_KINDS)
+def test_one_law_call_per_group(capsys, monkeypatch, kind):
+    required, optional, fn = EVAL_KINDS[kind]
+    calls = []
+
+    def counted(**params):
+        calls.append(params)
+        return fn(**params)
+
+    monkeypatch.setitem(EVAL_KINDS, kind, (required, optional, counted))
+    flags = {"alpha": "1.5,1.7", "q": "0.25,0.5,1,2,4", "a": "1,2",
+             "x": "0.5", "r": "1"}
+    code, out, _ = run(capsys, "eval", kind, *[
+        f"--{name}={flags[name]}" for name in (*required, *optional)])
+    assert code == 0
+    assert cli._Q_GROUP_MIN == 5
+    assert len(calls) == len(rows(out)) // 5
+    assert all(isinstance(c["q"], np.ndarray) and len(c["q"]) == 5
+               for c in calls)
+    # a shorter q grid is evaluated row by row
+    calls.clear()
+    code, out, _ = run(capsys, "eval", kind, *[
+        f"--{name}={flags[name]}" for name in (*required, *optional)
+        if name != "q"], "--q=0.25,0.5,1,2")
+    assert code == 0
+    assert len(calls) == len(rows(out))
+    assert all(isinstance(c["q"], float) for c in calls)
+
+
+@pytest.mark.parametrize("kind,flags,printed", [
+    # u_1's half-step check fails at w = 3e-12, the q = 1 row, in the
+    # middle of its group
+    ("lt-T", ["--alpha=1.5,1.999", "--q=1e-4,0.01,1,100,1e4", "--a=3e-12"], 7),
+    # u_q(0)^2 - u_q(a)^2 rounds to 0 at a = 1e-300
+    ("lt-Xi", ["--alpha=1.5", "--q=1,2,3,4,5", "--a=1,1e-300,2"], 1),
+    ("exc-m", ["--alpha=1.5", "--a=1,1e-300", "--q=1,2,3,4,5"], 5),
+    # alpha outside (1, 2] in the middle of the grid
+    ("lt-G", ["--alpha=1.5,0.9,1.7", "--q=1,2,3,4,5", "--a=1"], 5),
+])
+def test_failing_row_ends_the_output(capsys, kind, flags, printed):
+    code, out, err = run(capsys, "eval", kind, *flags)
+    got = rows(out)
+    assert code == 1 and len(got) == printed
+    for row in got:
+        p = dict.fromkeys(_EVAL_GRID)
+        p.update({k: float(v) for k, v in row.items() if k != "value" and v})
+        assert row["value"] == repr(float(_EVAL_DIRECT[kind](p))), row
+    # the row after the last printed one raises the message printed
+    failing = {"lt-T": {"alpha": 1.999, "q": 1.0, "a": 3e-12, "x": 0.0},
+               "lt-Xi": {"alpha": 1.5, "q": 1.0, "a": 1e-300},
+               "exc-m": {"alpha": 1.5, "a": 1e-300, "q": 1.0},
+               "lt-G": {"alpha": 0.9, "q": 1.0, "a": 1.0}}[kind]
+    p = dict.fromkeys(_EVAL_GRID)
+    p.update(failing)
+    with pytest.raises((ArithmeticError, ValueError)) as info:
+        _EVAL_DIRECT[kind](p)
+    assert err == f"eval: {info.value}\n"
+
+
+def test_overflowing_group_is_evaluated_row_by_row(capsys):
+    # a q^{1/alpha} = 1e500 overflows in the array; the float path gives
+    # u_1(inf) = 0 with no warning
+    code, out, err = run(capsys, "eval", "lt-G", "--alpha=1.5",
+                         "--q=1e300,1e-300,1,2,3", "--a=1e300,1")
+    assert (code, err) == (0, "")
+    for row in rows(out):
+        p = {k: float(v) for k, v in row.items() if k != "value"}
+        assert row["value"] == repr(hl.lt_last_exit(p["alpha"], p["q"], p["a"]))
+
+
 # each sample dist, its flags, and the draws of one stream
 _SAMPLE_DIRECT = {
     "gamma": ({"a": 2.0}, lambda s, n: smp.sample_gamma(2.0, s, n)),

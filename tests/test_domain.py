@@ -9,8 +9,8 @@ from stable_hitting import distributions as dist
 from stable_hitting import hitting_laws as hl
 from stable_hitting import resolvent
 from stable_hitting import sampling as smp
-from stable_hitting.errors import (DomainError, _alpha, _count, _inside,
-                                   _nonzero, _point_alpha, _positive)
+from stable_hitting.errors import (DomainError, _alpha, _count, _finite,
+                                   _inside, _nonzero, _point_alpha, _positive)
 from stable_hitting.numerics import laplace_invert_cdf
 
 NAN = math.nan
@@ -39,6 +39,16 @@ NAN_CALLS = [
     ("lt_hit_before/b",
      lambda: hl.lt_hit_before(hl.HittingQuery(1.5, 1.0, a=1.0, b=NAN))),
     ("prob_hit_before/b", lambda: hl.prob_hit_before(1.5, 0.0, 1.0, NAN)),
+    ("lt_hit_point/a", lambda: hl.lt_hit_point(hl.HittingQuery(1.5, 1.0, a=NAN))),
+    ("lt_hit_point/x", lambda: hl.lt_hit_point(hl.HittingQuery(1.5, 1.0, x=NAN))),
+    ("lt_hit_three/x", lambda: hl.lt_hit_three(1.5, 1.0, NAN, 1.0)),
+    ("lt_hit_pair_before_zero/x",
+     lambda: hl.lt_hit_pair_before_zero(1.5, 1.0, NAN, 1.0)),
+    ("prob_hit_before/x", lambda: hl.prob_hit_before(1.5, NAN, 1.0, 2.0)),
+    ("lt_hit_either/x",
+     lambda: hl.lt_hit_either(hl.HittingQuery(1.5, 1.0, x=NAN, a=1.0, b=2.0))),
+    ("lt_hit_before/x",
+     lambda: hl.lt_hit_before(hl.HittingQuery(1.5, 1.0, x=NAN, a=1.0, b=2.0))),
     ("excursion_hit_mass_abs/alpha", lambda: hl.excursion_hit_mass_abs(NAN, 1.0)),
     ("excursion_hit_mass_abs/a", lambda: hl.excursion_hit_mass_abs(1.5, NAN)),
     ("excursion_hit_lt/r", lambda: hl.excursion_hit_lt(1.5, 1.0, 1.0, r=NAN)),
@@ -153,12 +163,14 @@ class TestValidators:
         assert _inside("beta", -3.0, -math.pi, math.pi) == -3.0
         assert _nonzero(-1.0) == -1.0
         assert _count("n", 3.0, 1) == 3
+        assert _finite("x", -0.5) == -0.5
         assert isinstance(_count("n", 3.0, 1), int)
 
     @pytest.mark.parametrize("check", [
         lambda v: _alpha(v), lambda v: _point_alpha(v),
         lambda v: _positive("t", v), lambda v: _inside("gamma", v, 0.0, 1.0),
-        lambda v: _nonzero(v), lambda v: _count("n", v, 1)])
+        lambda v: _nonzero(v), lambda v: _count("n", v, 1),
+        lambda v: _finite("x", v)])
     def test_nan_fails_each(self, check):
         with pytest.raises(DomainError):
             check(NAN)
@@ -179,3 +191,8 @@ class TestValidators:
             _count("n", 1.5, 1)
         with pytest.raises(DomainError, match="^n=inf is not an integer$"):
             _count("n", math.inf, 1)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, NAN])
+    def test_finite_names_the_parameter(self, value):
+        with pytest.raises(DomainError, match="^x must be finite$"):
+            _finite("x", value)

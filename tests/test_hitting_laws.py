@@ -387,3 +387,55 @@ class TestDegenerateDenominator:
     def test_post_exit_abs(self):
         with pytest.raises(DegenerateDenominator, match=r"V_q\(a\) = 0.0 <= 0"):
             lt_post_exit_abs(1.5, 1.0, 1e-300)
+
+
+# every law in q, called with the other arguments of one row
+Q_LAWS = {
+    "lt_hit_point": lambda q: lt_hit_point(HittingQuery(1.5, q, x=0.3, a=1.2)),
+    "lt_hit_either": lambda q: lt_hit_either(HittingQuery(1.5, q, x=0.3, a=1.2,
+                                                          b=-0.7)),
+    "lt_hit_before": lambda q: lt_hit_before(HittingQuery(1.5, q, x=0.3, a=1.2,
+                                                          b=-0.7)),
+    "lt_last_exit": lambda q: lt_last_exit(1.5, q, 1.2),
+    "lt_post_exit": lambda q: lt_post_exit(1.5, q, 1.2),
+    "excursion_hit_lt": lambda q: excursion_hit_lt(1.5, q, 1.2, r=0.4),
+    "lt_hit_abs": lambda q: lt_hit_abs(1.5, q, 1.2),
+    "lt_hit_abs_series": lambda q: lt_hit_abs_series(1.5, q, 1.2, 7)[1][0],
+    "leg_decomposition_gap": lambda q: leg_decomposition_gap(1.5, q, 1.2, 2),
+    "lt_hit_three": lambda q: lt_hit_three(1.5, q, 0.3, 1.2),
+    "lt_hit_pair_before_zero": lambda q: lt_hit_pair_before_zero(1.5, q, 0.3, 1.2),
+    "lt_last_exit_abs": lambda q: lt_last_exit_abs(1.5, q, 1.2),
+    "lt_post_exit_abs": lambda q: lt_post_exit_abs(1.5, q, 1.2),
+    "excursion_hit_lt_abs": lambda q: excursion_hit_lt_abs(1.5, q, 1.2),
+}
+
+
+class TestArrayRate:
+    @pytest.mark.parametrize("name", sorted(Q_LAWS))
+    def test_elements_equal_the_float_calls(self, name):
+        q = np.geomspace(1e-3, 1e3, 41)
+        got = Q_LAWS[name](q)
+        want = np.array([Q_LAWS[name](float(v)) for v in q])
+        assert got.shape == q.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_degenerate_element_raises(self):
+        # at q = 1 the level 1e-150 is far below the scale q^{-1/alpha}
+        with pytest.raises(DegenerateDenominator):
+            lt_post_exit(1.5, np.array([1e-300, 1.0]), 1e-150)
+        with pytest.raises(DegenerateDenominator, match="V_q"):
+            lt_post_exit_abs(1.5, np.array([1e-300, 1.0]), 1e-150)
+
+    def test_squares_are_products(self):
+        # u(a) ** 2 calls C pow, which can differ from u(a) * u(a); V_q
+        # forms the product, so a float q gives what numpy's array path does
+        u = resolvent._resolvent(1.5, 0.37)
+        ua, u0, u2a = u(0.9), u(0.0), u(1.8)
+        assert hitting_laws._v_q(u, 0.9) == u0 * u0 + u0 * u2a - 2.0 * ua * ua
+
+    def test_numpy_float_rate_is_a_float_rate(self):
+        # a numpy float q makes the checks numpy bools, not arrays
+        q = np.float64(0.7)
+        assert lt_post_exit(1.5, q, 1.2) == lt_post_exit(1.5, 0.7, 1.2)
+        with pytest.raises(DegenerateDenominator):
+            lt_post_exit(1.5, np.float64(1.0), 1e-300)

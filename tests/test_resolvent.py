@@ -11,7 +11,9 @@ from stable_hitting.errors import DomainError, NonConvergence
 from stable_hitting.hitting_laws import HittingQuery, lt_hit_point
 from stable_hitting.numerics import (integrate_adaptive,
                                      integrate_oscillatory_cos, tolerance)
-from stable_hitting.resolvent import (_p1, _u1, one_minus_cos_integral,
+from stable_hitting.resolvent import (_U1_BLOCK, _p1, _u1, _u1_rows,
+                                      _u1_tuple,
+                                      one_minus_cos_integral,
                                       potential_kernel,
                                       potential_kernel_at_one,
                                       resolvent_density, transition_density,
@@ -282,6 +284,94 @@ class TestU1Kernel:
             for w in np.logspace(0.0, 300.0, 61):
                 value = _u1(alpha, float(w))
                 assert math.isfinite(value) and value >= 0.0
+
+
+def _scalar_rows(alpha, w):
+    """[_u1(alpha, x) for x in w], or the message of the first row that
+    raises NonConvergence, from empty caches."""
+    _u1.cache_clear()
+    _u1_tuple.cache_clear()
+    try:
+        return np.array([_u1(alpha, x) for x in w.tolist()]), None
+    except NonConvergence as exc:
+        return None, str(exc)
+    finally:
+        _u1.cache_clear()
+
+
+class TestU1Rows:
+    @pytest.mark.parametrize("n", [1, _U1_BLOCK - 1, _U1_BLOCK, _U1_BLOCK + 1,
+                                   40])
+    def test_equals_scalar_kernel_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        alphas = [0.2, 1.0, 2.0, *rng.uniform(0.2, 2.0, 30)]
+        compared = 0
+        for alpha in alphas:
+            w = np.exp(rng.uniform(math.log(1e-14), math.log(1e160), n))
+            want, message = _scalar_rows(float(alpha), w)
+            if message is not None:
+                with pytest.raises(NonConvergence) as info:
+                    _u1_rows(float(alpha), w)
+                assert str(info.value) == message
+                continue
+            got = _u1_rows(float(alpha), w)
+            assert got.tobytes() == want.tobytes()
+            compared += n
+        assert compared >= 25 * n
+
+    def test_block_edges_and_shape(self):
+        w = np.geomspace(1e-3, 1e3, 2 * _U1_BLOCK + 1).reshape(-1, 1)
+        want, _ = _scalar_rows(1.5, w.ravel())
+        got = _u1_rows(1.5, w)
+        assert got.shape == w.shape
+        assert got.ravel().tobytes() == want.tobytes()
+        assert _u1_rows(1.5, np.array([])).shape == (0,)
+
+    def test_failing_row_raises_the_scalar_message(self):
+        # w = 3e-12 lies in the rule's range, where its half-step check
+        # fails near alpha = 2; the rows around it pass
+        w = np.array([1.0, 3e-12, 2.0])
+        _, message = _scalar_rows(1.999, w)
+        assert "half-step" in message
+        with pytest.raises(NonConvergence) as info:
+            _u1_rows(1.999, w)
+        assert str(info.value) == message
+
+    def test_scalar_routed_rows_are_cached(self):
+        # w = 0, w <= 1e-12 and the far field go to _u1, the rule rows not
+        _u1.cache_clear()
+        _u1_rows(1.5, np.array([0.0, 1e-13, 1e100, 1.0, 2.0]))
+        info = _u1.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
+        _u1_rows(1.5, np.array([1e100, 3.0, 1e-13, 0.0]))
+        assert _u1.cache_info().hits == 3
+        _u1_rows(2.0, np.array([0.5, 1.0]))
+        assert _u1.cache_info().currsize == 5
+        _u1.cache_clear()
+
+    def test_repeated_rows_come_from_the_cache(self):
+        _u1_tuple.cache_clear()
+        w = np.array([0.5, 1.0, 2.0])
+        first = _u1_rows(1.5, w)
+        again = _u1_rows(1.5, w.reshape(3, 1))
+        assert _u1_tuple.cache_info().hits == 1
+        assert again.shape == (3, 1)
+        assert again.ravel().tobytes() == first.tobytes()
+
+
+class TestArrayRate:
+    def test_resolvent_of_an_array_of_q(self):
+        q = np.geomspace(1e-40, 1e250, 60)
+        for alpha in (1.05, 1.5, 1.99, 2.0):
+            for x in (0.0, 1e-3, -1.0, 50.0):
+                got = resolvent_density(alpha, q, x)
+                want = [resolvent_density(alpha, float(v), x) for v in q]
+                assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_one_bad_rate_raises(self, bad):
+        with pytest.raises(DomainError, match="q must be positive"):
+            resolvent_density(1.5, np.array([1.0, bad, 2.0]), 1.0)
 
 
 P1_ALPHAS = [1.01, 1.1, 1.15, 1.2, 1.5, 1.9, 1.99]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from stable_hitting import verify
 from stable_hitting.errors import DomainError, UnknownSuite
 from stable_hitting.verify import (SUITE_NAMES, VerificationReport, all_passed,
                                    report_to_csv, report_to_json, run_suite)
@@ -173,3 +174,22 @@ def test_run_all_suites_rejects_n_below_two(n, tmp_path):
     assert proc.stdout == ""
     assert f"argument --n: must be >= 2, got {n}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _nested_stieltjes(p, q, r, g):
+    """E[1/(p + q B + r B U^{-1/g})] by nested quadrature over (B, U)."""
+    from scipy import integrate, special
+
+    def inner(v):
+        fb = v ** (-g) * (1 - v) ** (g - 1) / special.beta(1 - g, g)
+        return fb * integrate.quad(
+            lambda u: 1.0 / (p + q * v + r * v * u ** (-1.0 / g)),
+            0, 1, limit=200)[0]
+    return integrate.quad(inner, 0, 1, points=[0.0, 1.0], limit=200)[0]
+
+
+@pytest.mark.parametrize("g", [1.0 / 3.0, 0.5])
+@pytest.mark.parametrize("p,q,r", [(1.0, 1.0, 1.0), (2.0, 1.0, 0.5)])
+def test_stieltjes_reference_matches_nested_quadrature(p, q, r, g):
+    assert verify._stieltjes_reference(p, q, r, g) == pytest.approx(
+        _nested_stieltjes(p, q, r, g), rel=1e-9, abs=0.0)
