@@ -8,9 +8,9 @@ as row-by-row evaluation would.
 
 Exit codes: 0 on success (and all checks passing for ``verify``), 1 on domain
 or numeric failure, 2 on usage errors.  All randomness is controlled by the
-global ``--seed`` and ``--streams`` flags; stream_id equals the worker index,
-and draws are concatenated in stream order, so output is reproducible for a
-fixed (seed, streams, n).
+global ``--seed`` and ``--streams`` flags: ``sample --streams k`` draws k
+chunks in one process, chunk i from stream_id i, in stream order, so output
+is reproducible for a fixed (seed, streams, n).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import functools
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -360,6 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--seed", type=int, default=0)
     ve.add_argument("--n", type=_positive_int, default=1_000_000)
     ve.add_argument("--out", help="directory for JSON/CSV report files")
+    # argparse reads a token that starts with "-" as a flag unless it is a
+    # plain negative number, so "--a -2,0.5" and "--x -1e-3" would lose
+    # their values; a token of "-" and a digit or "." is the flag's value
+    for parser in (ev, sa, iv, ve):
+        parser._negative_number_matcher = re.compile(r"-[\d.]")
     return ap
 
 

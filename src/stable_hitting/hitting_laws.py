@@ -15,8 +15,9 @@ independent of G_a.  The same objects for |X| hit the set {a, -a}.
 
 Every law takes the stability index ``alpha`` as a float and raises
 DomainError outside 1 < alpha <= 2; a law in q checks ``alpha`` and ``q``
-once, in ``_resolvent``, also where they come in a ``HittingQuery``.  A
-start point ``x`` must be finite, and so must ``lt_hit_point``'s target.
+once, in ``_resolvent``, also where they come in a ``HittingQuery``, and
+reads each u(y) once (``_v_q`` takes the levels the law has read).  A start
+point ``x`` must be finite, and so must ``lt_hit_point``'s target.
 
 Every law in q also takes an array of q, with the other arguments floats,
 and returns an array of q's shape whose elements equal the float calls' bit
@@ -204,11 +205,9 @@ def leg_decomposition_gap(alpha, q: float, a: float, n: int) -> float:
     return 0.5 * (direct + routed)
 
 
-def _v_q(u, a: float) -> float:
-    """V_q(a) for the resolvent density u = u_q, at a level a != 0."""
-    _nonzero(a)
-    u0, ua = u(0.0), u(a)
-    v = u0 * u0 + u0 * u(2.0 * a) - 2.0 * ua * ua
+def _v_q(u0: float, ua: float, u2a: float) -> float:
+    """V_q(a) from u(0), u(a) and u(2a) of u = u_q, at a level a != 0."""
+    v = u0 * u0 + u0 * u2a - 2.0 * ua * ua
     if _any(v <= 0.0):
         raise DegenerateDenominator(f"V_q(a) = {np.min(v)} <= 0")
     return v
@@ -218,10 +217,10 @@ def lt_hit_three(alpha, q: float, x: float, a: float) -> float:
     """E[e^{-q T_{{0, a, -a}}}] started at x."""
     u = _resolvent(alpha, q)
     x = _finite("x", x)
-    v = _v_q(u, a)
-    u0 = u(0.0)
-    c_zero = (u0 + u(2.0 * a) - 2.0 * u(a)) / v
-    c_side = (u0 - u(a)) / v
+    u0, ua, u2a = u(0.0), u(_nonzero(a)), u(2.0 * a)
+    v = _v_q(u0, ua, u2a)
+    c_zero = (u0 + u2a - 2.0 * ua) / v
+    c_side = (u0 - ua) / v
     return c_zero * u(x) + c_side * (u(x - a) + u(x + a))
 
 
@@ -230,8 +229,9 @@ def lt_hit_pair_before_zero(alpha, q: float, x: float, a: float) -> float:
     (u(0) (u(x-a) + u(x+a)) - 2 u(a) u(x)) / V_q(a)."""
     u = _resolvent(alpha, q)
     x = _finite("x", x)
-    return ((u(0.0) * (u(x - a) + u(x + a)) - 2.0 * u(a) * u(x))
-            / _v_q(u, a))
+    u0, side, ua = u(0.0), u(x - a) + u(x + a), u(a)
+    return ((u0 * side - 2.0 * ua * u(x))
+            / _v_q(u0, ua, u(2.0 * _nonzero(a))))
 
 
 def _h_combo(alpha, a: float) -> float:
@@ -243,13 +243,15 @@ def _h_combo(alpha, a: float) -> float:
 def lt_last_exit_abs(alpha, q: float, a: float) -> float:
     """E[e^{-q G_a(|X|)}] = 2 V_q(a) / ((u(0) + u(2a)) (4h(a) - h(2a)))."""
     u = _resolvent(alpha, q)
-    return 2.0 * _v_q(u, a) / ((u(0.0) + u(2.0 * a)) * _h_combo(alpha, a))
+    u0, ua, u2a = u(0.0), u(_nonzero(a)), u(2.0 * a)
+    return 2.0 * _v_q(u0, ua, u2a) / ((u0 + u2a) * _h_combo(alpha, a))
 
 
 def lt_post_exit_abs(alpha, q: float, a: float) -> float:
     """E[e^{-q (T_a - G_a)(|X|)}] = u(a) (4h(a) - h(2a)) / V_q(a)."""
     u = _resolvent(alpha, q)
-    return u(a) * _h_combo(alpha, a) / _v_q(u, a)
+    u0, ua, u2a = u(0.0), u(_nonzero(a)), u(2.0 * a)
+    return ua * _h_combo(alpha, a) / _v_q(u0, ua, u2a)
 
 
 def excursion_hit_mass_abs(alpha, a: float) -> float:
@@ -263,4 +265,5 @@ def excursion_hit_lt_abs(alpha, q: float, a: float, r: Optional[float] = None) -
     = (u_r(a)/u_r(0)) 2 u_q(a) / V_q(a); r = None takes r -> 0+."""
     _positive("a", a)
     u = _resolvent(alpha, q)
-    return 2.0 * u(a) / _v_q(u, a) * _after_hit(alpha, r, a)
+    u0, ua, u2a = u(0.0), u(a), u(2.0 * a)
+    return 2.0 * ua / _v_q(u0, ua, u2a) * _after_hit(alpha, r, a)

@@ -3,28 +3,27 @@ symmetric stable process normalized by E[e^{i theta X(t)}] = e^{-t|theta|^alpha}
 
 All evaluations reduce to t = 1 (density) or q = 1 (resolvent) through the
 self-similarity scaling before any quadrature runs.  p_1 and u_1 each have
-one cached kernel, ``_p1`` and ``_u1``; the Linnik density of
-``distributions`` is u_1 itself and shares that cache.  ``_u1_rows`` gives
-u_1 of an array, equal to ``_u1`` element by element, from blocks of the
-same rule (``_u1_rule``), cached per tuple of w in ``_u1_tuple``; it hands
-``_u1`` the rows the rule does not take (w <= 1e-12, the far field,
-alpha = 2) and any row that fails the rule's check.  So u_q, and every
+one kernel, ``_p1`` and ``_u1``; only ``_u1`` is cached, and the Linnik
+density of ``distributions`` is u_1 itself and shares that cache.
+``_u1_rows`` gives u_1 of an array, equal to ``_u1`` element by element,
+from blocks of the same rule (``_u1_rule``), cached per tuple of w in
+``_u1_tuple``; both route w through ``_u1_closed``.  So u_q, and every
 hitting law with it, takes an array of q.
 
-Neither kernel takes an oscillatory route.  ``_p1`` is Zolotarev's integral
-of a positive function for every alpha != 1, ``_u1`` the integral of a
-positive function that rotating the contour xi -> i v gives; each runs on
-the same fixed tanh-sinh rule in numpy and is checked against the rule's
-half-step version.  Against 40-digit mpmath the relative error of ``_p1`` is
-below 1e-13 for alpha in [1.01, 1.99] and w in [1e-6, 1e6] and below 1e-12
-for alpha in [0.1, 0.999] and w in [1e-12, 1e300], that of ``_u1`` below
-1e-12 for alpha in [0.9, 1.999] and w in [1e-6, 1e6]; ``_p1`` stays positive
-for w in [1e-100, 1e100] and ``_u1`` out to w = 1e60.  Far out both return
-their common leading asymptote (``_far_field``), except that ``_p1`` sums the
-convergent series ``_p1_series`` for alpha < 1.  At w = 0 they return
-the closed forms Gamma(1 + 1/alpha)/pi and ``u1_zero``, at alpha = 2 the
-Gaussians, and ``_p1`` at alpha = 1 the Cauchy density.  Only the reference
-quadratures ``one_minus_cos_integral`` and
+Neither kernel takes an oscillatory route.  ``_p1`` is Zolotarev's integral of
+a positive function for every alpha != 1, ``_u1`` the integral of a positive
+function that rotating the contour xi -> i v gives; each runs on the same
+fixed tanh-sinh rule in numpy, and ``_settled`` checks every evaluation of
+either against the rule's half-step version.  Against 40-digit mpmath the
+relative error of ``_p1`` is below 1e-13 for alpha in [1.01, 1.99] and w in
+[1e-6, 1e6] and below 1e-12 for alpha in [0.1, 0.999] and w in [1e-12, 1e300],
+that of ``_u1`` below 1e-12 for alpha in [0.9, 1.999] and w in [1e-6, 1e6];
+``_p1`` stays positive for w in [1e-100, 1e100] and ``_u1`` out to w = 1e60.
+Far out both return their common leading asymptote (``_far_field``), except
+that ``_p1`` sums the convergent series ``_p1_series`` for alpha < 1.  At
+w = 0 they return the closed forms Gamma(1 + 1/alpha)/pi and ``u1_zero``, at
+alpha = 2 the Gaussians, and ``_p1`` at alpha = 1 the Cauchy density.  Only
+the reference quadratures ``one_minus_cos_integral`` and
 ``distributions.alpha_cauchy_charfn`` integrate a cosine.
 
 The stability index ``alpha`` is a plain float throughout the package;
@@ -41,8 +40,7 @@ import numpy as np
 
 from .errors import (DomainError, NonConvergence, _alpha, _inside,
                      _point_alpha, _positive)
-from .numerics import (REL_TOL, integrate_adaptive, integrate_oscillatory_cos,
-                       tolerance)
+from .numerics import REL_TOL, integrate_adaptive, integrate_oscillatory_cos
 
 # Tanh-sinh rule (Takahasi and Mori, 1974) for ``_u1`` and ``_p1``: nodes
 # t_k = k/64 for |k| <= 205, that is |t| <= 3.2.  At node t the tanh-sinh
@@ -124,7 +122,6 @@ def _zolotarev_centre(alpha: float, lw: float) -> float:
         f"p_1 peak search did not settle at alpha={alpha}, w={math.exp(lw)}")
 
 
-@lru_cache(maxsize=None)
 def _p1(alpha: float, w: float) -> float:
     """p_1(w) = (1/pi) int_0^inf cos(w xi) e^{-xi^alpha} dxi, w >= 0.
 
@@ -142,9 +139,8 @@ def _p1(alpha: float, w: float) -> float:
     peak unit width in t for every a > 1.  The integrand is formed in log
     space, with cos th = sin((pi/2)(1 - s)) and sin(a th) =
     sin((pi/2)(2 - a s)) past its maximum, so that nothing cancels at either
-    end.  The rule is checked against its every-other-node half, as in
-    ``_u1``; when they differ, the rule is centred once more on its largest
-    node before ``NonConvergence`` is raised.
+    end.  ``_settled`` checks the rule against its every-other-node half; a
+    pass that fails is followed by one more, centred on its largest node.
 
     Against mpmath (the power series at small w, a cosine integral at
     moderate w, the asymptotic series from w = 30) its relative error is
@@ -180,19 +176,28 @@ def _p1(alpha: float, w: float) -> float:
     if far is not None:
         return far
     c = _zolotarev_centre(alpha, lw)
-    for _ in range(2):
+    for last in (False, True):
         value, rule, half, f = _zolotarev_rule(alpha, lw, c)
-        if not (math.isfinite(value) and value > 0.0):
-            raise NonConvergence(
-                f"p_1 rule gave {value!r} at alpha={alpha}, w={w}")
-        if abs(rule - half) <= 10.0 * tolerance(rule):
+        if _settled("p_1", value, rule, half, alpha, w, last):
             return value
         # the bulk of the integrand lies away from the root of log(y V):
         # centre the rule once more on its largest node
         c += a1 * _TS_S[int(np.argmax(f))]
-    raise NonConvergence(
-        f"p_1 rule and its half-step rule differ by "
-        f"{abs(rule - half) / rule:.3g} relative at alpha={alpha}, w={w}")
+
+
+def _settled(kernel, value, rule, half, alpha, w, last=True) -> bool:
+    """Whether a rule's half-step sum ``half`` is within 10 ``REL_TOL`` of
+    its sum ``rule``; ``NonConvergence`` where the kernel's ``value`` is not
+    finite and positive, or the gap is wider on the ``last`` pass."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise NonConvergence(
+            f"{kernel} rule gave {value!r} at alpha={alpha}, w={w}")
+    settled = abs(rule - half) <= 10.0 * REL_TOL * rule
+    if last and not settled:
+        raise NonConvergence(
+            f"{kernel} rule and its half-step rule differ by "
+            f"{abs(rule - half) / rule:.3g} relative at alpha={alpha}, w={w}")
+    return settled
 
 
 def _p1_series(alpha: float, lw: float):
@@ -254,36 +259,32 @@ def _u1(alpha: float, w: float) -> float:
     centres the nodes between those two places, the other, at large w,
     follows the cutoff of e^{-wv} to v ~ e/w.
 
-    The rule is checked against its every-other-node half, relative to its
-    own sum as in ``_p1``: a gap above ten times ``numerics.REL_TOL`` of the
-    value, or a value that is not finite and positive, raises
-    ``NonConvergence``.  w = 0 is the closed form
-    ``u1_zero`` (infinite for alpha <= 1) and alpha = 2 is e^{-w}/2.  For
-    alpha > 1 and w <= 1e-12 it is u_1(0) - h(1) w^{alpha-1}, h(1) =
+    ``_settled`` checks the rule against its every-other-node half, as it
+    does ``_p1``'s, and ``_u1_closed`` holds the other routes.  Callers pass
+    w as a float, so the cache key is a float too.
+    """
+    value = _u1_closed(alpha, w)
+    if value is not None:
+        return value
+    scale, g = _u1_rule(alpha, w)
+    value = scale * float(_TS_W.dot(g))
+    half = 2.0 * scale * float(_TS_W[_TS_HALF].dot(g[_TS_HALF]))
+    _settled("u_1", value, value, half, alpha, w)
+    return value
+
+
+def _u1_closed(alpha: float, w: float):
+    """u_1(w) where ``_u1`` takes a closed form, None where it runs its rule:
+    w = 0 is ``u1_zero`` (infinite for alpha <= 1) and alpha = 2 is e^{-w}/2;
+    for alpha > 1 and w <= 1e-12 it is u_1(0) - h(1) w^{alpha-1}, h(1) =
     ``potential_kernel_at_one``: within 3.8e-14 of 40-digit mpmath at
     w = 1e-12 for alpha in [1.01, 1.999], where the rule fails near 2, but
-    2.7e-12 off at w = 1e-9, alpha = 1.1.  Callers pass w as a float, so the
-    cache key is a float too.
-    """
+    2.7e-12 off at w = 1e-9, alpha = 1.1; far out it is ``_far_field``."""
     if alpha == 2.0:
         return 0.5 * math.exp(-w)
     if w == 0.0 or (alpha > 1.0 and w <= 1e-12):
         return u1_zero(alpha) - potential_kernel_at_one(alpha) * w ** (alpha - 1.0)
-    far = _far_field(alpha, w)
-    if far is not None:
-        return far
-    scale, g = _u1_rule(alpha, w)
-    value = scale * float(_TS_W.dot(g))
-    half = 2.0 * scale * float(_TS_W[_TS_HALF].dot(g[_TS_HALF]))
-    if not (math.isfinite(value) and value > 0.0):
-        raise NonConvergence(
-            f"u_1 rule gave {value!r} at alpha={alpha}, w={w}")
-    if abs(value - half) > 10.0 * REL_TOL * value:
-        raise NonConvergence(
-            f"u_1 rule and its half-step rule differ by "
-            f"{abs(value - half) / value:.3g} relative at alpha={alpha}, "
-            f"w={w}")
-    return value
+    return _far_field(alpha, w)
 
 
 def _u1_rule(alpha: float, w):
@@ -318,32 +319,28 @@ def _u1_rows(alpha: float, w) -> np.ndarray:
 def _u1_tuple(alpha: float, ws: tuple) -> tuple:
     """``_u1(alpha, x)`` for each x of ``ws``.
 
-    The rows that ``_u1`` gives to its rule (0 < alpha < 2, w above 1e-12
-    and short of ``_far_field``) are evaluated on blocks of at most
+    The rows where ``_u1_closed`` is None run on blocks of at most
     ``_U1_BLOCK`` rows of ``_u1_rule``.  Each row's sum and half-step sum is
     the same 1-d dot that ``_u1`` takes, since a matrix product would sum in
-    another order.  Every other row, and a row that fails ``_u1``'s checks,
-    is ``_u1`` itself, called in the order of ws: the closed forms and the
-    error messages stay there, and the first row to fail raises.
+    another order, and ``_settled`` checks it, so the first row to fail
+    raises ``_u1``'s message.  Every other row is ``_u1`` itself, with its
+    closed forms and cache.  None of those raises in ``_resolvent``'s range
+    1 < alpha <= 2; below it a row at w = 0 raises as it is routed.
 
-    The cache keys on the whole tuple.  A law reads u(0) and u(2a) more than
-    once, and an ``eval`` grid reads the same tuple of w wherever one level
-    is twice another, as u(2a) at a = 1/2 and u(a) at a = 1 do."""
-    rule = [x for x in ws if alpha != 2.0 and x > 1e-12
-            and _far_field(alpha, x) is None]
+    The cache keys on the whole tuple: an ``eval`` grid reads the same tuple
+    of w wherever one level is twice another, as u(2a) at a = 1/2 and u(a)
+    at a = 1 do."""
+    rule = [x for x in ws if _u1_closed(alpha, x) is None]
     values = {}
     half_w = _TS_W[_TS_HALF]
     for start in range(0, len(rule), _U1_BLOCK):
         block = rule[start:start + _U1_BLOCK]
         scale, g = _u1_rule(alpha, np.array(block)[:, None])
-        for x, sc, row, half_row in zip(block, scale[:, 0].tolist(), g,
-                                        g[:, _TS_HALF]):
+        for x, sc, row in zip(block, scale[:, 0].tolist(), g):
             value = sc * float(_TS_W.dot(row))
-            half = 2.0 * sc * float(half_w.dot(half_row))
-            # the checks of ``_u1``
-            if (math.isfinite(value) and value > 0.0
-                    and not abs(value - half) > 10.0 * REL_TOL * value):
-                values[x] = value
+            half = 2.0 * sc * float(half_w.dot(row[_TS_HALF]))
+            _settled("u_1", value, value, half, alpha, x)
+            values[x] = value
     return tuple(values[x] if x in values else _u1(alpha, x) for x in ws)
 
 

@@ -7,8 +7,9 @@ Randomness contract: every sampler draws from a RandomStream, which wraps a
 PCG64 generator keyed by (seed, stream_id) through numpy's SeedSequence
 spawning, so distinct stream ids give statistically independent streams and
 identical ids reproduce bit-identical output.  Streams are single-owner;
-parallel callers must use distinct stream ids (the CLI assigns
-stream_id = worker index).
+parallel callers must use distinct stream ids.  The CLI runs in one process:
+``sample --streams k`` draws k consecutive chunks, chunk i from the stream
+with stream_id i, and concatenates them in stream order.
 """
 
 from __future__ import annotations

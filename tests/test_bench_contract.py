@@ -12,7 +12,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
-from stable_hitting import verify  # noqa: E402
+from stable_hitting import (distributions, hitting_laws,  # noqa: E402
+                            numerics, resolvent, verify)
 
 
 def test_values_take_the_benchmark_arguments():
@@ -57,3 +58,22 @@ def test_jobs_run_and_check_clean():
         for op in pair:
             result = op.call(tracing.NullTracer())
             assert op.check(result) == [], op.name
+
+
+def test_clear_kernel_caches_empties_every_kernel_cache():
+    # the benchmark's cold numbers rest on this reset reaching every
+    # functools cache of the kernel modules
+    modules = (numerics, resolvent, distributions, hitting_laws)
+    hitting_laws.lt_hit_three(1.5, np.geomspace(0.5, 2.0, 5), 0.3, 1.0)
+    hitting_laws.lt_hit_abs(1.5, 0.8, 1.0)
+    distributions.linnik_density(1.5, 0.7)
+    resolvent.transition_density(1.5, 1.0, 0.4)
+    numerics.laplace_invert_cdf(
+        lambda q: hitting_laws.lt_hit_abs(1.5, float(q), 1.0), 1.0)
+    caches = [obj for mod in modules for obj in vars(mod).values()
+              if hasattr(obj, "cache_info")
+              and getattr(obj, "__module__", None) == mod.__name__]
+    assert caches
+    assert all(c.cache_info().currsize > 0 for c in caches), caches
+    workloads.clear_kernel_caches()
+    assert all(c.cache_info().currsize == 0 for c in caches), caches

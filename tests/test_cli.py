@@ -813,3 +813,45 @@ def test_unlisted_flag_usage_error(capsys, command, table, offered):
 def test_every_eval_kind_and_sample_dist_is_pinned():
     assert set(_EVAL_DIRECT) == set(EVAL_KINDS)
     assert set(_SAMPLE_DIRECT) == set(SAMPLE_DISTS)
+
+
+def _readme_commands():
+    """The ``stable-hitting ...`` lines of the README's CLI block."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md")) as f:
+        readme = f.read()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```")[0]
+    return [line.split()[1:] for line in block.splitlines()
+            if line.startswith("stable-hitting ")]
+
+
+def test_readme_examples_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert ["eval", "lt-T", "--alpha", "1.5", "--q", "1", "--a",
+            "-2,0.5"] in commands
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (("eval", "lt-T", "--alpha", "1.5", "--q", "1"), "--a", "-2,0.5"),
+    (("eval", "resolvent", "--alpha", "1.5", "--q", "1"), "--x", "-1e-3"),
+    (("eval", "lt-T", "--alpha", "1.5", "--q", "1", "--a", "1"), "--x", "-.25"),
+    (("sample", "t-point", "--alpha", "1.5", "-n", "3"), "--a", "-1e0"),
+    (("invert", "lt-T", "--alpha", "1.5", "--t", "1,2"), "--a", "-2e0"),
+])
+def test_negative_value_after_its_flag(capsys, argv, flag, value):
+    # a value of "-" and a digit or "." reads as with "=" (argparse alone
+    # would take it for a flag)
+    spaced = run(capsys, *argv, flag, value)
+    joined = run(capsys, *argv, f"{flag}={value}")
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1].count("\n") >= 2
+
+
+def test_flag_without_value_stays_usage_error(capsys):
+    code, _, err = run(capsys, "eval", "lt-T", "--alpha", "1.5", "--q", "1",
+                       "--a", "--x", "1")
+    assert code == 2 and "--a: expected one argument" in err

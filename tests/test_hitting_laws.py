@@ -431,7 +431,33 @@ class TestArrayRate:
         # forms the product, so a float q gives what numpy's array path does
         u = resolvent._resolvent(1.5, 0.37)
         ua, u0, u2a = u(0.9), u(0.0), u(1.8)
-        assert hitting_laws._v_q(u, 0.9) == u0 * u0 + u0 * u2a - 2.0 * ua * ua
+        assert (hitting_laws._v_q(u0, ua, u2a)
+                == u0 * u0 + u0 * u2a - 2.0 * ua * ua)
+
+    @pytest.mark.parametrize("q", [0.37, np.geomspace(1e-3, 1e3, 7)],
+                             ids=["float", "array"])
+    @pytest.mark.parametrize("name", sorted(set(Q_LAWS)
+                                            - {"leg_decomposition_gap"}))
+    def test_each_level_is_read_once(self, monkeypatch, name, q):
+        # leg_decomposition_gap is left out: it reads u((2n+1)a) and
+        # u((2n-1)a) again through lt_hit_before, the independent second
+        # route behind its ConsistencyError
+        closures = []
+
+        def counting(alpha, rate):
+            u, levels = resolvent._resolvent(alpha, rate), []
+            closures.append(levels)
+
+            def read(y):
+                levels.append(y)
+                return u(y)
+            return read
+
+        monkeypatch.setattr(hitting_laws, "_resolvent", counting)
+        Q_LAWS[name](q)
+        assert closures and all(closures)
+        for levels in closures:
+            assert len(levels) == len(set(levels)), levels
 
     def test_numpy_float_rate_is_a_float_rate(self):
         # a numpy float q makes the checks numpy bools, not arrays

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stable_hitting import resolvent
 from stable_hitting.errors import DomainError, NonConvergence
 from stable_hitting.hitting_laws import HittingQuery, lt_hit_point
 from stable_hitting.numerics import (integrate_adaptive,
@@ -349,6 +350,25 @@ class TestU1Rows:
         assert _u1.cache_info().currsize == 5
         _u1.cache_clear()
 
+    def test_failing_row_costs_one_rule_evaluation(self, monkeypatch):
+        # the block's own sums raise the scalar message; no scalar _u1 runs
+        # the rule on that row a second time
+        w = np.array([1.0, 3e-12, 2.0])
+        _, message = _scalar_rows(1.999, w)
+        shapes = []
+        rule = resolvent._u1_rule
+
+        def counted(alpha, x):
+            shapes.append(np.shape(x))
+            return rule(alpha, x)
+
+        monkeypatch.setattr(resolvent, "_u1_rule", counted)
+        _u1_tuple.cache_clear()
+        with pytest.raises(NonConvergence) as info:
+            _u1_rows(1.999, w)
+        assert str(info.value) == message
+        assert shapes == [(3, 1)]
+
     def test_repeated_rows_come_from_the_cache(self):
         _u1_tuple.cache_clear()
         w = np.array([0.5, 1.0, 2.0])
@@ -423,6 +443,21 @@ class TestP1Kernel:
         # integrand lies on the flat part of V, far left of the nodes' centre
         assert _p1(alpha, w) == pytest.approx(p1_cosine_integral(alpha, w),
                                               rel=1e-12, abs=0.0)
+
+    def test_uncached_with_unchanged_values(self):
+        # the benchmark's rounds repeat an argument of p_1 only at w = 0, its
+        # closed form, so _p1 keeps no cache; a repeated call gives the same
+        # pinned value
+        assert not hasattr(_p1, "cache_info")
+        pinned = {(1.5, 1.0, 0.0): "0x1.263fccb79c53bp-2",
+                  (1.5, 2.0, 0.7): "0x1.59451cb4fd4cep-3",
+                  (0.7, 1.0, 3.0): "0x1.d303475df6a40p-6",
+                  (1.9999, 1.0, 5.0): "0x1.1e3dc90d37d86p-11",
+                  (1.2, 0.3, -40.0): "0x1.f739bcc841115p-16",
+                  (1.999, 1.0, 3.0): "0x1.e72a42cb9b4f6p-6"}
+        for args, value in pinned.items():
+            for _ in range(2):
+                assert transition_density(*args) == float.fromhex(value)
 
     def test_unresolved_rule_raises(self):
         # at alpha = 1.9999, w = 8 the half rule stays too coarse after the
