@@ -75,10 +75,11 @@ def _finite(name: str, value):
 
 
 def _nonzero(a):
-    """The target level ``a``, or DomainError at 0."""
+    """The target level ``a``, or DomainError at 0 or where it is not
+    finite."""
     if not abs(a) > 0.0:
         raise DomainError("target level a must be nonzero")
-    return a
+    return _finite("a", a)
 
 
 def _count(name: str, value, least: int) -> int:

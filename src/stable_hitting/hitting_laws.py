@@ -17,7 +17,9 @@ Every law takes the stability index ``alpha`` as a float and raises
 DomainError outside 1 < alpha <= 2; a law in q checks ``alpha`` and ``q``
 once, in ``_resolvent``, also where they come in a ``HittingQuery``, and
 reads each u(y) once (``_v_q`` takes the levels the law has read).  A start
-point ``x`` must be finite, and so must ``lt_hit_point``'s target.
+point ``x`` must be finite, and so must every target.  A level ``a`` is
+checked by one rule, ``errors._nonzero``, also in the |X| laws, where u
+and h are even, so a level -a gives the value at a.
 
 Every law in q also takes an array of q, with the other arguments floats,
 and returns an array of q's shape whose elements equal the float calls' bit
@@ -53,12 +55,13 @@ class HittingQuery(NamedTuple):
 
 def _second_target(a: float, b: Optional[float]) -> float:
     """The second target ``b``, or DomainError where it is missing, equal to
-    ``a`` or NaN."""
+    ``a`` or NaN, or where either target is infinite."""
     if b is None:
         raise DomainError("second target b required")
     if not abs(a - b) > 0.0:
         raise DomainError("targets a and b must differ")
-    return b
+    _finite("a", a)
+    return _finite("b", b)
 
 
 def lt_hit_point(query: HittingQuery) -> float:
@@ -229,9 +232,9 @@ def lt_hit_pair_before_zero(alpha, q: float, x: float, a: float) -> float:
     (u(0) (u(x-a) + u(x+a)) - 2 u(a) u(x)) / V_q(a)."""
     u = _resolvent(alpha, q)
     x = _finite("x", x)
+    a = _nonzero(a)
     u0, side, ua = u(0.0), u(x - a) + u(x + a), u(a)
-    return ((u0 * side - 2.0 * ua * u(x))
-            / _v_q(u0, ua, u(2.0 * _nonzero(a))))
+    return (u0 * side - 2.0 * ua * u(x)) / _v_q(u0, ua, u(2.0 * a))
 
 
 def _h_combo(alpha, a: float) -> float:
@@ -257,13 +260,13 @@ def lt_post_exit_abs(alpha, q: float, a: float) -> float:
 def excursion_hit_mass_abs(alpha, a: float) -> float:
     """m(T_a < zeta) for |X|: 2 / (4 h(a) - h(2a))."""
     alpha = _point_alpha(alpha)
-    return 2.0 / _h_combo(alpha, _positive("a", a))
+    return 2.0 / _h_combo(alpha, _nonzero(a))
 
 
 def excursion_hit_lt_abs(alpha, q: float, a: float, r: Optional[float] = None) -> float:
     """m[e^{-q T_a - r (zeta - T_a)}; T_a < zeta]
     = (u_r(a)/u_r(0)) 2 u_q(a) / V_q(a); r = None takes r -> 0+."""
-    _positive("a", a)
+    _nonzero(a)
     u = _resolvent(alpha, q)
     u0, ua, u2a = u(0.0), u(a), u(2.0 * a)
     return 2.0 * ua / _v_q(u0, ua, u2a) * _after_hit(alpha, r, a)

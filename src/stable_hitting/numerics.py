@@ -11,9 +11,9 @@ Three workhorses live here:
 * ``laplace_invert_cdf``   -- Gaver-Stehfest inversion of E[e^{-qT}] into
   P(T < t), run in 80-bit extended precision because the Salzer weights
   amplify rounding in the transform values.  It calls the transform once
-  per node on a scalar; ``_invert_cdf_rows``, behind the table of
-  ``sampling.sample_from_lt``, gives the same values at a grid of times
-  from one call on an array of nodes, so that transform must broadcast.
+  per node on a scalar, and ``_invert_cdf_rows``, behind the table of
+  ``sampling.sample_from_lt``, once on the nodes of a grid of times; both
+  hand the values to the one body ``_stehfest``, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -92,101 +92,100 @@ def integrate_oscillatory_cos(g, w: float, lo: float = 0.0) -> float:
 @lru_cache(maxsize=None)
 def _stehfest_weights(n_terms: int):
     """Salzer summation weights for the Gaver-Stehfest scheme (exact
-    rationals, rounded once to extended precision).
+    rationals, rounded once to extended precision), at n_terms terms in row
+    0 and at n_terms - 2 in row 1, which ends in two zeros; and the node
+    numbers k = 1, ..., n_terms.
 
     Stehfest, H. (1970). Algorithm 368: numerical inversion of Laplace
-    transforms. Communications of the ACM 13(1):47-49.
+    transforms. Communications of the ACM 13(1):47-49.  With his
+    (2j)!/(j! (j-1)!) = j C(2j, j), every other factorial of a term's
+    denominator divides (n/2)!: a weight is one integer sum over ((n/2)!)^3.
     """
-    n2 = n_terms // 2
     fac = math.factorial
-    out = []
-    for k in range(1, n_terms + 1):
-        acc = Fraction(0)
-        for j in range((k + 1) // 2, min(k, n2) + 1):
-            acc += Fraction(
-                j ** n2 * fac(2 * j),
-                fac(n2 - j) * fac(j) * fac(j - 1) * fac(k - j) * fac(2 * j - k))
-        acc *= (-1) ** (n2 + k)
-        out.append(_LD(acc.numerator) / _LD(acc.denominator))
-    return np.array(out, dtype=_LD)
+    out = np.zeros((2, n_terms), dtype=_LD)
+    for row, n in enumerate((n_terms, n_terms - 2)):
+        n2 = n // 2
+        common = fac(n2) ** 3
+        for k in range(1, n + 1):
+            total = sum(j ** (n2 + 1) * math.comb(2 * j, j) * common
+                        // (fac(n2 - j) * fac(k - j) * fac(2 * j - k))
+                        for j in range((k + 1) // 2, min(k, n2) + 1))
+            w = Fraction((-1) ** (n2 + k) * total, common)
+            out[row, k - 1] = _LD(w.numerator) / _LD(w.denominator)
+    return out, np.arange(1, n_terms + 1, dtype=_LD)
 
 
-def _stehfest_sum(values, n_terms: int):
-    """sum_k w_k v_k / k in extended precision over ``values[k - 1]``, each
-    the transform at node k: an extended-precision scalar, or a column with
-    one entry per time."""
-    weights = _stehfest_weights(n_terms)
-    acc = _LD(0.0)
-    for k in range(1, n_terms + 1):
-        acc += weights[k - 1] * values[k - 1] / _LD(k)
-    return acc
+def _stehfest(fill, ts, n_terms, stop=None):
+    """Gaver-Stehfest estimates of P(T < t) at each t of ``ts``.
 
-
-def _stehfest_terms(n_terms) -> int:
+    ``fill`` maps the (len(ts), n_terms) extended-precision matrix of nodes
+    q_k = k ln2 / t to the transform's values there.  Each estimate at
+    ``n_terms`` is clamped to [0, 1] once it and the one at ``n_terms - 2``
+    are finite and within ``_DIVERGENCE_TOL``; rows are checked in order,
+    and the first failing one raises NumericInstability.  With ``stop``, a
+    vectorized predicate on the clamped estimates, the rows after the first
+    one where it holds are neither checked nor returned.  The sums run with
+    warnings silenced, since a non-finite estimate raises through the checks.
+    """
     n_terms = _count("n_terms", n_terms, 4)
     if n_terms % 2:
         raise DomainError(f"n_terms={n_terms} is not even")
-    return n_terms
-
-
-def _checked(est: float, check: float, t: float, n_terms: int) -> float:
-    """The estimate at ``n_terms`` clamped to [0, 1], once it and the one at
-    ``n_terms - 2`` are finite and within ``_DIVERGENCE_TOL``."""
-    if not (math.isfinite(est) and math.isfinite(check)):
-        raise NumericInstability(f"non-finite inversion estimate at t={t}")
-    if abs(est - check) > _DIVERGENCE_TOL:
+    weights, k = _stehfest_weights(n_terms)
+    values = fill((_LN2 / np.asarray(ts, dtype=_LD))[:, None] * k)
+    with np.errstate(all="ignore"):
+        # sum_k w_k v_k / k at n_terms and n_terms - 2 terms, added in the
+        # order k = 1, 2, ... whatever the number of rows (np.sum need not
+        # be); row 1's two zero weights change its sum only in the sign of a
+        # zero, which the gap and the clamp drop, or where a value is not
+        # finite, which makes the n_terms sum non-finite too
+        sums = np.add.accumulate(weights * values[:, None, :] / k, axis=2)
+        est, check = sums[:, :, -1].astype(float).T
+        # a non-finite estimate leaves the gap NaN or inf, so it fails too
+        gap = np.abs(est - check)
+        bad = ~(gap <= _DIVERGENCE_TOL)
+        # min(1.0, max(0.0, est)); adding 0.0 turns -0.0 into 0.0
+        probs = np.minimum(np.maximum(est, 0.0), 1.0) + 0.0
+    halt = bad if stop is None else bad | stop(probs)
+    if not halt.any():
+        return probs
+    i = int(np.argmax(halt))
+    if not (math.isfinite(est[i]) and math.isfinite(check[i])):
+        raise NumericInstability(f"non-finite inversion estimate at t={ts[i]}")
+    if bad[i]:
         raise NumericInstability(
             f"estimates at {n_terms} and {n_terms - 2} terms differ by "
-            f"{abs(est - check):.3g} at t={t}")
-    return min(1.0, max(0.0, est))
+            f"{gap[i]:.3g} at t={ts[i]}")
+    return probs[:i + 1]
 
 
 def laplace_invert_cdf(phi, t: float, n_terms: int = 12) -> float:
     """Gaver-Stehfest estimate of P(T < t) from phi(q) = E[e^{-qT}].
 
     The scheme inverts phi(q)/q at the real nodes q_k = k ln2 / t.  Nodes are
-    passed to ``phi`` one at a time as numpy extended-precision scalars, so a
-    transform written with plain arithmetic (or np.* functions) is evaluated
-    beyond double precision, which the weight cancellation requires for
-    n_terms above ~16.  The estimate at n_terms is cross-checked against
-    n_terms - 2; a large gap raises NumericInstability instead of being
-    clamped away.
+    passed to ``phi`` one at a time, in the order k = 1, 2, ..., as numpy
+    extended-precision scalars, so a transform written with plain arithmetic
+    (or np.* functions) is evaluated beyond double precision, which the
+    weight cancellation requires for n_terms above ~16.  The estimate at
+    n_terms is cross-checked against n_terms - 2: a large gap or a
+    non-finite estimate raises NumericInstability instead of being clamped.
     """
     _positive("t", t)
-    n_terms = _stehfest_terms(n_terms)
-    ln2_t = _LN2 / _LD(t)
-    values = [_LD(phi(_LD(k) * ln2_t)) for k in range(1, n_terms + 1)]
-    est = float(_stehfest_sum(values, n_terms))
-    check = float(_stehfest_sum(values[:n_terms - 2], n_terms - 2))
-    return _checked(est, check, t, n_terms)
+
+    def fill(nodes):
+        return np.array([[_LD(phi(q)) for q in nodes[0]]])
+
+    return float(_stehfest(fill, (t,), n_terms)[0])
 
 
 def _invert_cdf_rows(phi, ts, n_terms: int, stop=None):
-    """``laplace_invert_cdf(phi, t, n_terms)`` for each t of the float array
-    ``ts``, bit for bit, from one call of ``phi`` on the (len(ts), n_terms)
-    matrix of nodes; ``phi`` must broadcast over it.
+    """``laplace_invert_cdf(phi, t, n_terms)`` at each t of the float array
+    ``ts``, from one call of ``phi`` on the matrix of nodes, over which it
+    must broadcast.  With ``stop`` (see ``_stehfest``) later rows may be
+    invalid for the transform, so its floating-point warnings are silenced."""
 
-    Rows are checked in order, and the first failing one raises as
-    ``laplace_invert_cdf`` would at its t.  With ``stop``, a vectorized
-    predicate on the clamped estimates, the rows after the first one where
-    it holds are neither checked nor returned, so a transform may be
-    invalid there.  Floating-point warnings are silenced for the same
-    reason: non-finite rows that count raise through the checks.
-    """
-    n_terms = _stehfest_terms(n_terms)
-    nodes = (_LN2 / ts.astype(_LD))[:, None] * np.arange(1, n_terms + 1,
-                                                          dtype=_LD)
-    with np.errstate(all="ignore"):
-        values = np.broadcast_to(np.asarray(phi(nodes), dtype=_LD),
-                                 nodes.shape).T
-        est = _stehfest_sum(values, n_terms).astype(float)
-        check = _stehfest_sum(values[:n_terms - 2], n_terms - 2).astype(float)
-        bad = ~(np.isfinite(est) & np.isfinite(check)
-                & (np.abs(est - check) <= _DIVERGENCE_TOL))
-    probs = np.clip(est, 0.0, 1.0)
-    halt = bad if stop is None else bad | stop(probs)
-    if halt.any():
-        i = int(np.argmax(halt))
-        _checked(est[i], check[i], float(ts[i]), n_terms)  # raises if bad[i]
-        return probs[:i + 1]
-    return probs
+    def fill(nodes):
+        with np.errstate(all="ignore"):
+            return np.broadcast_to(np.asarray(phi(nodes), dtype=_LD),
+                                   nodes.shape)
+
+    return _stehfest(fill, ts, n_terms, stop)

@@ -7,8 +7,8 @@ one kernel, ``_p1`` and ``_u1``; only ``_u1`` is cached, and the Linnik
 density of ``distributions`` is u_1 itself and shares that cache.
 ``_u1_rows`` gives u_1 of an array, equal to ``_u1`` element by element,
 from blocks of the same rule (``_u1_rule``), cached per tuple of w in
-``_u1_tuple``; both route w through ``_u1_closed``.  So u_q, and every
-hitting law with it, takes an array of q.
+``_u1_tuple``; both route w through ``_u1_closed`` and sum a rule's row in
+``_u1_sum``.  So u_q, and every hitting law with it, takes an array of q.
 
 Neither kernel takes an oscillatory route.  ``_p1`` is Zolotarev's integral of
 a positive function for every alpha != 1, ``_u1`` the integral of a positive
@@ -266,11 +266,7 @@ def _u1(alpha: float, w: float) -> float:
     value = _u1_closed(alpha, w)
     if value is not None:
         return value
-    scale, g = _u1_rule(alpha, w)
-    value = scale * float(_TS_W.dot(g))
-    half = 2.0 * scale * float(_TS_W[_TS_HALF].dot(g[_TS_HALF]))
-    _settled("u_1", value, value, half, alpha, w)
-    return value
+    return _u1_sum(alpha, w, *_u1_rule(alpha, w))
 
 
 def _u1_closed(alpha: float, w: float):
@@ -303,6 +299,15 @@ def _u1_rule(alpha: float, w):
     return m * s / math.pi, g
 
 
+def _u1_sum(alpha: float, w: float, scale: float, g) -> float:
+    """u_1(w) from ``_u1_rule``'s scale and row ``g`` at w, once ``_settled``
+    accepts it; 1-d dots, as a matrix product would add in another order."""
+    value = scale * float(_TS_W.dot(g))
+    half = 2.0 * scale * float(_TS_W[_TS_HALF].dot(g[_TS_HALF]))
+    _settled("u_1", value, value, half, alpha, w)
+    return value
+
+
 # rows of ``_u1``'s rule evaluated at once: a block is at most
 # _U1_BLOCK x 411 doubles
 _U1_BLOCK = 16
@@ -320,11 +325,10 @@ def _u1_tuple(alpha: float, ws: tuple) -> tuple:
     """``_u1(alpha, x)`` for each x of ``ws``.
 
     The rows where ``_u1_closed`` is None run on blocks of at most
-    ``_U1_BLOCK`` rows of ``_u1_rule``.  Each row's sum and half-step sum is
-    the same 1-d dot that ``_u1`` takes, since a matrix product would sum in
-    another order, and ``_settled`` checks it, so the first row to fail
-    raises ``_u1``'s message.  Every other row is ``_u1`` itself, with its
-    closed forms and cache.  None of those raises in ``_resolvent``'s range
+    ``_U1_BLOCK`` rows of ``_u1_rule``, each summed and checked by
+    ``_u1_sum`` as ``_u1``'s one row is, so the first row to fail raises
+    ``_u1``'s message.  Every other row is ``_u1`` itself, with its closed
+    forms and cache.  None of those raises in ``_resolvent``'s range
     1 < alpha <= 2; below it a row at w = 0 raises as it is routed.
 
     The cache keys on the whole tuple: an ``eval`` grid reads the same tuple
@@ -332,15 +336,11 @@ def _u1_tuple(alpha: float, ws: tuple) -> tuple:
     at a = 1 do."""
     rule = [x for x in ws if _u1_closed(alpha, x) is None]
     values = {}
-    half_w = _TS_W[_TS_HALF]
     for start in range(0, len(rule), _U1_BLOCK):
         block = rule[start:start + _U1_BLOCK]
         scale, g = _u1_rule(alpha, np.array(block)[:, None])
         for x, sc, row in zip(block, scale[:, 0].tolist(), g):
-            value = sc * float(_TS_W.dot(row))
-            half = 2.0 * sc * float(half_w.dot(row[_TS_HALF]))
-            _settled("u_1", value, value, half, alpha, x)
-            values[x] = value
+            values[x] = _u1_sum(alpha, x, sc, row)
     return tuple(values[x] if x in values else _u1(alpha, x) for x in ws)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, TableBuildError, _alpha, _count,
-                     _inside, _nonzero, _point_alpha, _positive)
+                     _finite, _inside, _nonzero, _point_alpha, _positive)
 from .numerics import _invert_cdf_rows
 
 
@@ -255,7 +255,7 @@ def sample_overshoot(alpha: float, a: float, stream: RandomStream, size=None):
     """Overshoot above the level a at first passage (Ray's law):
     a Gamma_{1-a/2} / Gamma_{a/2}; zero at alpha = 2 (continuous paths)."""
     alpha = _alpha(alpha)
-    _positive("a", a)
+    _finite("a", _positive("a", a))
     if alpha == 2.0:
         return 0.0 if size is None else np.zeros(size)
     rng = stream.rng

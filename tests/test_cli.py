@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 import stable_hitting
 from stable_hitting import hitting_laws as hl
 from stable_hitting import sampling as smp
-from stable_hitting import cli, verify as vf
+from stable_hitting import cli, errors, verify as vf
 from stable_hitting.cli import EVAL_KINDS, SAMPLE_DISTS, main
 from stable_hitting.distributions import (alpha_rayleigh_survival, linnik_density,
                                           meixner_density, z_density)
@@ -92,6 +93,21 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err == f"eval {kind}: --r needs --q\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--q", "1"]])
+    def test_exc_m_takes_a_negative_level(self, capsys, extra):
+        # the |X| laws take a level of either sign, as lt-T-abs does
+        got = {}
+        for a in ("1", "-1"):
+            code, out, err = run(capsys, "eval", "exc-m", "--alpha", "1.5",
+                                 f"--a={a}", *extra)
+            assert (code, err) == (0, "")
+            got[a] = rows(out)[0]["value"]
+        assert got["-1"] == got["1"]
+        code, out, err = run(capsys, "eval", "exc-m", "--alpha", "1.5",
+                             "--a", "0", *extra)
+        assert code == 1
+        assert err == "eval: target level a must be nonzero\n"
 
 
 class TestSample:
@@ -855,3 +871,12 @@ def test_flag_without_value_stays_usage_error(capsys):
     code, _, err = run(capsys, "eval", "lt-T", "--alpha", "1.5", "--q", "1",
                        "--a", "--x", "1")
     assert code == 2 and "--a: expected one argument" in err
+
+
+def test_every_package_error_reaches_main_as_exit_one():
+    # a new error class fails here until ``main`` handles it; UnknownSuite
+    # is out of reach, since argparse's ``choices`` checks the suite name
+    defined = {obj for _, obj in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(obj, Exception)
+               and obj.__module__ == errors.__name__}
+    assert defined - set(cli._NUMERIC_ERRORS) == {errors.UnknownSuite}

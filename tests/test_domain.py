@@ -196,3 +196,83 @@ class TestValidators:
     def test_finite_names_the_parameter(self, value):
         with pytest.raises(DomainError, match="^x must be finite$"):
             _finite("x", value)
+
+
+# (label, call(level)); each call passes ``level`` as its one target level
+LEVEL_CALLS = [
+    ("lt_hit_point", lambda a: hl.lt_hit_point(hl.HittingQuery(1.5, 1.0, a=a))),
+    ("lt_hit_either/a",
+     lambda a: hl.lt_hit_either(hl.HittingQuery(1.5, 1.0, a=a, b=1.0))),
+    ("lt_hit_either/b",
+     lambda a: hl.lt_hit_either(hl.HittingQuery(1.5, 1.0, a=1.0, b=a))),
+    ("lt_hit_before/a",
+     lambda a: hl.lt_hit_before(hl.HittingQuery(1.5, 1.0, a=a, b=1.0))),
+    ("lt_hit_before/b",
+     lambda a: hl.lt_hit_before(hl.HittingQuery(1.5, 1.0, a=1.0, b=a))),
+    ("prob_hit_before/a", lambda a: hl.prob_hit_before(1.5, 0.0, a, 1.0)),
+    ("prob_hit_before/b", lambda a: hl.prob_hit_before(1.5, 0.0, 1.0, a)),
+    ("lt_last_exit", lambda a: hl.lt_last_exit(1.5, 1.0, a)),
+    ("lt_post_exit", lambda a: hl.lt_post_exit(1.5, 1.0, a)),
+    ("excursion_hit_mass", lambda a: hl.excursion_hit_mass(1.5, a)),
+    ("excursion_hit_lt", lambda a: hl.excursion_hit_lt(1.5, 1.0, a)),
+    ("lt_hit_abs", lambda a: hl.lt_hit_abs(1.5, 1.0, a)),
+    ("lt_hit_abs_series", lambda a: hl.lt_hit_abs_series(1.5, 1.0, a, 4)),
+    ("leg_decomposition_gap", lambda a: hl.leg_decomposition_gap(1.5, 1.0, a, 1)),
+    ("lt_hit_three", lambda a: hl.lt_hit_three(1.5, 1.0, 0.5, a)),
+    ("lt_hit_pair_before_zero",
+     lambda a: hl.lt_hit_pair_before_zero(1.5, 1.0, 0.5, a)),
+    ("lt_last_exit_abs", lambda a: hl.lt_last_exit_abs(1.5, 1.0, a)),
+    ("lt_post_exit_abs", lambda a: hl.lt_post_exit_abs(1.5, 1.0, a)),
+    ("excursion_hit_mass_abs", lambda a: hl.excursion_hit_mass_abs(1.5, a)),
+    ("excursion_hit_lt_abs", lambda a: hl.excursion_hit_lt_abs(1.5, 1.0, a)),
+    ("sample_hitting_time",
+     lambda a: smp.sample_hitting_time(1.5, a, _stream(), 3)),
+    ("sample_overshoot", lambda a: smp.sample_overshoot(1.5, a, _stream(), 3)),
+]
+
+
+@pytest.mark.parametrize("level", [math.inf, -math.inf])
+@pytest.mark.parametrize("label,call", LEVEL_CALLS,
+                         ids=[c[0] for c in LEVEL_CALLS])
+def test_infinite_level_raises_domain_error(label, call, level):
+    with pytest.raises(DomainError, match="must be finite|must be positive"):
+        call(level)
+
+
+def test_second_target_rule_checks_infinity_last():
+    # the checks that raise on finite input keep their messages first
+    query = hl.HittingQuery(1.5, 1.0, a=math.inf, b=math.inf)
+    with pytest.raises(DomainError, match="^targets a and b must differ$"):
+        hl.lt_hit_either(query)
+    with pytest.raises(DomainError, match="^b must be finite$"):
+        hl.prob_hit_before(1.5, 0.0, 1.0, -math.inf)
+    with pytest.raises(DomainError, match="^target level a must be nonzero$"):
+        _nonzero(0.0)
+    with pytest.raises(DomainError, match="^a must be finite$"):
+        _nonzero(-math.inf)
+
+
+# the laws of |X| that take a level a; u and h are even in it
+ABS_LAWS = [
+    ("lt_hit_abs", lambda a: hl.lt_hit_abs(1.5, 0.7, a)),
+    ("lt_last_exit_abs", lambda a: hl.lt_last_exit_abs(1.5, 0.7, a)),
+    ("lt_post_exit_abs", lambda a: hl.lt_post_exit_abs(1.5, 0.7, a)),
+    ("excursion_hit_mass_abs", lambda a: hl.excursion_hit_mass_abs(1.5, a)),
+    ("excursion_hit_lt_abs",
+     lambda a: hl.excursion_hit_lt_abs(1.5, 0.7, a, r=2.0)),
+]
+
+
+@pytest.mark.parametrize("label,law", ABS_LAWS, ids=[c[0] for c in ABS_LAWS])
+def test_abs_laws_share_one_level_rule(label, law):
+    for a in (0.3, 1.0, 4.0):
+        assert law(-a) == law(a)
+    with pytest.raises(DomainError, match="^target level a must be nonzero$"):
+        law(0.0)
+
+
+def test_pair_before_zero_checks_a_before_reading_u():
+    # |x| q^{1/alpha} = 5e-12 lies in u_1's failing band near alpha = 2,
+    # so a read of u there would raise NonConvergence
+    with pytest.raises(DomainError, match="^target level a must be nonzero$"):
+        hl.lt_hit_pair_before_zero(1.999, 1.0, 5e-12, 0.0)

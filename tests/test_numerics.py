@@ -1,11 +1,15 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from stable_hitting import numerics
 from stable_hitting.errors import DomainError, NonConvergence, NumericInstability
-from stable_hitting.numerics import (ABS_TOL, REL_TOL, integrate_adaptive,
+from stable_hitting.numerics import (ABS_TOL, REL_TOL, _invert_cdf_rows,
+                                     integrate_adaptive,
                                      integrate_oscillatory_cos,
                                      laplace_invert_cdf, tolerance)
 
@@ -114,6 +118,93 @@ class TestLaplaceInvertCdf:
         bad = lambda q: math.cos(25.0 * float(q))
         with pytest.raises(NumericInstability):
             laplace_invert_cdf(bad, 1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_transform_raises_without_warning(self, value):
+        # the sums run with floating-point warnings silenced, as in the rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericInstability,
+                               match=r"^non-finite inversion estimate at t=1\.0$"):
+                laplace_invert_cdf(lambda q: value, 1.0)
+
+    @pytest.mark.parametrize("n_terms", [4, 12, 16])
+    def test_transform_called_once_per_node_on_scalars(self, n_terms):
+        seen = []
+
+        def phi(q):
+            seen.append(q)
+            return 1.0 / (1.0 + q)
+
+        laplace_invert_cdf(phi, 1.37, n_terms)
+        ln2_t = np.log(np.longdouble(2)) / np.longdouble(1.37)
+        assert [type(q) for q in seen] == [np.longdouble] * n_terms
+        assert seen == [np.longdouble(k) * ln2_t for k in range(1, n_terms + 1)]
+
+    @pytest.mark.parametrize("n_terms", [4, 12, 16, 20, 40])
+    def test_weights_equal_stehfest_formula(self, n_terms):
+        # Stehfest's sum of rationals, as published, is the reference
+        fac = math.factorial
+        weights, k = numerics._stehfest_weights(n_terms)
+        assert k.tolist() == list(range(1, n_terms + 1))
+        for row, n in enumerate((n_terms, n_terms - 2)):
+            n2 = n // 2
+            want = []
+            for j in range(1, n + 1):
+                acc = Fraction(0)
+                for i in range((j + 1) // 2, min(j, n2) + 1):
+                    acc += Fraction(i ** n2 * fac(2 * i),
+                                    fac(n2 - i) * fac(i) * fac(i - 1)
+                                    * fac(j - i) * fac(2 * i - j))
+                acc *= (-1) ** (n2 + j)
+                want.append(np.longdouble(acc.numerator)
+                            / np.longdouble(acc.denominator))
+            assert weights[row].tolist() == want + [0.0] * (n_terms - n)
+
+    @pytest.mark.parametrize("n_terms", [12, 16, 20])
+    def test_sums_equal_the_term_loop(self, n_terms):
+        # the loop over terms that the array sums replaced is the reference:
+        # terms added one at a time, k = 1, 2, ..., in extended precision.
+        # The weights cancel in a smooth transform's values, so another
+        # order of the same terms shows in the rounded double from 12 terms
+        ld = np.longdouble
+        phi = lambda q: np.exp(-np.sqrt(q))
+
+        def loop_estimate(t, n):
+            weights = numerics._stehfest_weights(n)[0][0]
+            ln2_t = np.log(ld(2)) / ld(t)
+            acc = ld(0.0)
+            for k in range(1, n + 1):
+                acc += weights[k - 1] * phi(ld(k) * ln2_t) / ld(k)
+            return float(acc)
+
+        ts = np.geomspace(1e-3, 1e4, 64)
+        want = []
+        for t in ts:
+            est, check = loop_estimate(t, n_terms), loop_estimate(t, n_terms - 2)
+            assert abs(est - check) <= 0.1
+            want.append(min(1.0, max(0.0, est)))
+        assert _invert_cdf_rows(phi, ts, n_terms).tolist() == want
+        assert [laplace_invert_cdf(phi, t, n_terms) for t in ts] == want
+
+    @pytest.mark.parametrize("phi,match", [
+        (lambda q: np.exp(-q) * (1.0 + 0.5 * np.sin(3.0 * q)), "terms differ"),
+        (lambda q: np.where(q > 50.0, np.nan, 1.0 / (1.0 + q)), "non-finite"),
+    ], ids=["gap", "non-finite"])
+    def test_both_inverters_fail_alike(self, phi, match):
+        # the walk down from t = 100 passes several points before failing
+        ts = np.geomspace(100.0, 1e-2, 25)
+        with pytest.raises(NumericInstability, match=match) as rows:
+            _invert_cdf_rows(phi, ts, 12)
+        passed = 0
+        for t in ts:
+            try:
+                laplace_invert_cdf(phi, t)
+            except NumericInstability as exc:
+                assert str(exc) == str(rows.value)
+                break
+            passed += 1
+        assert passed >= 5
 
     def test_bad_args(self):
         with pytest.raises(DomainError):
