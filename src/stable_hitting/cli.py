@@ -4,7 +4,11 @@ verification suites, all emitting CSV on stdout.
 ``eval`` of a kind in q, given a grid of at least ``_Q_GROUP_MIN`` values
 of q, calls its law once for each combination of the other flags, with the
 q grid as an array, and prints the rows in the product order of the flags,
-as row-by-row evaluation would.
+as row-by-row evaluation would.  ``invert`` calls its law once for the whole
+t grid, on the (len(t), n_terms) matrix of Stehfest nodes, through
+``numerics._invert_cdf_rows``.  Where such an array call fails (``_at_once``),
+the command makes the float calls instead, so that its output, message and
+exit code are always those of one call per row.
 
 Exit codes: 0 on success (and all checks passing for ``verify``), 1 on domain
 or numeric failure, 2 on usage errors.  All randomness is controlled by the
@@ -31,7 +35,7 @@ from .distributions import (alpha_rayleigh_survival, linnik_density,
                             meixner_density, z_density)
 from .errors import (ConsistencyError, DegenerateDenominator, DomainError,
                      NonConvergence, NumericInstability, TableBuildError)
-from .numerics import laplace_invert_cdf
+from .numerics import _invert_cdf_rows, laplace_invert_cdf
 from .resolvent import potential_kernel, resolvent_density, transition_density
 
 _NUMERIC_ERRORS = (DomainError, NonConvergence, NumericInstability,
@@ -144,15 +148,33 @@ def _row_by_row(fn, grids):
 _Q_GROUP_MIN = 5
 
 
+def _strict(fn):
+    """``fn`` with floating-point overflow, division by zero and invalid
+    operations raised, as ``_at_once`` needs them."""
+    def call(*args, **kwargs):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return fn(*args, **kwargs)
+    return call
+
+
+def _at_once(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, one call that stands in for many float calls
+    of a law, with floating-point overflow, division by zero and invalid
+    operations raised; None where it raises one of those or a package error.
+    The caller then makes the float calls, so that the rows printed before
+    a failing one, its message and the exit code are theirs."""
+    try:
+        return _strict(fn)(*args, **kwargs)
+    except (ArithmeticError, ValueError):
+        return None
+
+
 def _by_q_group(fn, grids):
     """``_row_by_row``, from one call of ``fn`` per combination of the flags
     other than q, with q's grid as an array.
 
     The laws in q give each element bit for bit as a float q does.  A group
-    whose call raises, or meets a floating-point overflow, division by zero
-    or invalid operation, gives its rows by one call each, so that the rows
-    printed before a failing row, its message and the exit code are those
-    of ``_row_by_row``."""
+    whose call fails (``_at_once``) gives its rows by one call each."""
     at = list(grids).index("q")
     qs = np.array(grids["q"])
     where = {q: i for i, q in enumerate(grids["q"])}
@@ -161,11 +183,8 @@ def _by_q_group(fn, grids):
         params = dict(zip(grids, combo))
         key = combo[:at] + combo[at + 1:]
         if key not in groups:
-            try:
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    groups[key] = fn(**{**params, "q": qs}).tolist()
-            except (ArithmeticError, ValueError):
-                groups[key] = None
+            values = _at_once(fn, **{**params, "q": qs})
+            groups[key] = None if values is None else values.tolist()
         values = groups[key]
         yield params, (fn(**params) if values is None
                        else values[where[combo[at]]])
@@ -266,20 +285,29 @@ def _cmd_invert(args) -> int:
     required, optional, fn = EVAL_KINDS[args.kind]
     params = _read_flags(args, [n for n in required if n != "q"], optional,
                          _INVERT_FLAGS)
+    ts = sorted(args.t)
+    # the whole grid from one call of the law on its node matrix; the
+    # inverter silences its transform's floating-point warnings, so the law
+    # raises them under its own errstate
+    law = _strict(fn)
+    grid = _at_once(_invert_cdf_rows,
+                    lambda q: law(**params, q=q.astype(float)), ts, args.terms)
 
     def phi(q):
         return fn(**params, q=float(q))
 
     _emit(["t", "p", "note"])
     failed, best = False, 0.0
-    for t in sorted(args.t):
+    for i, t in enumerate(ts):
         try:
-            # clamp the CDF monotone along the grid
-            best = max(best, laplace_invert_cdf(phi, t, n_terms=args.terms))
+            p = (laplace_invert_cdf(phi, t, n_terms=args.terms)
+                 if grid is None else float(grid[i]))
         except NumericInstability as exc:
             _emit([_fmt(t), "", f"unstable: {exc}"])
             failed = True
             continue
+        # clamp the CDF monotone along the grid
+        best = max(best, p)
         _emit([_fmt(t), _fmt(best), ""])
     return 1 if failed else 0
 

@@ -11,9 +11,11 @@ Three workhorses live here:
 * ``laplace_invert_cdf``   -- Gaver-Stehfest inversion of E[e^{-qT}] into
   P(T < t), run in 80-bit extended precision because the Salzer weights
   amplify rounding in the transform values.  It calls the transform once
-  per node on a scalar, and ``_invert_cdf_rows``, behind the table of
-  ``sampling.sample_from_lt``, once on the nodes of a grid of times; both
-  hand the values to the one body ``_stehfest``, so they agree bit for bit.
+  per node on a scalar, and ``_invert_cdf_rows`` once on the nodes of a
+  grid of times: behind the table of ``sampling.sample_from_lt``, the
+  ``invert`` command of ``cli`` and the ``inversion`` suite of ``verify``.
+  Both hand the values to the one body ``_stehfest``, so they agree bit
+  for bit.
 """
 
 from __future__ import annotations

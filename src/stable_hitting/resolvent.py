@@ -324,17 +324,19 @@ def _u1_rows(alpha: float, w) -> np.ndarray:
 def _u1_tuple(alpha: float, ws: tuple) -> tuple:
     """``_u1(alpha, x)`` for each x of ``ws``.
 
-    The rows where ``_u1_closed`` is None run on blocks of at most
-    ``_U1_BLOCK`` rows of ``_u1_rule``, each summed and checked by
-    ``_u1_sum`` as ``_u1``'s one row is, so the first row to fail raises
-    ``_u1``'s message.  Every other row is ``_u1`` itself, with its closed
-    forms and cache.  None of those raises in ``_resolvent``'s range
-    1 < alpha <= 2; below it a row at w = 0 raises as it is routed.
+    Each distinct x is routed once.  The ones where ``_u1_closed`` is None
+    run on blocks of at most ``_U1_BLOCK`` rows of ``_u1_rule``, each summed
+    and checked by ``_u1_sum`` as ``_u1``'s one row is, so the first row to
+    fail raises ``_u1``'s message.  Every other one is ``_u1`` itself, with
+    its closed forms and cache.  None of those raises in ``_resolvent``'s
+    range 1 < alpha <= 2; below it a row at w = 0 raises as it is routed.
 
     The cache keys on the whole tuple: an ``eval`` grid reads the same tuple
     of w wherever one level is twice another, as u(2a) at a = 1/2 and u(a)
-    at a = 1 do."""
-    rule = [x for x in ws if _u1_closed(alpha, x) is None]
+    at a = 1 do.  Within one tuple, the Stehfest nodes k ln2 / t of a
+    doubling t grid repeat: 7 times at 12 terms give 48 distinct nodes of
+    84, and u(0) over an array of q is one w repeated."""
+    rule = [x for x in dict.fromkeys(ws) if _u1_closed(alpha, x) is None]
     values = {}
     for start in range(0, len(rule), _U1_BLOCK):
         block = rule[start:start + _U1_BLOCK]

@@ -25,7 +25,7 @@ from . import distributions as dist
 from . import hitting_laws as hl
 from . import sampling as smp
 from .errors import DomainError, UnknownSuite, _alpha
-from .numerics import laplace_invert_cdf
+from .numerics import _invert_cdf_rows, laplace_invert_cdf
 from .resolvent import (one_minus_cos_integral, potential_kernel,
                         potential_kernel_at_one, resolvent_density,
                         transition_density)
@@ -220,10 +220,14 @@ def _suite_inversion(idx_grid, seed, n_samples):
     stream = smp.RandomStream(seed, 300)
     n = n_samples
     draws = np.sort(smp.sample_hitting_time(al, 1.0, stream, size=n))
-    hit_lt = lambda q: hl.lt_hit_point(hl.HittingQuery(al, float(q), a=1.0))
-    for p in (0.10, 0.25, 0.50, 0.75, 0.90):
-        t_emp = float(draws[min(int(p * n), n - 1)])
-        inverted = laplace_invert_cdf(hit_lt, t_emp, n_terms=12)
+    ps = (0.10, 0.25, 0.50, 0.75, 0.90)
+    ts = [float(draws[min(int(p * n), n - 1)]) for p in ps]
+    # one call of the law on all the nodes, each value equal to
+    # laplace_invert_cdf's at its t
+    cdf = _invert_cdf_rows(
+        lambda q: hl.lt_hit_point(hl.HittingQuery(al, q.astype(float), a=1.0)),
+        ts, 12)
+    for p, t_emp, inverted in zip(ps, ts, cdf.tolist()):
         noise = math.sqrt(p * (1 - p) / n)
         yield _check(f"hit_cdf_quantile/p={p}", inverted, p,
                      1e-3 + 3 * noise, n_samples=n,

@@ -311,11 +311,15 @@ class TestInvert:
         # inversion diverges is left blank, and the exit code is 1
         values = {0.5: 0.3, 1.0: None, 2.0: 0.2, 4.0: 0.6}
 
+        def no_grid(phi, ts, n_terms):
+            raise NumericInstability("a row of the grid fails")
+
         def invert(phi, t, n_terms):
             if values[t] is None:
                 raise NumericInstability("gap 0.2")
             return values[t]
 
+        monkeypatch.setattr(cli, "_invert_cdf_rows", no_grid)
         monkeypatch.setattr(cli, "laplace_invert_cdf", invert)
         code, out, _ = run(capsys, "invert", "lt-T", "--alpha", "1.5",
                            "--a", "1", "--t", "2,0.5,1,4")
@@ -330,6 +334,94 @@ class TestInvert:
         ps = [float(r["p"]) for r in rows(out)]
         assert all(b >= a for a, b in zip(ps, ps[1:]))
         assert all(0 <= p <= 1 for p in ps)
+
+
+def _counted_law(monkeypatch, kind):
+    """The keyword arguments of every call of the kind's law, recorded."""
+    required, optional, fn = EVAL_KINDS[kind]
+    calls = []
+
+    def counted(**params):
+        calls.append(params)
+        return fn(**params)
+
+    monkeypatch.setitem(EVAL_KINDS, kind, (required, optional, counted))
+    return calls
+
+
+def _per_t(kind, alpha, a, ts, terms, x=0.0):
+    """The exit code, stdout and stderr of ``invert`` made of one
+    ``laplace_invert_cdf`` call a t, from the library's laws."""
+    if kind == "lt-T":
+        law = lambda q: hl.lt_hit_point(hl.HittingQuery(alpha, q, x=x, a=a))
+    else:
+        law = lambda q: INVERTED[kind](alpha, q, a)
+    lines, best, code = ["t,p,note"], 0.0, 0
+    for t in sorted(ts):
+        try:
+            p = laplace_invert_cdf(lambda q: law(float(q)), t, n_terms=terms)
+        except NumericInstability as exc:
+            lines.append(f"{t!r},,unstable: {exc}")
+            code = 1
+            continue
+        except (ArithmeticError, ValueError) as exc:
+            return 1, "\n".join(lines) + "\n", f"invert: {exc}\n"
+        best = max(best, p)
+        lines.append(f"{t!r},{best!r},")
+    return code, "\n".join(lines) + "\n", ""
+
+
+class TestInvertOneCall:
+    @pytest.mark.parametrize("terms", [12, 16])
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.9, 2.0])
+    @pytest.mark.parametrize("kind", sorted(INVERTED))
+    def test_one_law_call_per_grid(self, capsys, monkeypatch, kind, alpha,
+                                   terms):
+        # the law is called once, on the float node matrix of the grid, and
+        # the rows are the per-t inversions bit for bit
+        ts = [1e4, 1e-3, 0.03, 1.0, 1.0, 30.0, 2.5]
+        calls = _counted_law(monkeypatch, kind)
+        got = run(capsys, "invert", kind, f"--alpha={alpha!r}", "--a=1",
+                  _flag("t", ts), f"--terms={terms}")
+        assert len(calls) == 1
+        q = calls[0]["q"]
+        assert isinstance(q, np.ndarray)
+        assert q.dtype == float and q.shape == (len(ts), terms)
+        assert got[0] == 0
+        assert got == _per_t(kind, alpha, 1.0, ts, terms)
+
+    @pytest.mark.parametrize("x", [-2.0, 0.5, 3.0])
+    def test_start_point_rows(self, capsys, monkeypatch, x):
+        ts = [0.01, 0.5, 2.0, 2.0, 100.0]
+        calls = _counted_law(monkeypatch, "lt-T")
+        got = run(capsys, "invert", "lt-T", "--alpha=1.7", "--a=1",
+                  f"--x={x!r}", _flag("t", ts))
+        assert len(calls) == 1
+        assert got == _per_t("lt-T", 1.7, 1.0, ts, 12, x=x)
+
+    def test_unstable_rows_fall_back(self, capsys):
+        # at 28 terms the grid is unstable from t = 4 on: row 2.0 is clamped
+        # to row 1.0, rows 4 and 16 are blank
+        ts = [0.1, 0.5, 1.0, 2.0, 4.0, 16.0]
+        got = run(capsys, "invert", "lt-T", "--alpha", "1.5", "--a", "1",
+                  "--t", "0.1,0.5,1,2,4,16", "--terms", "28")
+        assert got == _per_t("lt-T", 1.5, 1.0, ts, 28)
+        table = rows(got[1])
+        assert got[0] == 1
+        assert table[3]["p"] == table[2]["p"] != ""
+        assert [r["p"] for r in table[4:]] == ["", ""]
+        assert all(r["note"].startswith("unstable: ") for r in table[4:])
+
+    def test_failing_node_falls_back(self, capsys):
+        # u_1's half-step check fails at the nodes of t = 1: the row of
+        # t = 1e-3 is printed, then the message
+        ts = [1e-3, 1.0, 1e3, 1e6, 1e9]
+        got = run(capsys, "invert", "lt-T", "--alpha", "1.999", "--a",
+                  "1e-12", "--t", "1e-3,1,1e3,1e6,1e9")
+        assert got == _per_t("lt-T", 1.999, 1e-12, ts, 12)
+        assert got[0] == 1 and len(rows(got[1])) == 1
+        assert got[2].startswith(
+            "invert: u_1 rule and its half-step rule differ by 3.1e-08 ")
 
 
 class TestVerify:

@@ -369,6 +369,33 @@ class TestU1Rows:
         assert str(info.value) == message
         assert shapes == [(3, 1)]
 
+    def test_each_distinct_w_is_routed_once(self, monkeypatch):
+        # Stehfest nodes of a doubling t grid repeat, and u(0) over an array
+        # of q is a row of zeros
+        w = np.array([0.0, 1.0, 2.0, 1.0, 0.0, 4.0, 2.0, 1e-13, 0.0, 1e-13,
+                      1e100, 1e100, 0.5, 4.0])
+        want, _ = _scalar_rows(1.5, w)
+        rule, closed = resolvent._u1_rule, resolvent._u1_closed
+        ruled, routed = [], []
+
+        def counted_rule(alpha, x):
+            ruled.extend(np.ravel(x).tolist())
+            return rule(alpha, x)
+
+        def counted_closed(alpha, x):
+            routed.append(x)
+            return closed(alpha, x)
+
+        monkeypatch.setattr(resolvent, "_u1_rule", counted_rule)
+        monkeypatch.setattr(resolvent, "_u1_closed", counted_closed)
+        _u1_tuple.cache_clear()
+        got = _u1_rows(1.5, w)
+        assert got.tobytes() == want.tobytes()
+        assert ruled == [1.0, 2.0, 4.0, 0.5]
+        # one route each, and one more inside _u1 for the closed forms
+        assert sorted(routed) == sorted([*set(w.tolist()), 0.0, 1e-13, 1e100])
+        _u1.cache_clear()
+
     def test_repeated_rows_come_from_the_cache(self):
         _u1_tuple.cache_clear()
         w = np.array([0.5, 1.0, 2.0])

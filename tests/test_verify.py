@@ -4,10 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from stable_hitting import hitting_laws as hl
+from stable_hitting import sampling as smp
 from stable_hitting import verify
 from stable_hitting.errors import DomainError, UnknownSuite
+from stable_hitting.numerics import laplace_invert_cdf
 from stable_hitting.verify import (SUITE_NAMES, VerificationReport, all_passed,
                                    report_to_csv, report_to_json, run_suite)
 
@@ -47,6 +51,32 @@ class TestRunSuite:
     def test_inversion_suite_small(self):
         reports = run_suite("inversion", seed=5, n_samples=SMALL_N)
         assert all_passed(reports)
+
+    def test_inversion_quantiles_are_the_scalar_inversions(self,
+                                                           monkeypatch):
+        # the suite inverts its five quantiles in one call; each value is
+        # laplace_invert_cdf's at that quantile, bit for bit
+        calls = []
+
+        def counted(phi, ts, n_terms):
+            calls.append(len(ts))
+            return invert_rows(phi, ts, n_terms)
+
+        invert_rows = verify._invert_cdf_rows
+        monkeypatch.setattr(verify, "_invert_cdf_rows", counted)
+        reports = run_suite("inversion", seed=5, n_samples=SMALL_N)
+        assert calls == [5]
+        draws = np.sort(smp.sample_hitting_time(
+            1.5, 1.0, smp.RandomStream(5, 300), size=SMALL_N))
+        law = lambda q: hl.lt_hit_point(hl.HittingQuery(1.5, float(q), a=1.0))
+        quantiles = [r for r in reports
+                     if r.check_id.startswith("hit_cdf_quantile/")]
+        assert len(quantiles) == 5
+        for r in quantiles:
+            p = float(r.check_id.split("=")[1])
+            t = float(draws[min(int(p * SMALL_N), SMALL_N - 1)])
+            assert r.notes == f"t={t:.5f}"
+            assert r.lhs == laplace_invert_cdf(law, t, n_terms=12)
 
     def test_deterministic_reruns(self):
         a = run_suite("mc_vs_formula", idx_grid=[1.5], seed=9, n_samples=10_000)
