@@ -1,11 +1,11 @@
 """Command-line front end: evaluators, samplers, Laplace inversion and the
 verification suites, all emitting CSV on stdout.
 
-``eval`` of a kind in q, given a grid of at least ``_Q_GROUP_MIN`` values
-of q, calls its law once for each combination of the other flags, with the
-q grid as an array, and prints the rows in the product order of the flags,
-as row-by-row evaluation would.  ``invert`` calls its law once for the whole
-t grid, on the (len(t), n_terms) matrix of Stehfest nodes, through
+``eval`` of a kind in q calls its law once per alpha, with each other flag
+an array column over the product of the other grids, and prints the rows
+in the product order of the flags, as row-by-row evaluation would; a kind
+without q is evaluated row by row.  ``invert`` calls its law once for the
+whole t grid, on the (len(t), n_terms) matrix of Stehfest nodes, through
 ``numerics._invert_cdf_rows``.  Where such an array call fails (``_at_once``),
 the command makes the float calls instead, so that its output, message and
 exit code are always those of one call per row.
@@ -141,13 +141,6 @@ def _row_by_row(fn, grids):
         yield params, fn(**params)
 
 
-# the shortest q grid that ``eval`` evaluates by ``_by_q_group``.  An array
-# call has a larger fixed cost than a float call: against row-by-row
-# evaluation in one process (lt-T, lt-G-abs and exc-n, two levels a) it was
-# 10-15% slower at 3 values of q, even at 4 and 2-10% faster at 5
-_Q_GROUP_MIN = 5
-
-
 def _strict(fn):
     """``fn`` with floating-point overflow, division by zero and invalid
     operations raised, as ``_at_once`` needs them."""
@@ -169,25 +162,24 @@ def _at_once(fn, *args, **kwargs):
         return None
 
 
-def _by_q_group(fn, grids):
-    """``_row_by_row``, from one call of ``fn`` per combination of the flags
-    other than q, with q's grid as an array.
+def _by_alpha(fn, grids):
+    """``_row_by_row``, from one call of ``fn`` per alpha, with every other
+    flag an array column over the product of the other grids; alpha leads
+    the flags of every kind in q, so the rows keep the product order.
 
-    The laws in q give each element bit for bit as a float q does.  A group
-    whose call fails (``_at_once``) gives its rows by one call each."""
-    at = list(grids).index("q")
-    qs = np.array(grids["q"])
-    where = {q: i for i, q in enumerate(grids["q"])}
-    groups = {}
-    for combo in itertools.product(*grids.values()):
-        params = dict(zip(grids, combo))
-        key = combo[:at] + combo[at + 1:]
-        if key not in groups:
-            values = _at_once(fn, **{**params, "q": qs})
-            groups[key] = None if values is None else values.tolist()
-        values = groups[key]
-        yield params, (fn(**params) if values is None
-                       else values[where[combo[at]]])
+    The laws in q give each element bit for bit as float arguments do.  An
+    alpha whose call fails (``_at_once``) gives its rows by one call each."""
+    rest = {name: grid for name, grid in grids.items() if name != "alpha"}
+    combos = list(itertools.product(*rest.values()))
+    columns = {name: np.array(column)
+               for name, column in zip(rest, zip(*combos))}
+    for alpha in grids["alpha"]:
+        values = _at_once(fn, alpha=alpha, **columns)
+        if values is None:
+            yield from _row_by_row(fn, {**grids, "alpha": [alpha]})
+            continue
+        for combo, value in zip(combos, values.tolist()):
+            yield {"alpha": alpha, **dict(zip(rest, combo))}, value
 
 
 def _cmd_eval(args) -> int:
@@ -198,8 +190,7 @@ def _cmd_eval(args) -> int:
     # a given flag is a grid, a default one value
     grids = {name: v if isinstance(v, list) else [v]
              for name, v in flags.items()}
-    rows = (_by_q_group if len(grids.get("q", ())) >= _Q_GROUP_MIN
-            else _row_by_row)
+    rows = _by_alpha if "q" in grids else _row_by_row
     for params, value in rows(fn, grids):
         _emit([_fmt(params[n]) if n in params else "" for n in names]
               + [_fmt(value)])

@@ -1,9 +1,18 @@
 """Exception types shared across the package, and the seven validators that
 every domain check of the package calls.  Each tests that the value lies
 inside its domain, so a NaN fails all of them, and returns the value; the
-name it is given is the one the CLI flag uses."""
+name it is given is the one the CLI flag uses.
+
+``_positive``, ``_finite`` and ``_nonzero`` also take an array, the rates and
+levels of a law called on arrays, and fail where any element fails, with the
+float call's message.  A float pays nothing for that: an array is told by
+the ValueError that the truth value of its comparison raises, under a
+``try`` that costs nothing unless it catches (Python 3.11 and later) and
+that wraps no raising check, since DomainError is a ValueError too."""
 
 import math
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -55,9 +64,13 @@ def _point_alpha(alpha) -> float:
 
 def _positive(name: str, value):
     """``value``, or DomainError unless it is above 0."""
-    if not value > 0:
-        raise DomainError(f"{name} must be positive")
-    return value
+    try:
+        if value > 0:
+            return value
+    except ValueError:
+        if (value > 0).all():
+            return value
+    raise DomainError(f"{name} must be positive")
 
 
 def _inside(name: str, value, lo: float, hi: float):
@@ -69,15 +82,25 @@ def _inside(name: str, value, lo: float, hi: float):
 
 def _finite(name: str, value):
     """``value``, or DomainError unless it is a finite number."""
-    if not -math.inf < value < math.inf:
-        raise DomainError(f"{name} must be finite")
-    return value
+    try:
+        if -math.inf < value < math.inf:
+            return value
+    except ValueError:
+        if (abs(value) < math.inf).all():
+            return value
+    raise DomainError(f"{name} must be finite")
 
 
 def _nonzero(a):
     """The target level ``a``, or DomainError at 0 or where it is not
     finite."""
-    if not abs(a) > 0.0:
+    try:
+        if 0.0 < abs(a) < math.inf:
+            return a
+    except ValueError:
+        pass
+    # an array, or a float that fails: the rules in order, for the message
+    if not np.all(abs(a) > 0.0):
         raise DomainError("target level a must be nonzero")
     return _finite("a", a)
 

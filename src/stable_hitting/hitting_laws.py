@@ -21,17 +21,21 @@ point ``x`` must be finite, and so must every target.  A level ``a`` is
 checked by one rule, ``errors._nonzero``, also in the |X| laws, where u
 and h are even, so a level -a gives the value at a.
 
-Every law in q also takes an array of q, with the other arguments floats,
-and returns an array of q's shape whose elements equal the float calls' bit
-for bit: ``_resolvent`` reads u_1 for the whole array through
-``resolvent._u1_rows``, the bodies are the same numpy-safe arithmetic, and a
-check that any element fails raises.  Squares are products, ``u * u``,
-since Python's ``u ** 2`` calls C ``pow``, which can differ from numpy's
-square in the last bit.
+Every law in q broadcasts over all its arguments but ``alpha`` and the
+term counts: with q an array, each of x, a, b and r may be a float or an
+array of q's shape, and the law returns an array of q's shape whose
+elements equal the float calls' bit for bit.  ``_resolvent`` reads u_1 for
+the whole array through ``resolvent._u1_rows``, powers are C ``pow`` per
+element (``resolvent._pow``), the bodies are the same numpy-safe
+arithmetic, and a check that any element fails raises.  Squares are
+products, ``u * u``, since Python's ``u ** 2`` calls C ``pow``, which can
+differ from numpy's square in the last bit.  The excursion masses and
+``potential_kernel`` take an array of a the same way.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -55,10 +59,17 @@ class HittingQuery(NamedTuple):
 
 def _second_target(a: float, b: Optional[float]) -> float:
     """The second target ``b``, or DomainError where it is missing, equal to
-    ``a`` or NaN, or where either target is infinite."""
+    ``a`` or NaN, or where either target is infinite; for arrays, where any
+    element is, as in ``errors``."""
     if b is None:
         raise DomainError("second target b required")
-    if not abs(a - b) > 0.0:
+    try:
+        if abs(a - b) > 0.0 and -inf < a < inf and -inf < b < inf:
+            return b
+    except ValueError:
+        pass
+    # an array, or floats that fail: the rules in order, for the message
+    if not np.all(abs(a - b) > 0.0):
         raise DomainError("targets a and b must differ")
     _finite("a", a)
     return _finite("b", b)
@@ -141,6 +152,9 @@ def _after_hit(alpha, r: Optional[float], a: float) -> float:
     """u_r(a)/u_r(0), the factor of zeta - T_a; 1 at r = None (r -> 0+)."""
     if r is None:
         return 1.0
+    if type(a) is np.ndarray:
+        # one rate per level; a type test, as in ``potential_kernel``
+        r = np.full(a.shape, r)
     u = _resolvent(alpha, _positive("r", r))
     return u(a) / u(0.0)
 

@@ -687,8 +687,8 @@ def test_eval_rows_are_the_library_values(capsys, kind, given):
         assert row["value"] == repr(float(_EVAL_DIRECT[kind](p))), row
 
 
-# the eval kinds in q; each is called once per combination of its other
-# flags, with the q grid as an array
+# the eval kinds in q; each is called once per alpha, with its other flags
+# as array columns
 _Q_KINDS = sorted(kind for kind, (required, optional, _) in EVAL_KINDS.items()
                   if "q" in (*required, *optional))
 _Q_GRID = {"alpha": [1.05, 1.3, 1.5, 1.8, 2.0],
@@ -720,31 +720,31 @@ def test_q_grid_rows_are_the_library_values(capsys, kind):
 
 @pytest.mark.parametrize("kind", _Q_KINDS)
 def test_one_law_call_per_group(capsys, monkeypatch, kind):
-    required, optional, fn = EVAL_KINDS[kind]
-    calls = []
-
-    def counted(**params):
-        calls.append(params)
-        return fn(**params)
-
-    monkeypatch.setitem(EVAL_KINDS, kind, (required, optional, counted))
-    flags = {"alpha": "1.5,1.7", "q": "0.25,0.5,1,2,4", "a": "1,2",
-             "x": "0.5", "r": "1"}
-    code, out, _ = run(capsys, "eval", kind, *[
-        f"--{name}={flags[name]}" for name in (*required, *optional)])
-    assert code == 0
-    assert cli._Q_GROUP_MIN == 5
-    assert len(calls) == len(rows(out)) // 5
-    assert all(isinstance(c["q"], np.ndarray) and len(c["q"]) == 5
-               for c in calls)
-    # a shorter q grid is evaluated row by row
-    calls.clear()
-    code, out, _ = run(capsys, "eval", kind, *[
-        f"--{name}={flags[name]}" for name in (*required, *optional)
-        if name != "q"], "--q=0.25,0.5,1,2")
-    assert code == 0
-    assert len(calls) == len(rows(out))
-    assert all(isinstance(c["q"], float) for c in calls)
+    # each alpha is one group: one call, with every other flag an array
+    # column over the product of the other grids.  A law that stopped
+    # broadcasting would raise in that call and be evaluated row by row,
+    # with the same output; only the count of calls shows it
+    required, optional, _ = EVAL_KINDS[kind]
+    level = "x" if kind == "resolvent" else "a"
+    calls = _counted_law(monkeypatch, kind)
+    for n_q, n_level in [(1, 1), (3, 1), (20, 2)]:
+        flags = {"alpha": [1.5, 1.7], "q": np.geomspace(0.1, 10, n_q).tolist(),
+                 "a": [1.0, -2.5], "x": [0.5, 1.5], "r": [1.0]}
+        flags[level] = flags[level][:n_level]
+        if level == "a":
+            flags["x"] = [0.5]
+        calls.clear()
+        code, out, err = run(capsys, "eval", kind, *[
+            _flag(name, flags[name]) for name in (*required, *optional)])
+        assert (code, err) == (0, "")
+        size = n_q * n_level
+        assert len(rows(out)) == 2 * size
+        assert [c["alpha"] for c in calls] == [1.5, 1.7]
+        for call in calls:
+            columns = {name: v for name, v in call.items() if name != "alpha"}
+            assert "q" in columns
+            assert all(isinstance(v, np.ndarray) and v.shape == (size,)
+                       for v in columns.values()), columns
 
 
 @pytest.mark.parametrize("kind,flags,printed", [

@@ -3,6 +3,7 @@ NaN parameter fails each of them with DomainError."""
 
 import math
 
+import numpy as np
 import pytest
 
 from stable_hitting import distributions as dist
@@ -183,6 +184,10 @@ class TestValidators:
     def test_positive_names_the_parameter(self):
         with pytest.raises(DomainError, match="^t must be positive$"):
             _positive("t", 0.0)
+        # an array fails where one element does, with the float message
+        for bad in (0.0, NAN, -math.inf, -1.0):
+            with pytest.raises(DomainError, match="^t must be positive$"):
+                _positive("t", np.array([1.0, bad, math.inf]))
 
     def test_count_names_the_parameter(self):
         with pytest.raises(DomainError, match="^n_terms must be >= 1$"):
@@ -196,6 +201,15 @@ class TestValidators:
     def test_finite_names_the_parameter(self, value):
         with pytest.raises(DomainError, match="^x must be finite$"):
             _finite("x", value)
+        with pytest.raises(DomainError, match="^x must be finite$"):
+            _finite("x", np.array([0.5, value, -1.0]))
+
+    def test_arrays_pass_whole(self):
+        good = np.array([-2.0, 0.5, 1e300])
+        assert _finite("x", good) is good
+        assert _nonzero(good) is good
+        assert _positive("q", abs(good)).tobytes() == abs(good).tobytes()
+        assert _positive("q", np.array([])).size == 0
 
 
 # (label, call(level)); each call passes ``level`` as its one target level
@@ -250,6 +264,29 @@ def test_second_target_rule_checks_infinity_last():
         _nonzero(0.0)
     with pytest.raises(DomainError, match="^a must be finite$"):
         _nonzero(-math.inf)
+    # the same rules for arrays, which fail where any element fails; an
+    # infinite level is not swallowed by the array test of the zero rule
+    ones = np.array([1.0, 2.0, 3.0])
+    for bad, message in [(0.0, "^target level a must be nonzero$"),
+                         (NAN, "^target level a must be nonzero$"),
+                         (math.inf, "^a must be finite$"),
+                         (-math.inf, "^a must be finite$")]:
+        with pytest.raises(DomainError, match=message):
+            _nonzero(np.array([1.0, bad, 3.0]))
+    with pytest.raises(DomainError, match="^a must be finite$"):
+        _nonzero(np.array([1.0, math.inf]))
+    differ = "^targets a and b must differ$"
+    for a, b, message in [
+            (ones, np.array([0.5, 2.0, -1.0]), differ),
+            (ones, np.array([0.5, NAN, -1.0]), differ),
+            (ones, np.array([0.5, math.inf, -1.0]), "^b must be finite$"),
+            (np.array([1.0, -math.inf, 3.0]), 0.5, "^a must be finite$")]:
+        with pytest.raises(DomainError, match=message):
+            hl._second_target(a, b)
+    with pytest.raises(DomainError, match=differ):
+        hl.lt_hit_either(hl.HittingQuery(1.5, ones, a=ones,
+                                         b=np.array([0.5, 2.0, 0.0])))
+    assert hl._second_target(ones, -ones).tobytes() == (-ones).tobytes()
 
 
 # the laws of |X| that take a level a; u and h are even in it

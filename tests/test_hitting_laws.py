@@ -389,35 +389,76 @@ class TestDegenerateDenominator:
             lt_post_exit_abs(1.5, 1.0, 1e-300)
 
 
-# every law in q, called with the other arguments of one row
+# every law in q, called with the rate q and the levels x, a, b and r of one
+# row (each law takes the ones it has)
 Q_LAWS = {
-    "lt_hit_point": lambda q: lt_hit_point(HittingQuery(1.5, q, x=0.3, a=1.2)),
-    "lt_hit_either": lambda q: lt_hit_either(HittingQuery(1.5, q, x=0.3, a=1.2,
-                                                          b=-0.7)),
-    "lt_hit_before": lambda q: lt_hit_before(HittingQuery(1.5, q, x=0.3, a=1.2,
-                                                          b=-0.7)),
-    "lt_last_exit": lambda q: lt_last_exit(1.5, q, 1.2),
-    "lt_post_exit": lambda q: lt_post_exit(1.5, q, 1.2),
-    "excursion_hit_lt": lambda q: excursion_hit_lt(1.5, q, 1.2, r=0.4),
-    "lt_hit_abs": lambda q: lt_hit_abs(1.5, q, 1.2),
-    "lt_hit_abs_series": lambda q: lt_hit_abs_series(1.5, q, 1.2, 7)[1][0],
-    "leg_decomposition_gap": lambda q: leg_decomposition_gap(1.5, q, 1.2, 2),
-    "lt_hit_three": lambda q: lt_hit_three(1.5, q, 0.3, 1.2),
-    "lt_hit_pair_before_zero": lambda q: lt_hit_pair_before_zero(1.5, q, 0.3, 1.2),
-    "lt_last_exit_abs": lambda q: lt_last_exit_abs(1.5, q, 1.2),
-    "lt_post_exit_abs": lambda q: lt_post_exit_abs(1.5, q, 1.2),
-    "excursion_hit_lt_abs": lambda q: excursion_hit_lt_abs(1.5, q, 1.2),
+    "lt_hit_point": lambda q, x, a, b, r: lt_hit_point(
+        HittingQuery(1.5, q, x=x, a=a)),
+    "lt_hit_either": lambda q, x, a, b, r: lt_hit_either(
+        HittingQuery(1.5, q, x=x, a=a, b=b)),
+    "lt_hit_before": lambda q, x, a, b, r: lt_hit_before(
+        HittingQuery(1.5, q, x=x, a=a, b=b)),
+    "lt_last_exit": lambda q, x, a, b, r: lt_last_exit(1.5, q, a),
+    "lt_post_exit": lambda q, x, a, b, r: lt_post_exit(1.5, q, a),
+    "excursion_hit_lt": lambda q, x, a, b, r: excursion_hit_lt(1.5, q, a, r=r),
+    "lt_hit_abs": lambda q, x, a, b, r: lt_hit_abs(1.5, q, a),
+    "lt_hit_abs_series":
+        lambda q, x, a, b, r: lt_hit_abs_series(1.5, q, a, 7)[1][0],
+    "leg_decomposition_gap":
+        lambda q, x, a, b, r: leg_decomposition_gap(1.5, q, a, 2),
+    "lt_hit_three": lambda q, x, a, b, r: lt_hit_three(1.5, q, x, a),
+    "lt_hit_pair_before_zero":
+        lambda q, x, a, b, r: lt_hit_pair_before_zero(1.5, q, x, a),
+    "lt_last_exit_abs": lambda q, x, a, b, r: lt_last_exit_abs(1.5, q, a),
+    "lt_post_exit_abs": lambda q, x, a, b, r: lt_post_exit_abs(1.5, q, a),
+    "excursion_hit_lt_abs":
+        lambda q, x, a, b, r: excursion_hit_lt_abs(1.5, q, a, r=r),
 }
+ROW = {"x": 0.3, "a": 1.2, "b": -0.7, "r": 0.4}
+
+
+def _random_row(n):
+    """n random rates q and levels x, a, b, r, spread over decades so that
+    a numpy ``power`` in place of C ``pow`` would change some last bits."""
+    rng = np.random.default_rng(20)
+    sign = rng.choice([-1.0, 1.0], size=(2, n))
+    return 10.0 ** rng.uniform(-3, 3, n), {
+        "x": rng.uniform(-3, 3, n),
+        "a": sign[0] * 10.0 ** rng.uniform(-2, 1, n),
+        "b": sign[1] * 10.0 ** rng.uniform(-2, 1, n),
+        "r": 10.0 ** rng.uniform(-2, 2, n)}
 
 
 class TestArrayRate:
     @pytest.mark.parametrize("name", sorted(Q_LAWS))
     def test_elements_equal_the_float_calls(self, name):
+        law = Q_LAWS[name]
         q = np.geomspace(1e-3, 1e3, 41)
-        got = Q_LAWS[name](q)
-        want = np.array([Q_LAWS[name](float(v)) for v in q])
+        got = law(q, **ROW)
+        want = np.array([law(float(v), **ROW) for v in q])
         assert got.shape == q.shape
         assert got.tobytes() == want.tobytes()
+        # every level an array of q's shape too, and each alone
+        q, levels = _random_row(128)
+        for given in (levels, *({k: c} for k, c in levels.items())):
+            row = {**ROW, **given}
+            want = np.array([law(float(v), **{
+                k: float(c[i]) if k in given else c for k, c in row.items()})
+                for i, v in enumerate(q)])
+            got = law(q, **row)
+            assert got.shape == q.shape
+            assert got.tobytes() == want.tobytes(), sorted(given)
+
+    @pytest.mark.parametrize("law", [
+        lambda a: resolvent.potential_kernel(1.5, a),
+        lambda a: excursion_hit_mass(1.5, a),
+        lambda a: excursion_hit_mass_abs(1.5, a)],
+        ids=["potential_kernel", "excursion_hit_mass",
+             "excursion_hit_mass_abs"])
+    def test_level_arrays_equal_the_float_calls(self, law):
+        a = _random_row(128)[1]["a"]
+        want = np.array([law(float(v)) for v in a])
+        assert law(a).tobytes() == want.tobytes()
 
     def test_one_degenerate_element_raises(self):
         # at q = 1 the level 1e-150 is far below the scale q^{-1/alpha}
@@ -454,7 +495,7 @@ class TestArrayRate:
             return read
 
         monkeypatch.setattr(hitting_laws, "_resolvent", counting)
-        Q_LAWS[name](q)
+        Q_LAWS[name](q, **ROW)
         assert closures and all(closures)
         for levels in closures:
             assert len(levels) == len(set(levels)), levels
