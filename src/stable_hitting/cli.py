@@ -306,11 +306,13 @@ def _cmd_invert(args) -> int:
 # ------------------------------------------------------------------ verify
 
 def _cmd_verify(args) -> int:
-    reports = vf.run_suite(args.suite, idx_grid=args.alpha, seed=args.seed,
+    if args.alpha is not None and args.kind not in vf._ALPHA_GRID:
+        raise _UsageError("--alpha given, but this suite does not take it")
+    reports = vf.run_suite(args.kind, idx_grid=args.alpha, seed=args.seed,
                            n_samples=args.n)
     sys.stdout.write(vf.report_to_csv(reports))
     if args.out:
-        vf.write_reports(args.out, args.suite, reports)
+        vf.write_reports(args.out, args.kind, reports)
     return 0 if vf.all_passed(reports) else 1
 
 
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     iv.add_argument("--terms", type=int, default=12)
 
     ve = sub.add_parser("verify", help="run a verification suite")
-    ve.add_argument("suite", choices=vf.SUITE_NAMES)
+    ve.add_argument("kind", metavar="suite", choices=vf.SUITE_NAMES)
     ve.add_argument("--alpha", type=_float_grid,
                     help="comma-separated alpha grid")
     ve.add_argument("--seed", type=int, default=0)

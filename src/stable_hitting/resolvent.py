@@ -6,9 +6,9 @@ self-similarity scaling before any quadrature runs.  p_1 and u_1 each have
 one kernel, ``_p1`` and ``_u1``; only ``_u1`` is cached, and the Linnik
 density of ``distributions`` is u_1 itself and shares that cache.
 ``_u1_rows`` gives u_1 of an array, equal to ``_u1`` element by element,
-from blocks of the same rule (``_u1_rule``), cached per tuple of w in
-``_u1_tuple``; both route w through ``_u1_closed`` and sum a rule's row in
-``_u1_sum``.  So u_q, and every hitting law with it, takes an array of q;
+from blocks of the same rule (``_u1_rule``), and keeps no cache; both route
+w through ``_u1_closed`` and sum a rule's row in ``_u1_sum``.  So u_q, and
+every hitting law with it, takes an array of q;
 ``_pow`` forms each power of an array by C ``pow``, as for a float.
 
 Neither kernel takes an oscillatory route.  ``_p1`` is Zolotarev's integral of
@@ -316,35 +316,19 @@ _U1_BLOCK = 16
 
 def _u1_rows(alpha: float, w) -> np.ndarray:
     """``_u1(alpha, x)`` for each x of the array ``w``, bit for bit, in an
-    array of w's shape; see ``_u1_tuple``."""
-    flat = tuple(np.asarray(w, dtype=float).ravel().tolist())
-    return np.array(_u1_tuple(alpha, flat)).reshape(np.shape(w))
-
-
-@lru_cache(maxsize=None)
-def _u1_tuple(alpha: float, ws: tuple) -> tuple:
-    """``_u1(alpha, x)`` for each x of ``ws``.
-
-    Each distinct x is routed once.  The ones where ``_u1_closed`` is None
-    run on blocks of at most ``_U1_BLOCK`` rows of ``_u1_rule``, each summed
-    and checked by ``_u1_sum`` as ``_u1``'s one row is, so the first row to
-    fail raises ``_u1``'s message.  Every other one is ``_u1`` itself, with
-    its closed forms and cache.  None of those raises in ``_resolvent``'s
-    range 1 < alpha <= 2; below it a row at w = 0 raises as it is routed.
-
-    The cache keys on the whole tuple: an ``eval`` grid reads the same tuple
-    of w wherever one level is twice another, as u(2a) at a = 1/2 and u(a)
-    at a = 1 do.  Within one tuple, the Stehfest nodes k ln2 / t of a
-    doubling t grid repeat: 7 times at 12 terms give 48 distinct nodes of
-    84, and u(0) over an array of q is one w repeated."""
-    rule = [x for x in dict.fromkeys(ws) if _u1_closed(alpha, x) is None]
-    values = {}
+    array of w's shape, with no cache.  Each distinct x is routed once, by
+    ``_u1_closed``; where that is None, x runs on blocks of at most
+    ``_U1_BLOCK`` rows of ``_u1_rule``, each summed and checked by
+    ``_u1_sum``, so the first row to fail raises ``_u1``'s message."""
+    ws = np.asarray(w, dtype=float).ravel().tolist()
+    values = {x: _u1_closed(alpha, x) for x in dict.fromkeys(ws)}
+    rule = [x for x, value in values.items() if value is None]
     for start in range(0, len(rule), _U1_BLOCK):
         block = rule[start:start + _U1_BLOCK]
         scale, g = _u1_rule(alpha, np.array(block)[:, None])
         for x, sc, row in zip(block, scale[:, 0].tolist(), g):
             values[x] = _u1_sum(alpha, x, sc, row)
-    return tuple(values[x] if x in values else _u1(alpha, x) for x in ws)
+    return np.array([values[x] for x in ws]).reshape(np.shape(w))
 
 
 def u1_zero(alpha: float) -> float:

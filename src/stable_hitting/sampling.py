@@ -58,8 +58,10 @@ class SampleStats:
             var = math.inf
         else:
             var = float(np.var(draws, ddof=1))
-        return cls(n=n, mean=float(np.mean(draws)), variance=var,
-                   stderr=math.sqrt(var / n))
+        # draws past it on both sides have no mean: NaN, with no warning
+        with np.errstate(invalid="ignore"):
+            mean = float(np.mean(draws))
+        return cls(n=n, mean=mean, variance=var, stderr=math.sqrt(var / n))
 
 
 def ks_distance(draws, cdf) -> float:
@@ -102,17 +104,36 @@ def sample_sym_stable(alpha: float, stream: RandomStream, size=None):
     exponential; the alpha = 2 branch returns sqrt(2) times a standard
     normal rather than the degenerate limit of the formula.
     """
-    alpha = _alpha(alpha)
+    return _stable_scaled(_alpha(alpha), stream, size)
+
+
+def _stable_scaled(alpha: float, stream: RandomStream, size, e=None):
+    """X(1) as ``sample_sym_stable`` draws it, times e^{1/alpha} for the
+    exponentials ``e`` if given.  Below alpha of about 0.02 the factors of
+    the product overflow or underflow apart, to NaN, +-inf or 0 where the
+    draw is a normal double; such a draw is formed again from the log of
+    each factor, with the sign of u, and every other is the product."""
     rng = stream.rng
     if alpha == 2.0:
-        return math.sqrt(2.0) * rng.standard_normal(size)
+        x = math.sqrt(2.0) * rng.standard_normal(size)
+        return x if e is None else e ** (1.0 / alpha) * x
     u = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, size)
     # drawn at alpha = 1 too, so the stream advances alike for every alpha
     w = rng.standard_exponential(size)
-    if alpha == 1.0:
-        return np.tan(u)
-    s = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-    return s * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+    with np.errstate(all="ignore"):
+        x = np.tan(u) if alpha == 1.0 else (
+            np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+        if e is not None:
+            x = e ** (1.0 / alpha) * x
+        if np.isfinite(x).all() and x.all():
+            return x
+        log_x = (np.log(np.abs(np.sin(alpha * u))) - np.log(np.cos(u)) / alpha
+                 + ((1.0 - alpha) / alpha)
+                 * (np.log(np.cos((1.0 - alpha) * u)) - np.log(w))
+                 + (0.0 if e is None else np.log(e) / alpha))
+        bad = ~np.isfinite(x) | (x == 0.0)
+        return np.where(bad, np.copysign(np.exp(log_x), u), x)[()]
 
 
 def _log_zolotarev_a(u, beta: float):
@@ -203,8 +224,7 @@ def sample_linnik(alpha: float, stream: RandomStream, size=None):
     process at an independent unit exponential time, e^{1/alpha} X(1)."""
     alpha = _alpha(alpha)
     e = stream.rng.standard_exponential(size)
-    x = sample_sym_stable(alpha, stream, size)
-    return e ** (1.0 / alpha) * x
+    return _stable_scaled(alpha, stream, size, e)
 
 
 def sample_hitting_time(alpha, a: float, stream: RandomStream, size=None):

@@ -249,6 +249,9 @@ SUITE_NAMES = tuple(_SUITES)
 # the suites that compare a sample of n_samples draws with a formula
 _MONTE_CARLO = frozenset({"mc_vs_formula", "excursion", "inversion"})
 
+# the suites that run over an alpha grid, ``idx_grid``; the others ignore it
+_ALPHA_GRID = frozenset({"formula_algebra", "mc_vs_formula", "relation_R"})
+
 
 def run_suite(suite_name: str, idx_grid=None, seed: int = 0,
               n_samples: int = 1_000_000) -> list[VerificationReport]:

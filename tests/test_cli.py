@@ -460,6 +460,15 @@ class TestVerify:
         assert "argument --n: must be >= 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("suite", ["brownian_oracle", "excursion",
+                                       "appendix", "inversion"])
+    def test_alpha_for_a_suite_without_a_grid_usage_error(self, capsys, suite):
+        code, out, err = run(capsys, "verify", suite, "--alpha", "1.5")
+        assert code == 2
+        assert out == ""
+        assert err == (f"verify {suite}: --alpha given, but this suite does "
+                       "not take it\n")
+
     def test_mc_small(self, capsys):
         code, _, _ = run(capsys, "verify", "mc_vs_formula", "--alpha", "1.5",
                          "--seed", "4", "--n", "20000")

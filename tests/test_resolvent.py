@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -13,7 +14,6 @@ from stable_hitting.hitting_laws import HittingQuery, lt_hit_point
 from stable_hitting.numerics import (integrate_adaptive,
                                      integrate_oscillatory_cos, tolerance)
 from stable_hitting.resolvent import (_U1_BLOCK, _p1, _u1, _u1_rows,
-                                      _u1_tuple,
                                       one_minus_cos_integral,
                                       potential_kernel,
                                       potential_kernel_at_one,
@@ -291,7 +291,6 @@ def _scalar_rows(alpha, w):
     """[_u1(alpha, x) for x in w], or the message of the first row that
     raises NonConvergence, from empty caches."""
     _u1.cache_clear()
-    _u1_tuple.cache_clear()
     try:
         return np.array([_u1(alpha, x) for x in w.tolist()]), None
     except NonConvergence as exc:
@@ -338,18 +337,6 @@ class TestU1Rows:
             _u1_rows(1.999, w)
         assert str(info.value) == message
 
-    def test_scalar_routed_rows_are_cached(self):
-        # w = 0, w <= 1e-12 and the far field go to _u1, the rule rows not
-        _u1.cache_clear()
-        _u1_rows(1.5, np.array([0.0, 1e-13, 1e100, 1.0, 2.0]))
-        info = _u1.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
-        _u1_rows(1.5, np.array([1e100, 3.0, 1e-13, 0.0]))
-        assert _u1.cache_info().hits == 3
-        _u1_rows(2.0, np.array([0.5, 1.0]))
-        assert _u1.cache_info().currsize == 5
-        _u1.cache_clear()
-
     def test_failing_row_costs_one_rule_evaluation(self, monkeypatch):
         # the block's own sums raise the scalar message; no scalar _u1 runs
         # the rule on that row a second time
@@ -363,7 +350,6 @@ class TestU1Rows:
             return rule(alpha, x)
 
         monkeypatch.setattr(resolvent, "_u1_rule", counted)
-        _u1_tuple.cache_clear()
         with pytest.raises(NonConvergence) as info:
             _u1_rows(1.999, w)
         assert str(info.value) == message
@@ -388,22 +374,41 @@ class TestU1Rows:
 
         monkeypatch.setattr(resolvent, "_u1_rule", counted_rule)
         monkeypatch.setattr(resolvent, "_u1_closed", counted_closed)
-        _u1_tuple.cache_clear()
         got = _u1_rows(1.5, w)
         assert got.tobytes() == want.tobytes()
         assert ruled == [1.0, 2.0, 4.0, 0.5]
-        # one route each, and one more inside _u1 for the closed forms
-        assert sorted(routed) == sorted([*set(w.tolist()), 0.0, 1e-13, 1e100])
-        _u1.cache_clear()
+        # one route for each distinct w, closed forms included
+        assert routed == list(dict.fromkeys(w.tolist()))
 
-    def test_repeated_rows_come_from_the_cache(self):
-        _u1_tuple.cache_clear()
-        w = np.array([0.5, 1.0, 2.0])
+    def test_array_calls_keep_nothing(self, monkeypatch):
+        # an array call neither reads nor fills _u1's cache, a repeated call
+        # runs the rule again, and a large call leaves no memory behind
+        _u1.cache_clear()
+        w = np.array([0.0, 1e-13, 1e100, 0.5, 1.0, 2.0])
+        before = _u1.cache_info()
         first = _u1_rows(1.5, w)
-        again = _u1_rows(1.5, w.reshape(3, 1))
-        assert _u1_tuple.cache_info().hits == 1
-        assert again.shape == (3, 1)
+        assert _u1.cache_info() == before
+        ruled = []
+        rule = resolvent._u1_rule
+
+        def counted(alpha, x):
+            ruled.extend(np.ravel(x).tolist())
+            return rule(alpha, x)
+
+        monkeypatch.setattr(resolvent, "_u1_rule", counted)
+        again = _u1_rows(1.5, w.reshape(2, 3))
+        assert ruled == [0.5, 1.0, 2.0]
+        assert again.shape == (2, 3)
         assert again.ravel().tobytes() == first.tobytes()
+        monkeypatch.undo()
+        q = np.geomspace(1e-3, 1e3, 100_000)
+        tracemalloc.start()
+        try:
+            resolvent_density(1.5, q, 1.0)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.5e6
 
 
 class TestArrayRate:

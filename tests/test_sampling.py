@@ -77,6 +77,12 @@ class TestSampleStats:
         assert stats.mean == math.inf
         assert stats.variance == math.inf and stats.stderr == math.inf
 
+    def test_draws_past_double_range_on_both_sides(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = SampleStats.from_draws([1.0, math.inf, -math.inf])
+        assert math.isnan(stats.mean) and stats.variance == math.inf
+
 
 class TestPrimitives:
     def test_gamma_mean(self):
@@ -141,6 +147,52 @@ class TestSymStable:
         draws = sample_sym_stable(1.0, RandomStream(24), size=N)
         d = ks_distance(draws, lambda x: 0.5 + np.arctan(x) / math.pi)
         assert d < 0.005
+
+
+class TestSmallAlpha:
+    """Below alpha of about 0.02 the two factors of the Chambers-Mallows-Stuck
+    product overflow or underflow apart; tier-1 runs these under
+    ``error::RuntimeWarning``."""
+
+    @pytest.mark.parametrize("alpha", [1e-4, 0.005, 0.01])
+    @pytest.mark.parametrize("linnik", [False, True])
+    def test_draws_past_the_product_range(self, alpha, linnik):
+        n = 20_000
+        stream = RandomStream(5)
+        e = stream.rng.standard_exponential(n) if linnik else np.ones(n)
+        u = stream.rng.uniform(-0.5 * math.pi, 0.5 * math.pi, n)
+        w = stream.rng.standard_exponential(n)
+        sampler = sample_linnik if linnik else sample_sym_stable
+        draws = sampler(alpha, RandomStream(5), n)
+        with np.errstate(all="ignore"):
+            product = e ** (1.0 / alpha) * (
+                np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+                * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+        kept = np.isfinite(product) & (product != 0.0)
+        assert draws[kept].tobytes() == product[kept].tobytes()
+        assert not np.isnan(draws).any()
+        assert (np.signbit(draws) == np.signbit(u)).all()
+        redone = np.flatnonzero(~kept)
+        assert redone.size > 0
+        with mp.workdps(30):
+            a = mp.mpf(alpha)
+            for i in redone[:: max(1, redone.size // 25)]:
+                v = mp.mpf(u[i])
+                log_abs = (mp.log(abs(mp.sin(a * v))) - mp.log(mp.cos(v)) / a
+                           + (1 - a) / a * (mp.log(mp.cos((1 - a) * v))
+                                            - mp.log(w[i]))
+                           + mp.log(e[i]) / a)
+                want = math.copysign(float(mp.exp(log_abs)), u[i])
+                assert draws[i] == pytest.approx(want, rel=1e-10)
+
+    def test_scalar_draws(self):
+        # the product gives -inf and NaN at these seeds; the values are
+        # 40-digit mpmath's for the same u, w and e
+        x = sample_sym_stable(0.005, RandomStream(57))
+        y = sample_linnik(0.005, RandomStream(82))
+        assert type(x) is np.float64 and type(y) is np.float64
+        assert x == pytest.approx(-1.2381659911249122e+79, rel=1e-10)
+        assert y == pytest.approx(1.7602024379397282e-81, rel=1e-10)
 
 
 class TestUnilateralStable:

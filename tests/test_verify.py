@@ -23,6 +23,18 @@ class TestRunSuite:
         with pytest.raises(UnknownSuite):
             run_suite("no_such_suite")
 
+    def test_alpha_grid_names_the_suites_that_read_it(self):
+        class Unread:
+            def __bool__(self):
+                raise AssertionError("grid read")
+
+        for suite in SUITE_NAMES:
+            if suite in verify._ALPHA_GRID:
+                with pytest.raises(AssertionError, match="grid read"):
+                    run_suite(suite, idx_grid=Unread(), n_samples=2)
+            else:
+                run_suite(suite, idx_grid=Unread(), n_samples=2)
+
     def test_brownian_oracle_all_pass(self):
         reports = run_suite("brownian_oracle")
         assert len(reports) > 50
@@ -205,6 +217,44 @@ def test_run_all_suites_rejects_n_below_two(n, tmp_path):
     assert f"argument --n: must be >= 2, got {n}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
+
+
+def _hitting_time_cdf(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "hitting_time_cdf.py"), *args],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_hitting_time_cdf_prints_one_row_per_t():
+    proc = _hitting_time_cdf("--n", "2000", "--seed", "3", "--t", "0.5,2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    draws = np.sort(smp.sample_hitting_time(1.5, 1.0, smp.RandomStream(3),
+                                            size=2000))
+    rows = []
+    for t in (0.5, 2.0):
+        inv = laplace_invert_cdf(
+            lambda q: hl.lt_hit_point(hl.HittingQuery(1.5, float(q), a=1.0)),
+            t, n_terms=12)
+        emp = float(np.searchsorted(draws, t, side="right")) / 2000
+        rows.append(f"{t!r},{inv!r},{emp!r},{abs(inv - emp)!r}")
+    assert proc.stdout.splitlines() == [
+        "t,inverted_cdf,empirical_cdf,abs_diff", *rows]
+
+
+@pytest.mark.parametrize("args,code,message", [
+    (("--n", "0"), 2, "argument --n: must be >= 1, got 0"),
+    (("--seed", "-1"), 2, "argument --seed: must be >= 0, got -1"),
+    (("--t=-1",), 2, "argument --t: invalid time '-1'"),
+    (("--t=0.1,nan",), 2, "argument --t: invalid time 'nan'"),
+    (("--alpha", "0.5"), 1, "hitting_time_cdf: alpha=0.5: point hitting"),
+])
+def test_hitting_time_cdf_rejects_bad_input(args, code, message):
+    proc = _hitting_time_cdf("--n", "100", *args)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 def _nested_stieltjes(p, q, r, g):
     """E[1/(p + q B + r B U^{-1/g})] by nested quadrature over (B, U)."""
