@@ -16,22 +16,11 @@ import sys
 
 import numpy as np
 
+from stable_hitting.cli import _at_least
 from stable_hitting.errors import DomainError, NonConvergence, NumericInstability
 from stable_hitting.hitting_laws import HittingQuery, lt_hit_point
 from stable_hitting.numerics import laplace_invert_cdf
 from stable_hitting.sampling import RandomStream, sample_hitting_time
-
-
-def _at_least(least: int):
-    def parse(raw: str) -> int:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
-        return value
-    return parse
 
 
 def _times(raw: str) -> list:

@@ -1,10 +1,11 @@
 """Command-line front end: evaluators, samplers, Laplace inversion and the
 verification suites, all emitting CSV on stdout.
 
-``eval`` of a kind in q calls its law once per alpha, with each other flag
-an array column over the product of the other grids, and prints the rows
-in the product order of the flags, as row-by-row evaluation would; a kind
-without q is evaluated row by row.  ``invert`` calls its law once for the
+``eval`` of a kind that takes alpha calls its function once per alpha, with
+each other flag an array column over the product of the other grids, and
+prints the rows in the product order of the flags, as row-by-row evaluation
+would, one write per block of rows; ``meixner`` and ``z``, which take no
+alpha, are evaluated row by row.  ``invert`` calls its law once for the
 whole t grid, on the (len(t), n_terms) matrix of Stehfest nodes, through
 ``numerics._invert_cdf_rows``.  Where such an array call fails (``_at_once``),
 the command makes the float calls instead, so that its output, message and
@@ -48,9 +49,9 @@ def _fmt(v) -> str:
 
 
 def _emit(row) -> None:
-    # a header, or a row of eval, invert or --summary (``sample`` rows go
-    # through ``_write_rows``); buffered, and ``main`` flushes once when the
-    # command returns
+    # a header, or a row of invert or --summary (``eval`` and ``sample``
+    # rows go through ``_write_lines`` and ``_write_rows``); buffered, and
+    # ``main`` flushes once when the command returns
     print(",".join(str(c) for c in row))
 
 
@@ -66,6 +67,21 @@ def _write_rows(columns) -> None:
                  for c in columns]
         lines = cells[0] if len(cells) == 1 else map(",".join, zip(*cells))
         sys.stdout.write("\n".join(lines) + "\n")
+
+
+def _write_lines(lines) -> None:
+    """CSV lines, one write per block of ``_ROW_BLOCK``; where ``lines``
+    raises, the lines before it are written first."""
+    block = []
+    try:
+        for line in lines:
+            block.append(line)
+            if len(block) == _ROW_BLOCK:
+                sys.stdout.write("\n".join(block) + "\n")
+                block = []
+    finally:
+        if block:
+            sys.stdout.write("\n".join(block) + "\n")
 
 
 class _UsageError(Exception):
@@ -135,10 +151,9 @@ _EVAL_FLAGS = ("alpha", "q", "r", "x", "a", "b", "t", "beta")
 
 
 def _row_by_row(fn, grids):
-    """Each row's flags and value, in the product order of the grids."""
+    """Each row's value, in the product order of the grids."""
     for combo in itertools.product(*grids.values()):
-        params = dict(zip(grids, combo))
-        yield params, fn(**params)
+        yield fn(**dict(zip(grids, combo)))
 
 
 def _strict(fn):
@@ -165,21 +180,21 @@ def _at_once(fn, *args, **kwargs):
 def _by_alpha(fn, grids):
     """``_row_by_row``, from one call of ``fn`` per alpha, with every other
     flag an array column over the product of the other grids; alpha leads
-    the flags of every kind in q, so the rows keep the product order.
+    the flags of every kind that takes it, so the rows keep the product
+    order.
 
-    The laws in q give each element bit for bit as float arguments do.  An
-    alpha whose call fails (``_at_once``) gives its rows by one call each."""
+    Every function that takes alpha gives each element bit for bit as float
+    arguments do.  An alpha whose call fails (``_at_once``) gives its rows
+    by one call each."""
     rest = {name: grid for name, grid in grids.items() if name != "alpha"}
-    combos = list(itertools.product(*rest.values()))
-    columns = {name: np.array(column)
-               for name, column in zip(rest, zip(*combos))}
+    columns = {name: np.array(column) for name, column
+               in zip(rest, zip(*itertools.product(*rest.values())))}
     for alpha in grids["alpha"]:
         values = _at_once(fn, alpha=alpha, **columns)
         if values is None:
             yield from _row_by_row(fn, {**grids, "alpha": [alpha]})
-            continue
-        for combo, value in zip(combos, values.tolist()):
-            yield {"alpha": alpha, **dict(zip(rest, combo))}, value
+        else:
+            yield from values.tolist()
 
 
 def _cmd_eval(args) -> int:
@@ -190,10 +205,13 @@ def _cmd_eval(args) -> int:
     # a given flag is a grid, a default one value
     grids = {name: v if isinstance(v, list) else [v]
              for name, v in flags.items()}
-    rows = _by_alpha if "q" in grids else _row_by_row
-    for params, value in rows(fn, grids):
-        _emit([_fmt(params[n]) if n in params else "" for n in names]
-              + [_fmt(value)])
+    # the flag cells of every row, each grid value formatted once; grids
+    # keeps the order of names, so the product runs in the rows' order
+    cells = itertools.product(*[[_fmt(v) for v in grids[n]] if n in grids
+                                else [""] for n in names])
+    rows = _by_alpha if "alpha" in grids else _row_by_row
+    _write_lines(",".join((*row, _fmt(value)))
+                 for row, value in zip(cells, rows(fn, grids)))
     return 0
 
 
@@ -318,14 +336,17 @@ def _cmd_verify(args) -> int:
 
 # -------------------------------------------------------------------- main
 
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(least: int):
+    """The argparse type of an int flag of at least ``least``."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return parse
 
 
 def _finite_float(raw: str) -> float:
@@ -361,9 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in _SAMPLE_FLAGS:
         sa.add_argument(f"--{flag}",
                         type=int if flag == "terms" else _finite_float)
-    sa.add_argument("-n", type=_positive_int, default=10)
-    sa.add_argument("--seed", type=int, default=0)
-    sa.add_argument("--streams", type=_positive_int, default=1)
+    sa.add_argument("-n", type=_at_least(1), default=10)
+    # numpy's SeedSequence takes no negative seed
+    sa.add_argument("--seed", type=_at_least(0), default=0)
+    sa.add_argument("--streams", type=_at_least(1), default=1)
     sa.add_argument("--summary", action="store_true")
 
     iv = sub.add_parser("invert", help="numerically invert a hitting-law "
@@ -379,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("kind", metavar="suite", choices=vf.SUITE_NAMES)
     ve.add_argument("--alpha", type=_float_grid,
                     help="comma-separated alpha grid")
-    ve.add_argument("--seed", type=int, default=0)
-    ve.add_argument("--n", type=_positive_int, default=1_000_000)
+    ve.add_argument("--seed", type=_at_least(0), default=0)
+    ve.add_argument("--n", type=_at_least(1), default=1_000_000)
     ve.add_argument("--out", help="directory for JSON/CSV report files")
     # argparse reads a token that starts with "-" as a flag unless it is a
     # plain negative number, so "--a -2,0.5" and "--x -1e-3" would lose

@@ -7,15 +7,21 @@ symmetric density.  The z-process Levy exponent, and with it the Meixner
 density, is the closed form in log Gamma at a complex argument.  z and
 Meixner densities are evaluated in log space so large |x| underflows
 gracefully instead of overflowing the intermediate exponentials.
+
+The Linnik density and the alpha-Rayleigh survival function also take an
+array of x, through ``resolvent._u1_rows`` and ``resolvent._p1_rows``, and
+give each element bit for bit as a float x does.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError, _alpha, _inside, _positive
+import numpy as np
+
+from .errors import DomainError, _alpha, _inside, _nonnegative, _positive
 from .numerics import integrate_oscillatory_cos
-from .resolvent import _u1, transition_density
+from .resolvent import _u1, _u1_rows, transition_density
 
 
 def _log_beta(a: float, b: float, law: str) -> float:
@@ -48,15 +54,19 @@ def alpha_cauchy_density(alpha: float, x: float) -> float:
     return c / (1.0 + abs(x) ** alpha)
 
 
-def linnik_density(alpha: float, x: float) -> float:
+def linnik_density(alpha: float, x):
     """Density of the law with characteristic function 1/(1+|theta|^alpha),
     (1/pi) int_0^inf cos(x theta) / (1+theta^alpha) dtheta.  This is the
     resolvent density u_1(x), so it is the cached kernel ``resolvent._u1``:
     a tanh-sinh rule on the rotated, non-oscillatory contour integral for
     alpha < 2 and x != 0, e^{-|x|}/2 at alpha = 2, and the closed form
     ``resolvent.u1_zero`` at x = 0, where the density is infinite for
-    alpha <= 1 and this raises DomainError."""
-    return _u1(_alpha(alpha), abs(float(x)))
+    alpha <= 1 and this raises DomainError.  For an array of x it is
+    ``resolvent._u1_rows``, equal to the float calls bit for bit."""
+    alpha = _alpha(alpha)
+    if type(x) is np.ndarray:
+        return _u1_rows(alpha, abs(x))
+    return _u1(alpha, abs(float(x)))
 
 
 def alpha_cauchy_charfn(alpha: float, theta: float) -> float:
@@ -151,10 +161,12 @@ def meixner_density(beta: float, t: float, x: float) -> float:
     return math.exp(log_norm + beta * x - z_levy_exponent(0.5 * t, math.pi * x))
 
 
-def alpha_rayleigh_survival(alpha: float, x: float) -> float:
-    """P(R_alpha > x) = p_1(x) / p_1(0), clamped to [0, 1]."""
+def alpha_rayleigh_survival(alpha: float, x):
+    """P(R_alpha > x) = p_1(x) / p_1(0), clamped to [0, 1], for a float x
+    or, element by element and bit for bit, an array of x."""
     alpha = _alpha(alpha)
-    if not x >= 0:
-        raise DomainError("x must be nonnegative")
-    ratio = transition_density(alpha, 1.0, x) / transition_density(alpha, 1.0, 0.0)
+    ratio = (transition_density(alpha, 1.0, _nonnegative("x", x))
+             / transition_density(alpha, 1.0, 0.0))
+    if type(ratio) is np.ndarray:
+        return np.clip(ratio, 0.0, 1.0)
     return min(1.0, max(0.0, ratio))

@@ -1,11 +1,12 @@
-"""Exception types shared across the package, and the seven validators that
+"""Exception types shared across the package, and the eight validators that
 every domain check of the package calls.  Each tests that the value lies
 inside its domain, so a NaN fails all of them, and returns the value; the
 name it is given is the one the CLI flag uses.
 
-``_positive``, ``_finite`` and ``_nonzero`` also take an array, the rates and
-levels of a law called on arrays, and fail where any element fails, with the
-float call's message.  A float pays nothing for that: an array is told by
+``_positive``, ``_nonnegative``, ``_finite`` and ``_nonzero`` also take an
+array, the rates, points and levels of a function called on arrays, and
+fail where any element fails, with the float call's message.  A float pays
+nothing for that: an array is told by
 the ValueError that the truth value of its comparison raises, under a
 ``try`` that costs nothing unless it catches (Python 3.11 and later) and
 that wraps no raising check, since DomainError is a ValueError too."""
@@ -71,6 +72,17 @@ def _positive(name: str, value):
         if (value > 0).all():
             return value
     raise DomainError(f"{name} must be positive")
+
+
+def _nonnegative(name: str, value):
+    """``value``, or DomainError unless it is 0 or above."""
+    try:
+        if value >= 0:
+            return value
+    except ValueError:
+        if (value >= 0).all():
+            return value
+    raise DomainError(f"{name} must be nonnegative")
 
 
 def _inside(name: str, value, lo: float, hi: float):

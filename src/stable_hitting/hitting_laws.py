@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import (ConsistencyError, DegenerateDenominator, DomainError,
                      _count, _finite, _nonzero, _point_alpha, _positive)
-from .resolvent import _resolvent, potential_kernel
+from .resolvent import _pow, _resolvent, potential_kernel
 
 
 class HittingQuery(NamedTuple):
@@ -125,7 +125,8 @@ def prob_hit_before(alpha, x: float, a: float, b: float) -> float:
     e = _point_alpha(alpha) - 1.0
     b = _second_target(a, b)
     x = _finite("x", x)
-    return 0.5 * (1.0 + (abs(x - b) ** e - abs(x - a) ** e) / abs(a - b) ** e)
+    return 0.5 * (1.0 + (_pow(abs(x - b), e) - _pow(abs(x - a), e))
+                  / _pow(abs(a - b), e))
 
 
 def lt_last_exit(alpha, q: float, a: float) -> float:

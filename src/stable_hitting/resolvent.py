@@ -5,11 +5,15 @@ All evaluations reduce to t = 1 (density) or q = 1 (resolvent) through the
 self-similarity scaling before any quadrature runs.  p_1 and u_1 each have
 one kernel, ``_p1`` and ``_u1``; only ``_u1`` is cached, and the Linnik
 density of ``distributions`` is u_1 itself and shares that cache.
-``_u1_rows`` gives u_1 of an array, equal to ``_u1`` element by element,
-from blocks of the same rule (``_u1_rule``), and keeps no cache; both route
-w through ``_u1_closed`` and sum a rule's row in ``_u1_sum``.  So u_q, and
-every hitting law with it, takes an array of q;
-``_pow`` forms each power of an array by C ``pow``, as for a float.
+``_u1_rows`` and ``_p1_rows`` give u_1 and p_1 of an array, equal to ``_u1``
+and ``_p1`` element by element, from blocks of the same rules (``_u1_rule``,
+``_zolotarev_rule``) run by ``_rows``, and keep no cache; each pair routes w
+through one function (``_u1_closed``, ``_p1_closed``) and sums a rule's row
+in another (``_u1_sum``, ``_p1_sum``).  So u_q, and every hitting law with
+it, takes an array of q, and p_t an array of t and x; the reader of u_q at
+an array of q keeps the u_1 values it has read for the life of one law
+call, so a level read twice runs its rule once.  ``_pow`` forms each power
+of an array by C ``pow``, as for a float.
 
 Neither kernel takes an oscillatory route.  ``_p1`` is Zolotarev's integral of
 a positive function for every alpha != 1, ``_u1`` the integral of a positive
@@ -35,7 +39,7 @@ every other domain check, live in ``errors``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -166,24 +170,43 @@ def _p1(alpha: float, w: float) -> float:
     ``_far_field`` for alpha > 1 and ``_p1_series`` for alpha < 1; alpha = 1
     is the Cauchy density and alpha = 2 the Gaussian.
     """
+    value = _p1_closed(alpha, w)
+    if value is not None:
+        return value
+    lw = math.log(w)
+    c = _zolotarev_centre(alpha, lw)
+    return _p1_sum(alpha, w, lw, c, _zolotarev_rule(alpha, lw, c))
+
+
+def _p1_closed(alpha: float, w: float):
+    """p_1(w) where ``_p1`` takes a closed form or a series, None where it
+    runs its rule: alpha = 2 is the Gaussian and alpha = 1 the Cauchy
+    density, w below 1e-9 (1e-300 for alpha < 1) is p_1(0), and far out it
+    is ``_far_field`` for alpha > 1 and ``_p1_series`` for alpha < 1."""
     if alpha == 2.0:
         return math.exp(-0.25 * w * w) / (2.0 * math.sqrt(math.pi))
     if alpha == 1.0:
         return 1.0 / (math.pi * (1.0 + w * w))
     if w < (1e-9 if alpha > 1.0 else 1e-300):
         return math.gamma(1.0 + 1.0 / alpha) / math.pi
-    a1, lw = alpha - 1.0, math.log(w)
-    far = _far_field(alpha, w) if a1 > 0.0 else _p1_series(alpha, lw)
-    if far is not None:
-        return far
-    c = _zolotarev_centre(alpha, lw)
+    if alpha > 1.0:
+        return _far_field(alpha, w)
+    return _p1_series(alpha, math.log(w))
+
+
+def _p1_sum(alpha: float, w: float, lw: float, c: float, f) -> float:
+    """p_1(w) from the row ``f`` of ``_zolotarev_rule`` centred at c, once
+    ``_settled`` accepts it.  Where it does not, the bulk of the integrand
+    lies away from the root of log(y V), and one more pass, centred on the
+    row's largest node, must settle."""
     for last in (False, True):
-        value, rule, half, f = _zolotarev_rule(alpha, lw, c)
+        rule = float(f.sum())
+        half = 2.0 * float(f[_TS_HALF].sum())
+        value = 0.5 * alpha * math.exp(_zolotarev_weight(c) - lw) * rule
         if _settled("p_1", value, rule, half, alpha, w, last):
             return value
-        # the bulk of the integrand lies away from the root of log(y V):
-        # centre the rule once more on its largest node
-        c += a1 * _TS_S[int(np.argmax(f))]
+        c += (alpha - 1.0) * _TS_S[int(np.argmax(f))]
+        f = _zolotarev_rule(alpha, lw, c)
 
 
 def _settled(kernel, value, rule, half, alpha, w, last=True) -> bool:
@@ -221,10 +244,17 @@ def _p1_series(alpha: float, lw: float):
     return total / math.pi
 
 
-def _zolotarev_rule(alpha: float, lw: float, c: float):
-    """The tanh-sinh rule of ``_p1`` centred at L = c: the value, then the
-    rule's sum, its half-step sum and the integrand at the nodes, those three
-    scaled by the integrand's weight at the centre."""
+def _zolotarev_weight(c: float) -> float:
+    """The log of the weight e^{-1} s (1 - s) of ``_p1``'s integrand at
+    L = c, by which ``_zolotarev_rule`` scales its row."""
+    return -1.0 - abs(c) - 2.0 * math.log1p(math.exp(-abs(c)))
+
+
+def _zolotarev_rule(alpha: float, lw, c):
+    """The integrand of ``_p1``'s tanh-sinh rule centred at L = c, at the
+    nodes, scaled by its weight at the centre (``_zolotarev_weight``), for
+    floats lw = log w and c, or for columns of them with one row of nodes
+    each."""
     a1 = alpha - 1.0
     L = c + a1 * _TS_S
     e = np.exp(L)
@@ -234,12 +264,29 @@ def _zolotarev_rule(alpha: float, lw: float, c: float):
     g = ((alpha * (lw - np.log(np.sin(_HALF_PI * x)))
           + np.log(np.sin(_HALF_PI * q))) / a1
          + np.log(np.cos((a1 * _HALF_PI) * s)))
-    # scale by the integrand's weight at the centre, e^{-1} s (1 - s)
-    e0 = -1.0 - abs(c) - 2.0 * math.log1p(math.exp(-abs(c)))
-    f = np.exp(g - np.exp(g) + np.log(s * q) + (_TS_LOGD - e0))
-    rule = float(f.sum())
-    half = 2.0 * float(f[_TS_HALF].sum())
-    return 0.5 * alpha * math.exp(e0 - lw) * rule, rule, half, f
+    if isinstance(c, np.ndarray):
+        e0 = np.array([[_zolotarev_weight(ci)] for ci in c[:, 0].tolist()])
+    else:
+        e0 = _zolotarev_weight(c)
+    return np.exp(g - np.exp(g) + np.log(s * q) + (_TS_LOGD - e0))
+
+
+def _p1_rows(alpha: float, w) -> np.ndarray:
+    """``_p1(alpha, x)`` for each x of the array ``w``, bit for bit, in an
+    array of w's shape.  Each distinct x is routed once, by ``_p1_closed``;
+    where that is None, x runs on blocks of at most ``_U1_BLOCK`` rows of
+    ``_zolotarev_rule``, each centred by the scalar ``_zolotarev_centre``
+    (a Newton search over a whole column would move c in its last bits) and
+    summed and checked by ``_p1_sum``, which re-centres a row that fails
+    alone; so the first row to fail raises ``_p1``'s message."""
+    def block(xs):
+        lws = [math.log(x) for x in xs]
+        cs = [_zolotarev_centre(alpha, lw) for lw in lws]
+        f = _zolotarev_rule(alpha, np.array(lws)[:, None],
+                            np.array(cs)[:, None])
+        return map(partial(_p1_sum, alpha), xs, lws, cs, f)
+
+    return _rows(w, partial(_p1_closed, alpha), block, {})
 
 
 @lru_cache(maxsize=None)
@@ -309,26 +356,43 @@ def _u1_sum(alpha: float, w: float, scale: float, g) -> float:
     return value
 
 
-# rows of ``_u1``'s rule evaluated at once: a block is at most
-# _U1_BLOCK x 411 doubles
+# rows of a rule, ``_u1``'s or ``_p1``'s, evaluated at once: a block is at
+# most _U1_BLOCK x 411 doubles
 _U1_BLOCK = 16
 
 
-def _u1_rows(alpha: float, w) -> np.ndarray:
-    """``_u1(alpha, x)`` for each x of the array ``w``, bit for bit, in an
-    array of w's shape, with no cache.  Each distinct x is routed once, by
-    ``_u1_closed``; where that is None, x runs on blocks of at most
-    ``_U1_BLOCK`` rows of ``_u1_rule``, each summed and checked by
-    ``_u1_sum``, so the first row to fail raises ``_u1``'s message."""
+def _rows(w, closed, block, values) -> np.ndarray:
+    """A kernel's value at each x of the array ``w``, in an array of w's
+    shape, from the dict ``values`` of the values already known, which it
+    fills.  Each new distinct x is routed once, by ``closed``; where that is
+    None, x runs through ``block``, which gives the rule's values for a list
+    of at most ``_U1_BLOCK`` such x."""
     ws = np.asarray(w, dtype=float).ravel().tolist()
-    values = {x: _u1_closed(alpha, x) for x in dict.fromkeys(ws)}
-    rule = [x for x, value in values.items() if value is None]
+    new = [x for x in dict.fromkeys(ws) if x not in values]
+    values.update((x, closed(x)) for x in new)
+    rule = [x for x in new if values[x] is None]
     for start in range(0, len(rule), _U1_BLOCK):
-        block = rule[start:start + _U1_BLOCK]
-        scale, g = _u1_rule(alpha, np.array(block)[:, None])
-        for x, sc, row in zip(block, scale[:, 0].tolist(), g):
-            values[x] = _u1_sum(alpha, x, sc, row)
+        xs = rule[start:start + _U1_BLOCK]
+        values.update(zip(xs, block(xs)))
     return np.array([values[x] for x in ws]).reshape(np.shape(w))
+
+
+def _u1_rows(alpha: float, w, values=None) -> np.ndarray:
+    """``_u1(alpha, x)`` for each x of the array ``w``, bit for bit, in an
+    array of w's shape, with no cache of its own.  ``values`` is a dict of
+    the u_1 values at this alpha already read, which it reads and fills;
+    ``_resolvent`` keeps one for the life of a law call, so that u(2a) at
+    one level shares its rows with u(a) at another.  Each new distinct x is
+    routed once, by ``_u1_closed``; where that is None, x runs on blocks of
+    at most ``_U1_BLOCK`` rows of ``_u1_rule``, each summed and checked by
+    ``_u1_sum``, so the first row to fail raises ``_u1``'s message."""
+    def block(xs):
+        scale, g = _u1_rule(alpha, np.array(xs)[:, None])
+        return map(partial(_u1_sum, alpha), xs,
+                   scale[:, 0].tolist(), g)
+
+    return _rows(w, partial(_u1_closed, alpha), block,
+                 {} if values is None else values)
 
 
 def u1_zero(alpha: float) -> float:
@@ -344,17 +408,26 @@ def u1_zero(alpha: float) -> float:
     return math.gamma(1.0 - g) * math.gamma(g) / (alpha * math.pi)
 
 
-def transition_density(alpha, t: float, x: float) -> float:
-    """Density of X(t) at x, via p_t(x) = t^{-1/a} p_1(x t^{-1/a})."""
+def transition_density(alpha, t, x):
+    """Density of X(t) at x, via p_t(x) = t^{-1/a} p_1(x t^{-1/a}), for
+    floats t and x or, element by element and bit for bit, for arrays of
+    either: the power is ``_pow`` and p_1 comes from ``_p1_rows``."""
     alpha = _alpha(alpha)
-    scale = _positive("t", t) ** -(1.0 / alpha)
-    return scale * _p1(alpha, abs(x) * scale)
+    scale = _pow(_positive("t", t), -(1.0 / alpha))
+    w = abs(x) * scale
+    if type(w) is np.ndarray:
+        return scale * _p1_rows(alpha, w)
+    return scale * _p1(alpha, w)
 
 
-def _pow(x: np.ndarray, e: float) -> np.ndarray:
-    """x ** e for each element of the array x by C ``pow``, as a float's
-    ``x ** e`` is: numpy's ``power`` differs from it in the last bit on
-    some doubles, so an array call would not give the float calls' bits."""
+def _pow(x, e: float):
+    """x ** e, by C ``pow`` for a float x and for each element of an array
+    x: numpy's ``power`` differs from it in the last bit on some doubles, so
+    an array call would not give the float calls' bits."""
+    # a type test, not ``isinstance``: on a float it costs about 35 ns,
+    # ``isinstance`` about 70 ns (2-core x86-64 host)
+    if type(x) is not np.ndarray:
+        return x ** e
     return np.array([v ** e for v in x.ravel().tolist()]).reshape(x.shape)
 
 
@@ -365,14 +438,17 @@ def _resolvent(alpha, q):
     ``q`` is a float, or an array for which u_q(y), at a float y or an
     array of q's shape, is an array of q's shape: its q^{1/a} is ``_pow``
     and u_1 comes from ``_u1_rows``, so each element equals the float
-    call's bit for bit."""
+    call's bit for bit.  The u_1 values read are kept for the life of the
+    reader, one law call, so a level read twice, such as u(2a) at a = 0.5
+    and u(a) at a = 1, runs its rule once."""
     alpha = _point_alpha(alpha)
     k = 1.0 / alpha
     if isinstance(q, np.ndarray):
         q = _positive("q", q.astype(float))
         scale = _pow(q, k)
         factor = scale / q
-        return lambda y: factor * _u1_rows(alpha, abs(y) * scale)
+        known = {}
+        return lambda y: factor * _u1_rows(alpha, abs(y) * scale, known)
     scale = _positive("q", q) ** k
     factor = scale / q
     return lambda y: factor * _u1(alpha, float(abs(y) * scale))
@@ -395,11 +471,7 @@ def potential_kernel(alpha, x: float) -> float:
     """lim_{q->0} [u_q(0) - u_q(x)] = |x|^{alpha-1} / (2 G(a) sin((a-1)pi/2)),
     for a float x or, element by element, an array of x."""
     alpha = _point_alpha(alpha)
-    # a type test, not ``isinstance``: on a float it costs about 35 ns,
-    # ``isinstance`` about 70 ns, of a 500-ns call (2-core x86-64 host)
-    if type(x) is np.ndarray:
-        return potential_kernel_at_one(alpha) * _pow(abs(x), alpha - 1.0)
-    return potential_kernel_at_one(alpha) * abs(x) ** (alpha - 1.0)
+    return potential_kernel_at_one(alpha) * _pow(abs(x), alpha - 1.0)
 
 
 def one_minus_cos_integral(alpha: float) -> float:

@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import io
 import json
@@ -6,15 +7,18 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stable_hitting
 from stable_hitting import hitting_laws as hl
 from stable_hitting import sampling as smp
-from stable_hitting import cli, errors, verify as vf
+from stable_hitting import cli, errors, resolvent, verify as vf
 from stable_hitting.cli import EVAL_KINDS, SAMPLE_DISTS, main
 from stable_hitting.distributions import (alpha_rayleigh_survival, linnik_density,
                                           meixner_density, z_density)
@@ -177,6 +181,14 @@ class TestSample:
         assert code == 2
         assert out == ""
         assert "-n" in err
+
+    def test_negative_seed_usage_error(self, capsys):
+        code, out, err = run(capsys, "sample", "sym-stable", "--alpha", "1.5",
+                             "--seed", "-1", "-n", "3")
+        assert code == 2
+        assert out == ""
+        assert "argument --seed: must be >= 0, got -1" in err
+        assert "Traceback" not in err
 
     def test_zero_streams_usage_error(self, capsys):
         code, out, err = run(capsys, "sample", "exponential", "-n", "5",
@@ -460,6 +472,14 @@ class TestVerify:
         assert "argument --n: must be >= 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("suite", ["brownian_oracle", "mc_vs_formula"])
+    def test_negative_seed_usage_error(self, capsys, suite):
+        code, out, err = run(capsys, "verify", suite, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "argument --seed: must be >= 0, got -1" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("suite", ["brownian_oracle", "excursion",
                                        "appendix", "inversion"])
     def test_alpha_for_a_suite_without_a_grid_usage_error(self, capsys, suite):
@@ -727,33 +747,130 @@ def test_q_grid_rows_are_the_library_values(capsys, kind):
         assert row["value"] == repr(float(_EVAL_DIRECT[kind](p))), row
 
 
-@pytest.mark.parametrize("kind", _Q_KINDS)
+# the eval kinds that take alpha; each is called once per alpha, with its
+# other flags as array columns
+_ALPHA_KINDS = sorted(kind for kind, (required, _, _) in EVAL_KINDS.items()
+                      if "alpha" in required)
+
+
+@pytest.mark.parametrize("kind", _ALPHA_KINDS)
 def test_one_law_call_per_group(capsys, monkeypatch, kind):
     # each alpha is one group: one call, with every other flag an array
     # column over the product of the other grids.  A law that stopped
     # broadcasting would raise in that call and be evaluated row by row,
     # with the same output; only the count of calls shows it
     required, optional, _ = EVAL_KINDS[kind]
-    level = "x" if kind == "resolvent" else "a"
     calls = _counted_law(monkeypatch, kind)
-    for n_q, n_level in [(1, 1), (3, 1), (20, 2)]:
-        flags = {"alpha": [1.5, 1.7], "q": np.geomspace(0.1, 10, n_q).tolist(),
-                 "a": [1.0, -2.5], "x": [0.5, 1.5], "r": [1.0]}
-        flags[level] = flags[level][:n_level]
-        if level == "a":
-            flags["x"] = [0.5]
-        calls.clear()
-        code, out, err = run(capsys, "eval", kind, *[
-            _flag(name, flags[name]) for name in (*required, *optional)])
-        assert (code, err) == (0, "")
-        size = n_q * n_level
-        assert len(rows(out)) == 2 * size
-        assert [c["alpha"] for c in calls] == [1.5, 1.7]
-        for call in calls:
-            columns = {name: v for name, v in call.items() if name != "alpha"}
-            assert "q" in columns
-            assert all(isinstance(v, np.ndarray) and v.shape == (size,)
-                       for v in columns.values()), columns
+    grid = {"q": [0.5, 2.0], "a": [1.0, -2.5], "x": [0.5, 1.5],
+            "t": [0.5, 2.0], "b": [-1.0], "r": [1.0]}
+    # the excursion masses are the kinds exc-n and exc-m without --q
+    givens = [(*required, *optional)]
+    if "q" in optional:
+        givens.append(required)
+    for given in givens:
+        first = given[1]
+        for n, n_rest in [(1, 1), (3, 1), (20, 2)]:
+            flags = {name: grid[name][:n_rest] for name in given[2:]}
+            flags[first] = np.geomspace(0.1, 10, n).tolist()
+            calls.clear()
+            code, out, err = run(capsys, "eval", kind, "--alpha=1.5,1.7", *[
+                _flag(name, values) for name, values in flags.items()])
+            assert (code, err) == (0, ""), given
+            size = math.prod(len(values) for values in flags.values())
+            assert len(rows(out)) == 2 * size
+            assert [c["alpha"] for c in calls] == [1.5, 1.7]
+            for call in calls:
+                columns = {name: v for name, v in call.items()
+                           if name != "alpha"}
+                assert sorted(columns) == sorted(given[1:])
+                assert all(isinstance(v, np.ndarray) and v.shape == (size,)
+                           for v in columns.values()), columns
+
+
+@pytest.mark.parametrize("kind", ["lt-T-abs", "lt-G-abs", "lt-Xi-abs",
+                                  "exc-m"])
+def test_abs_levels_share_their_rule_rows(capsys, monkeypatch, kind):
+    # a law of |X| reads u(a) and u(2a); with a in {0.5, 1, 2} the levels
+    # 0.5, 1, 2 and 4 are read, and u(2a) at a = 0.5 and 1 takes the rule
+    # rows of u(a) at a = 1 and 2: 4 rule rows per q, not 6
+    ruled = []
+    rule = resolvent._u1_rule
+
+    def counted(alpha, w):
+        ruled.append(np.shape(w)[0])
+        return rule(alpha, w)
+
+    monkeypatch.setattr(resolvent, "_u1_rule", counted)
+    q = [0.3, 1.0, 7.0]
+    code, out, err = run(capsys, "eval", kind, "--alpha=1.5", _flag("q", q),
+                         "--a=0.5,1,2")
+    assert (code, err) == (0, "")
+    assert len(rows(out)) == 9
+    assert sum(ruled) == 4 * len(q)
+
+
+# every eval kind's flags: a range of ordinary values, and the edge values
+# that fail or take a closed form, such as a level far below the scale, a
+# rate whose q^{1/alpha} overflows and alpha below 1
+_HYPOTHESIS_VALUES = {
+    "alpha": ((1.01, 1.99), [0.9, 1.0, 1.05, 1.999, 2.0]),
+    "q": ((0.1, 10.0), [1e300, 1e-300, 0.0]),
+    "r": ((0.1, 10.0), [1e-300, 0.0]),
+    "a": ((0.1, 3.0), [1e-300, 3e-12, 0.0, -2.5, 0.5, 1.0, 2.0]),
+    "x": ((0.0, 3.0), [1e-300, 3e-12, -1.0]),
+    "b": ((-3.0, -0.1), [1.0, 2.0]),
+    "t": ((0.1, 10.0), [1e-300]),
+    "beta": ((-3.0, 3.0), [3.2]),
+}
+
+
+@st.composite
+def _eval_argv(draw):
+    kind = draw(st.sampled_from(sorted(EVAL_KINDS)))
+    required, optional, _ = EVAL_KINDS[kind]
+    argv = ["eval", kind]
+    for name in (*required, *optional):
+        if name in required or draw(st.booleans()):
+            (lo, hi), edges = _HYPOTHESIS_VALUES[name]
+            ordinary = st.floats(lo, hi)
+            value = st.one_of(ordinary, ordinary, st.sampled_from(edges))
+            argv.append(_flag(name, draw(st.lists(value, min_size=1,
+                                                  max_size=3))))
+    return argv
+
+
+def _main_output(argv):
+    """The exit code, stdout and stderr of ``main``; in place of the exit
+    code, the repr of an exception that ``main`` lets through."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except ArithmeticError as exc:
+            code = repr(exc)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_eval_argv())
+@example(["eval", "lt-T", "--alpha=1.5,1.999", "--q=1e-4,0.01,1,100,1e4",
+          "--a=3e-12"])
+@example(["eval", "lt-Xi-abs", "--alpha=1.5,0.9", "--q=1,1e300,2",
+          "--a=1,1e-300,0.5,2"])
+@example(["eval", "exc-m", "--alpha=1.5", "--a=1,1e-300", "--q=1,2"])
+@example(["eval", "density", "--alpha=0.9,1.999,2", "--t=0.5,2",
+          "--x=0,3,5,1e-300"])
+@example(["eval", "rayleigh-survival", "--alpha=0.9,1.5", "--x=0,3e-12,1.5"])
+@example(["eval", "rayleigh-survival", "--alpha=1.5", "--x=0.5,-1,2"])
+@example(["eval", "linnik", "--alpha=1.5,0.9", "--x=1,0,2"])
+@example(["eval", "getoor", "--alpha=1.5,0.9", "--x=0.5,1", "--a=1,2",
+          "--b=-1,1"])
+def test_eval_equals_row_by_row(argv):
+    # the array calls of eval print what one call a row prints: its rows,
+    # its message and its exit code
+    at_once = _main_output(argv)
+    with mock.patch.object(cli, "_at_once", lambda *args, **kwargs: None):
+        assert _main_output(argv) == at_once
 
 
 @pytest.mark.parametrize("kind,flags,printed", [

@@ -91,6 +91,38 @@ class TestLinnik:
         assert linnik_density(alpha, 0.5) > 0.0
 
 
+class TestArrayPoints:
+    # linnik_density and alpha_rayleigh_survival take an array of x, and
+    # each element equals the float call's bit for bit
+    @pytest.mark.parametrize("density", [linnik_density,
+                                         alpha_rayleigh_survival])
+    def test_elements_equal_the_float_calls(self, density):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([[0.0, 1e-300, 1e-10, 1e300],
+                            10.0 ** rng.uniform(-3, 3, 40)])
+        if density is linnik_density:
+            # u_1's rule does not settle at w = 1e-300 for alpha < 1
+            x = x[x != 1e-300] * rng.choice([-1.0, 1.0], x.size - 1)
+        for alpha in (0.5, 1.0, 1.3, 1.8, 2.0):
+            if density is linnik_density and alpha <= 1.0:
+                x = x[x != 0.0]
+            want = np.array([density(alpha, float(v)) for v in x])
+            got = density(alpha, x)
+            assert got.shape == x.shape
+            assert got.tobytes() == want.tobytes(), alpha
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan])
+    def test_one_negative_point_raises(self, bad):
+        with pytest.raises(DomainError, match="^x must be nonnegative$"):
+            alpha_rayleigh_survival(1.5, bad)
+        with pytest.raises(DomainError, match="^x must be nonnegative$"):
+            alpha_rayleigh_survival(1.5, np.array([1.0, bad, 0.0]))
+
+    def test_linnik_origin_in_an_array_diverges(self):
+        with pytest.raises(DomainError, match="alpha <= 1"):
+            linnik_density(0.9, np.array([1.0, 0.0]))
+
+
 class TestRelationR:
     def test_charfn_at_zero(self):
         for alpha in (1.25, 1.5, 1.8):

@@ -11,7 +11,8 @@ from stable_hitting import hitting_laws as hl
 from stable_hitting import resolvent
 from stable_hitting import sampling as smp
 from stable_hitting.errors import (DomainError, _alpha, _count, _finite,
-                                   _inside, _nonzero, _point_alpha, _positive)
+                                   _inside, _nonnegative, _nonzero,
+                                   _point_alpha, _positive)
 from stable_hitting.numerics import laplace_invert_cdf
 
 NAN = math.nan
@@ -188,6 +189,16 @@ class TestValidators:
         for bad in (0.0, NAN, -math.inf, -1.0):
             with pytest.raises(DomainError, match="^t must be positive$"):
                 _positive("t", np.array([1.0, bad, math.inf]))
+
+    def test_nonnegative_names_the_parameter(self):
+        assert _nonnegative("x", 0.0) == 0.0
+        for bad in (-1e-300, NAN, -math.inf):
+            with pytest.raises(DomainError, match="^x must be nonnegative$"):
+                _nonnegative("x", bad)
+            with pytest.raises(DomainError, match="^x must be nonnegative$"):
+                _nonnegative("x", np.array([0.0, bad, math.inf]))
+        good = np.array([0.0, 0.5, math.inf])
+        assert _nonnegative("x", good) is good
 
     def test_count_names_the_parameter(self):
         with pytest.raises(DomainError, match="^n_terms must be >= 1$"):

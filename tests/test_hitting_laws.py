@@ -460,6 +460,19 @@ class TestArrayRate:
         want = np.array([law(float(v)) for v in a])
         assert law(a).tobytes() == want.tobytes()
 
+    def test_getoor_arrays_equal_the_float_calls(self):
+        # x, a and b each an array, together and each alone
+        _, levels = _random_row(128)
+        row = {"x": 0.3, "a": 1.2, "b": -0.7}
+        for alpha in (1.05, 1.5, 2.0):
+            for given in ({k: levels[k] for k in row},
+                          *({k: levels[k]} for k in row)):
+                args = {**row, **given}
+                want = np.array([prob_hit_before(alpha, *map(float, v))
+                                 for v in np.broadcast(*args.values())])
+                got = prob_hit_before(alpha, **args)
+                assert got.tobytes() == want.tobytes(), sorted(given)
+
     def test_one_degenerate_element_raises(self):
         # at q = 1 the level 1e-150 is far below the scale q^{-1/alpha}
         with pytest.raises(DegenerateDenominator):

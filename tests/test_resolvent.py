@@ -13,7 +13,7 @@ from stable_hitting.errors import DomainError, NonConvergence
 from stable_hitting.hitting_laws import HittingQuery, lt_hit_point
 from stable_hitting.numerics import (integrate_adaptive,
                                      integrate_oscillatory_cos, tolerance)
-from stable_hitting.resolvent import (_U1_BLOCK, _p1, _u1, _u1_rows,
+from stable_hitting.resolvent import (_U1_BLOCK, _p1, _p1_rows, _u1, _u1_rows,
                                       one_minus_cos_integral,
                                       potential_kernel,
                                       potential_kernel_at_one,
@@ -428,6 +428,99 @@ class TestArrayRate:
 
 P1_ALPHAS = [1.01, 1.1, 1.15, 1.2, 1.5, 1.9, 1.99]
 P1_ALPHAS_BELOW_ONE = [0.1, 0.3, 0.5, 0.8, 0.95, 0.999]
+
+
+def _scalar_p1(alpha, w):
+    """[_p1(alpha, x) for x in w], or the message of the first row that
+    raises NonConvergence."""
+    try:
+        return np.array([_p1(alpha, x) for x in np.ravel(w).tolist()]), None
+    except NonConvergence as exc:
+        return None, str(exc)
+
+
+class TestP1Rows:
+    # every route of _p1: alpha 2 and 1, w = 0 and below 1e-9, the far field
+    # for alpha > 1, the series for alpha < 1, and the rule
+    @pytest.mark.parametrize("alpha", [2.0, 1.0, 1.5, 1.05, 1.999, 0.5, 0.1,
+                                       0.999])
+    def test_equals_scalar_kernel_bit_for_bit(self, alpha):
+        rng = np.random.default_rng(7)
+        w = np.concatenate([
+            [0.0, 1e-12, 5e-10, 1e-301, 1e-200, 1e90, 1e200, 3.0, 5.0],
+            np.exp(rng.uniform(math.log(1e-8), math.log(1e80),
+                               3 * _U1_BLOCK + 5))])
+        want, message = _scalar_p1(alpha, w)
+        assert message is None
+        assert _p1_rows(alpha, w).tobytes() == want.tobytes()
+
+    def test_routes_are_met(self, monkeypatch):
+        # the block rows are exactly the w that _p1_closed leaves to the rule
+        w = np.array([0.0, 1e-10, 1e200, 0.5, 2.0, 0.5, 40.0])
+        ruled = []
+        rule = resolvent._zolotarev_rule
+
+        def counted(alpha, lw, c):
+            ruled.append(np.shape(c))
+            return rule(alpha, lw, c)
+
+        monkeypatch.setattr(resolvent, "_zolotarev_rule", counted)
+        want, _ = _scalar_p1(1.5, w)
+        ruled.clear()
+        assert _p1_rows(1.5, w).tobytes() == want.tobytes()
+        assert ruled == [(3, 1)]
+
+    @pytest.mark.parametrize("w", [3.0, 5.0])
+    def test_recentred_pass(self, monkeypatch, w):
+        # near alpha = 2 and w = 3 the first pass fails its half-step check,
+        # and that row alone is centred again, as in _p1
+        ruled = []
+        rule = resolvent._zolotarev_rule
+
+        def counted(alpha, lw, c):
+            ruled.append(np.shape(c))
+            return rule(alpha, lw, c)
+
+        monkeypatch.setattr(resolvent, "_zolotarev_rule", counted)
+        want, _ = _scalar_p1(1.999, [1.0, w, 2.0])
+        assert ruled == [(), (), (), ()]
+        ruled.clear()
+        got = _p1_rows(1.999, np.array([1.0, w, 2.0]))
+        assert got.tobytes() == want.tobytes()
+        assert ruled == [(3, 1), ()]
+
+    def test_failing_row_raises_the_scalar_message(self):
+        w = np.array([1.0, 8.0, 2.0])
+        _, message = _scalar_p1(1.9999, w)
+        assert "half-step" in message
+        with pytest.raises(NonConvergence) as info:
+            _p1_rows(1.9999, w)
+        assert str(info.value) == message
+
+    def test_shape_and_no_cache(self):
+        w = np.geomspace(1e-3, 1e3, 2 * _U1_BLOCK + 2).reshape(-1, 2)
+        want, _ = _scalar_p1(1.3, w)
+        got = _p1_rows(1.3, w)
+        assert got.shape == w.shape
+        assert got.ravel().tobytes() == want.tobytes()
+        empty = _p1_rows(1.3, np.array([]))
+        assert empty.shape == (0,) and empty.dtype == float
+        assert not hasattr(_p1_rows, "cache_info")
+
+    def test_transition_density_of_arrays(self):
+        rng = np.random.default_rng(3)
+        t = 10.0 ** rng.uniform(-3, 3, 50)
+        x = rng.uniform(-40, 40, 50)
+        for alpha in (0.5, 1.0, 1.5, 2.0):
+            for tt, xx in ((t, x), (t, 0.7), (2.5, x)):
+                want = np.array([transition_density(alpha, float(a), float(b))
+                                 for a, b in np.broadcast(tt, xx)])
+                got = transition_density(alpha, tt, xx)
+                assert got.tobytes() == want.tobytes()
+
+    def test_transition_density_of_a_bad_time_raises(self):
+        with pytest.raises(DomainError, match="^t must be positive$"):
+            transition_density(1.5, np.array([1.0, 0.0]), 1.0)
 
 
 class TestP1Kernel:
