@@ -9,25 +9,17 @@ import argparse
 import sys
 import time
 
+from stable_hitting.cli import _at_least
 from stable_hitting.verify import (SUITE_NAMES, all_passed, run_suite,
                                    write_reports)
 
 
-def _draw_count(raw: str) -> int:
-    """--n: the Monte Carlo suites need two draws for a standard error."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
-    return value
-
-
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--n", type=_draw_count, default=1_000_000)
-    ap.add_argument("--seed", type=int, default=0)
+    # the Monte Carlo suites need two draws for a standard error, and
+    # numpy's SeedSequence takes no negative seed
+    ap.add_argument("--n", type=_at_least(2), default=1_000_000)
+    ap.add_argument("--seed", type=_at_least(0), default=0)
     ap.add_argument("--out", default="reports")
     args = ap.parse_args()
 

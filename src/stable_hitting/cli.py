@@ -6,16 +6,18 @@ each other flag an array column over the product of the other grids, and
 prints the rows in the product order of the flags, as row-by-row evaluation
 would, one write per block of rows; ``meixner`` and ``z``, which take no
 alpha, are evaluated row by row.  ``invert`` calls its law once for the
-whole t grid, on the (len(t), n_terms) matrix of Stehfest nodes, through
+whole t grid, on the (len(t), 12) matrix of Stehfest nodes, through
 ``numerics._invert_cdf_rows``.  Where such an array call fails (``_at_once``),
 the command makes the float calls instead, so that its output, message and
-exit code are always those of one call per row.
+exit code are always those of one call per row.  No command takes a
+numerics setting: ``invert`` runs the library's 12 Stehfest terms, and
+every sampler its own defaults.
 
 Exit codes: 0 on success (and all checks passing for ``verify``), 1 on domain
-or numeric failure, 2 on usage errors.  All randomness is controlled by the
-global ``--seed`` and ``--streams`` flags: ``sample --streams k`` draws k
-chunks in one process, chunk i from stream_id i, in stream order, so output
-is reproducible for a fixed (seed, streams, n).
+or numeric failure, 2 on usage errors.  Every command runs with numpy's
+floating-point warnings silenced, so stderr holds only the package's
+messages.  ``sample`` draws from the one stream ``RandomStream(--seed)``, so
+its output is reproducible for a fixed (seed, n).
 """
 
 from __future__ import annotations
@@ -156,15 +158,6 @@ def _row_by_row(fn, grids):
         yield fn(**dict(zip(grids, combo)))
 
 
-def _strict(fn):
-    """``fn`` with floating-point overflow, division by zero and invalid
-    operations raised, as ``_at_once`` needs them."""
-    def call(*args, **kwargs):
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return fn(*args, **kwargs)
-    return call
-
-
 def _at_once(fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, one call that stands in for many float calls
     of a law, with floating-point overflow, division by zero and invalid
@@ -172,7 +165,8 @@ def _at_once(fn, *args, **kwargs):
     The caller then makes the float calls, so that the rows printed before
     a failing one, its message and the exit code are theirs."""
     try:
-        return _strict(fn)(*args, **kwargs)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return fn(*args, **kwargs)
     except (ArithmeticError, ValueError):
         return None
 
@@ -217,11 +211,6 @@ def _cmd_eval(args) -> int:
 
 # ------------------------------------------------------------------ sample
 
-def _gamma_series(a, t, stream, size, terms=None):
-    kw = {} if terms is None else {"n_terms": terms}
-    return smp.sample_gamma_series_subordinator(a, t, stream, size, **kw)
-
-
 def _tanh_law(stream, size, **t):
     return smp.sample_from_lt(smp.tanh_subordinator_lt(**t), stream, size)
 
@@ -244,12 +233,12 @@ SAMPLE_DISTS = {
     "overshoot": (("alpha", "a"), {}, smp.sample_overshoot),
     "excursion": (("gamma",), {}, smp.sample_excursion_age_duration),
     "excursion-exp": (("gamma",), {}, smp.sample_excursion_at_exp_time),
-    "gamma-series": (("a", "t"), {"terms": None}, _gamma_series),
+    "gamma-series": (("a", "t"), {}, smp.sample_gamma_series_subordinator),
     "tanh-law": ((), {"t": None}, _tanh_law),
 }
 
 # the flags of ``sample``; each dist takes the ones its entry lists
-_SAMPLE_FLAGS = ("alpha", "beta", "gamma", "a", "b", "t", "terms")
+_SAMPLE_FLAGS = ("alpha", "beta", "gamma", "a", "b", "t")
 
 _COLUMNS = {
     "excursion": ("age", "duration"),
@@ -260,14 +249,10 @@ _COLUMNS = {
 def _cmd_sample(args) -> int:
     required, optional, fn = SAMPLE_DISTS[args.kind]
     params = _read_flags(args, required, optional, _SAMPLE_FLAGS)
-    n, streams = args.n, args.streams
-    counts = [n // streams + (1 if i < n % streams else 0)
-              for i in range(streams)]
-    chunks = [fn(**params, stream=smp.RandomStream(args.seed, i), size=c)
-              for i, c in enumerate(counts) if c > 0]
+    draws = fn(**params, stream=smp.RandomStream(args.seed), size=args.n)
     cols = _COLUMNS.get(args.kind, ("draw",))
-    draws = [np.concatenate([np.atleast_1d(ch if len(cols) == 1 else ch[j])
-                             for ch in chunks]) for j in range(len(cols))]
+    if len(cols) == 1:
+        draws = (draws,)
     if args.summary:
         _emit(["column", "n", "mean", "variance", "stderr"])
         for name, d in zip(cols, draws):
@@ -295,12 +280,10 @@ def _cmd_invert(args) -> int:
     params = _read_flags(args, [n for n in required if n != "q"], optional,
                          _INVERT_FLAGS)
     ts = sorted(args.t)
-    # the whole grid from one call of the law on its node matrix; the
-    # inverter silences its transform's floating-point warnings, so the law
-    # raises them under its own errstate
-    law = _strict(fn)
+    # the whole grid from one call of the law on its node matrix, at the
+    # library's 12 Stehfest terms, as the float calls below
     grid = _at_once(_invert_cdf_rows,
-                    lambda q: law(**params, q=q.astype(float)), ts, args.terms)
+                    lambda q: fn(**params, q=q.astype(float)), ts, 12)
 
     def phi(q):
         return fn(**params, q=float(q))
@@ -309,7 +292,7 @@ def _cmd_invert(args) -> int:
     failed, best = False, 0.0
     for i, t in enumerate(ts):
         try:
-            p = (laplace_invert_cdf(phi, t, n_terms=args.terms)
+            p = (laplace_invert_cdf(phi, t, 12)
                  if grid is None else float(grid[i]))
         except NumericInstability as exc:
             _emit([_fmt(t), "", f"unstable: {exc}"])
@@ -380,12 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     sa = sub.add_parser("sample", help="draw from a named law")
     sa.add_argument("kind", metavar="dist", choices=sorted(SAMPLE_DISTS))
     for flag in _SAMPLE_FLAGS:
-        sa.add_argument(f"--{flag}",
-                        type=int if flag == "terms" else _finite_float)
+        sa.add_argument(f"--{flag}", type=_finite_float)
     sa.add_argument("-n", type=_at_least(1), default=10)
     # numpy's SeedSequence takes no negative seed
     sa.add_argument("--seed", type=_at_least(0), default=0)
-    sa.add_argument("--streams", type=_at_least(1), default=1)
     sa.add_argument("--summary", action="store_true")
 
     iv = sub.add_parser("invert", help="numerically invert a hitting-law "
@@ -395,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         iv.add_argument(f"--{flag}", type=_finite_float)
     iv.add_argument("--t", type=_float_grid, required=True,
                     help="comma-separated time grid")
-    iv.add_argument("--terms", type=int, default=12)
 
     ve = sub.add_parser("verify", help="run a verification suite")
     ve.add_argument("kind", metavar="suite", choices=vf.SUITE_NAMES)
@@ -422,9 +402,13 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = {"eval": _cmd_eval, "sample": _cmd_sample,
+               "invert": _cmd_invert, "verify": _cmd_verify}[args.command]
     try:
-        return {"eval": _cmd_eval, "sample": _cmd_sample, "invert": _cmd_invert,
-                "verify": _cmd_verify}[args.command](args)
+        # numpy's warnings would print a source line on stderr before the
+        # package's message; the array attempts raise theirs in _at_once
+        with np.errstate(all="ignore"):
+            return command(args)
     except _UsageError as exc:
         print(f"{args.command} {args.kind}: {exc}", file=sys.stderr)
         return 2

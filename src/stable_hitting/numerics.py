@@ -182,12 +182,11 @@ def laplace_invert_cdf(phi, t: float, n_terms: int = 12) -> float:
 def _invert_cdf_rows(phi, ts, n_terms: int, stop=None):
     """``laplace_invert_cdf(phi, t, n_terms)`` at each t of the float array
     ``ts``, from one call of ``phi`` on the matrix of nodes, over which it
-    must broadcast.  With ``stop`` (see ``_stehfest``) later rows may be
-    invalid for the transform, so its floating-point warnings are silenced."""
+    must broadcast.  The transform runs under the caller's ``np.errstate``:
+    with ``stop`` (see ``_stehfest``) later rows may be invalid for it, and
+    a caller that passes ``stop`` silences it."""
 
     def fill(nodes):
-        with np.errstate(all="ignore"):
-            return np.broadcast_to(np.asarray(phi(nodes), dtype=_LD),
-                                   nodes.shape)
+        return np.broadcast_to(np.asarray(phi(nodes), dtype=_LD), nodes.shape)
 
     return _stehfest(fill, ts, n_terms, stop)

@@ -7,9 +7,8 @@ Randomness contract: every sampler draws from a RandomStream, which wraps a
 PCG64 generator keyed by (seed, stream_id) through numpy's SeedSequence
 spawning, so distinct stream ids give statistically independent streams and
 identical ids reproduce bit-identical output.  Streams are single-owner;
-parallel callers must use distinct stream ids.  The CLI runs in one process:
-``sample --streams k`` draws k consecutive chunks, chunk i from the stream
-with stream_id i, and concatenates them in stream order.
+parallel callers must use distinct stream ids.  The CLI's ``sample`` draws
+from the one stream ``RandomStream(seed)``.
 """
 
 from __future__ import annotations
@@ -439,7 +438,9 @@ def sample_from_lt(phi, stream: RandomStream, size=None, n_terms: int = 12):
 def _lt_table(phi, n_terms: int):
     t_lo, t_hi = _bracket_quantiles(phi, n_terms, 1e-5, 1.0 - 1e-5)
     grid = np.geomspace(t_lo, t_hi, _LT_TABLE_SIZE)
-    probs = _invert_cdf_rows(phi, grid, n_terms)
+    # the transform may over- or underflow at the nodes of the outer points
+    with np.errstate(all="ignore"):
+        probs = _invert_cdf_rows(phi, grid, n_terms)
     # dips beyond the Gaver-Stehfest error scale mean the input was not a
     # valid transform; smaller wiggles are inversion noise and get flattened
     if np.any(np.diff(probs) < -1e-4):
@@ -461,7 +462,9 @@ def _ladder(phi, n_terms, log2_step, crossed, side):
     for i0 in range(0, 200, _BRACKET_BLOCK):
         steps = np.arange(i0, min(i0 + _BRACKET_BLOCK, 200))
         ts = np.ldexp(1.0, log2_step * steps)
-        probs = _invert_cdf_rows(phi, ts, n_terms, stop=crossed)
+        # the points past the crossing may be invalid for the transform
+        with np.errstate(all="ignore"):
+            probs = _invert_cdf_rows(phi, ts, n_terms, stop=crossed)
         if crossed(probs[-1]):
             return float(ts[probs.size - 1])
     raise TableBuildError(f"{side} quantile bracket not found")

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import functools
 import inspect
 import io
 import json
@@ -155,14 +157,6 @@ class TestSample:
         assert code == 0 and err == ""
         assert out.splitlines()[1] == "draw,200,inf,inf,inf"
 
-    def test_streams_split_deterministically(self, capsys):
-        a = run(capsys, "sample", "exponential", "-n", "7", "--seed", "3",
-                "--streams", "3")
-        b = run(capsys, "sample", "exponential", "-n", "7", "--seed", "3",
-                "--streams", "3")
-        assert a == b
-        assert len(rows(a[1])) == 7
-
     def test_excursion_columns(self, capsys):
         code, out, _ = run(capsys, "sample", "excursion", "--gamma", "0.5",
                            "-n", "5", "--seed", "2")
@@ -190,13 +184,6 @@ class TestSample:
         assert "argument --seed: must be >= 0, got -1" in err
         assert "Traceback" not in err
 
-    def test_zero_streams_usage_error(self, capsys):
-        code, out, err = run(capsys, "sample", "exponential", "-n", "5",
-                             "--streams", "0")
-        assert code == 2
-        assert out == ""
-        assert "--streams" in err
-
     def test_overflow_exit_one(self, capsys):
         # |a|^alpha overflows a double before any draw is made
         code, out, err = run(capsys, "sample", "t-point", "--alpha", "1.5",
@@ -219,18 +206,6 @@ class TestSample:
         assert code == 1
         assert out == ""
         assert err.startswith("sample:")
-
-    @pytest.mark.parametrize("terms", [None, 64])
-    def test_gamma_series_terms(self, capsys, terms):
-        # without --terms the sampler's own n_terms default applies
-        extra = () if terms is None else ("--terms", str(terms))
-        code, out, _ = run(capsys, "sample", "gamma-series", "--a", "0.5",
-                           "--t", "1", "-n", "3", "--seed", "5", *extra)
-        kw = {} if terms is None else {"n_terms": terms}
-        draws = smp.sample_gamma_series_subordinator(
-            0.5, 1.0, smp.RandomStream(5, 0), 3, **kw)
-        assert code == 0
-        assert out == "\n".join(["draw"] + [repr(float(v)) for v in draws]) + "\n"
 
     @pytest.mark.parametrize("t", [None, 2.0])
     def test_tanh_law_t(self, capsys, t):
@@ -310,7 +285,7 @@ class TestInvert:
 
     def test_brownian_hit_cdf(self, capsys):
         code, out, _ = run(capsys, "invert", "lt-T", "--alpha", "2",
-                           "--a", "1", "--t", "0.5,1,2,4", "--terms", "16")
+                           "--a", "1", "--t", "0.5,1,2,4")
         assert code == 0
         got = rows(out)
         from scipy.special import erfc
@@ -361,17 +336,19 @@ def _counted_law(monkeypatch, kind):
     return calls
 
 
-def _per_t(kind, alpha, a, ts, terms, x=0.0):
+def _per_t(kind, alpha, a, ts, x=0.0, law=None):
     """The exit code, stdout and stderr of ``invert`` made of one
-    ``laplace_invert_cdf`` call a t, from the library's laws."""
-    if kind == "lt-T":
+    ``laplace_invert_cdf`` call a t, from the library's laws or ``law``."""
+    if law is not None:
+        law = functools.partial(law, alpha=alpha, a=a)
+    elif kind == "lt-T":
         law = lambda q: hl.lt_hit_point(hl.HittingQuery(alpha, q, x=x, a=a))
     else:
         law = lambda q: INVERTED[kind](alpha, q, a)
     lines, best, code = ["t,p,note"], 0.0, 0
     for t in sorted(ts):
         try:
-            p = laplace_invert_cdf(lambda q: law(float(q)), t, n_terms=terms)
+            p = laplace_invert_cdf(lambda q: law(q=float(q)), t)
         except NumericInstability as exc:
             lines.append(f"{t!r},,unstable: {exc}")
             code = 1
@@ -384,23 +361,25 @@ def _per_t(kind, alpha, a, ts, terms, x=0.0):
 
 
 class TestInvertOneCall:
-    @pytest.mark.parametrize("terms", [12, 16])
+    @pytest.mark.parametrize("points", [12, 16])
     @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.9, 2.0])
     @pytest.mark.parametrize("kind", sorted(INVERTED))
     def test_one_law_call_per_grid(self, capsys, monkeypatch, kind, alpha,
-                                   terms):
-        # the law is called once, on the float node matrix of the grid, and
-        # the rows are the per-t inversions bit for bit
-        ts = [1e4, 1e-3, 0.03, 1.0, 1.0, 30.0, 2.5]
+                                   points):
+        # the law is called once, on the float matrix of the grid's 12
+        # Stehfest nodes a t, and the rows are the per-t inversions bit for
+        # bit; the grid of ``points`` values is unsorted and repeats one
+        ts = [1e4, 1e-3, 0.03, 1.0, 1.0, 30.0, 2.5,
+              *np.geomspace(1e-5, 1e6, points - 7).tolist()]
         calls = _counted_law(monkeypatch, kind)
         got = run(capsys, "invert", kind, f"--alpha={alpha!r}", "--a=1",
-                  _flag("t", ts), f"--terms={terms}")
+                  _flag("t", ts))
         assert len(calls) == 1
         q = calls[0]["q"]
         assert isinstance(q, np.ndarray)
-        assert q.dtype == float and q.shape == (len(ts), terms)
+        assert q.dtype == float and q.shape == (points, 12)
         assert got[0] == 0
-        assert got == _per_t(kind, alpha, 1.0, ts, terms)
+        assert got == _per_t(kind, alpha, 1.0, ts)
 
     @pytest.mark.parametrize("x", [-2.0, 0.5, 3.0])
     def test_start_point_rows(self, capsys, monkeypatch, x):
@@ -409,20 +388,29 @@ class TestInvertOneCall:
         got = run(capsys, "invert", "lt-T", "--alpha=1.7", "--a=1",
                   f"--x={x!r}", _flag("t", ts))
         assert len(calls) == 1
-        assert got == _per_t("lt-T", 1.7, 1.0, ts, 12, x=x)
+        assert got == _per_t("lt-T", 1.7, 1.0, ts, x=x)
 
-    def test_unstable_rows_fall_back(self, capsys):
-        # at 28 terms the grid is unstable from t = 4 on: row 2.0 is clamped
-        # to row 1.0, rows 4 and 16 are blank
+    def test_unstable_rows_fall_back(self, capsys, monkeypatch):
+        # the transform of 1 - cos(t): its 12- and 10-term estimates differ
+        # by 0.131 at t = 4, so the array attempt fails; the fallback prints
+        # row 4 blank and clamps row 16 to the best before it
+        def law(alpha, q, a):
+            return 1.0 / (1.0 + (a * q) ** 2)
+
+        monkeypatch.setitem(EVAL_KINDS, "lt-G", (("alpha", "q", "a"), {}, law))
+        calls = _counted_law(monkeypatch, "lt-G")
         ts = [0.1, 0.5, 1.0, 2.0, 4.0, 16.0]
-        got = run(capsys, "invert", "lt-T", "--alpha", "1.5", "--a", "1",
-                  "--t", "0.1,0.5,1,2,4,16", "--terms", "28")
-        assert got == _per_t("lt-T", 1.5, 1.0, ts, 28)
+        got = run(capsys, "invert", "lt-G", "--alpha", "1.5", "--a", "1",
+                  "--t", "0.1,0.5,1,2,4,16")
+        assert got == _per_t("lt-G", 1.5, 1.0, ts, law=law)
+        assert isinstance(calls[0]["q"], np.ndarray)
+        assert [type(c["q"]) for c in calls[1:]] == [float] * (12 * len(ts))
         table = rows(got[1])
         assert got[0] == 1
-        assert table[3]["p"] == table[2]["p"] != ""
-        assert [r["p"] for r in table[4:]] == ["", ""]
-        assert all(r["note"].startswith("unstable: ") for r in table[4:])
+        assert table[4]["p"] == ""
+        assert table[4]["note"] == ("unstable: estimates at 12 and 10 terms "
+                                    "differ by 0.131 at t=4.0")
+        assert table[5]["p"] == table[3]["p"] == "1.0"
 
     def test_failing_node_falls_back(self, capsys):
         # u_1's half-step check fails at the nodes of t = 1: the row of
@@ -430,7 +418,7 @@ class TestInvertOneCall:
         ts = [1e-3, 1.0, 1e3, 1e6, 1e9]
         got = run(capsys, "invert", "lt-T", "--alpha", "1.999", "--a",
                   "1e-12", "--t", "1e-3,1,1e3,1e6,1e9")
-        assert got == _per_t("lt-T", 1.999, 1e-12, ts, 12)
+        assert got == _per_t("lt-T", 1.999, 1e-12, ts)
         assert got[0] == 1 and len(rows(got[1])) == 1
         assert got[2].startswith(
             "invert: u_1 rule and its half-step rule differ by 3.1e-08 ")
@@ -511,10 +499,8 @@ def test_no_command_usage(capsys):
 
 @pytest.mark.parametrize("argv,flag", [
     (("sample", "sym-stable", "--alpha", "x"), "--alpha"),
-    (("sample", "gamma-series", "--a", "0.5", "--t", "1", "--terms", "abc"),
-     "--terms"),
-    (("sample", "gamma-series", "--a", "0.5", "--t", "1", "--terms", "2.5"),
-     "--terms"),
+    (("sample", "exponential", "-n", "2.5"), "-n"),
+    (("sample", "exponential", "--seed", "abc"), "--seed"),
     (("eval", "lt-T", "--alpha", "x", "--q", "1", "--a", "1"), "--alpha"),
     (("eval", "lt-T", "--alpha", "1.5", "--q", "1,,2", "--a", "1"), "--q"),
     (("invert", "lt-T", "--alpha", "x", "--a", "1", "--t", "1"), "--alpha"),
@@ -544,13 +530,18 @@ def test_non_finite_flag_usage_error(capsys, argv, flag):
     assert f"argument {flag}:" in err and "finite" in err
 
 
-def test_gamma_series_zero_terms_exit_one(capsys):
-    # parsed but outside the domain: a numeric failure, not a usage error
-    code, out, err = run(capsys, "sample", "gamma-series", "--a", "0.5",
-                         "--t", "1", "--terms", "0")
-    assert code == 1
-    assert out == ""
-    assert err == "sample: n_terms must be >= 1\n"
+@pytest.mark.parametrize("argv", [
+    ("sample", "exponential", "-n", "5", "--streams", "2"),
+    ("sample", "gamma-series", "--a", "0.5", "--t", "1", "--terms", "8"),
+    ("invert", "lt-T", "--alpha", "1.5", "--a", "1", "--t", "1",
+     "--terms", "16"),
+], ids=["sample--streams", "sample--terms", "invert--terms"])
+def test_removed_tuning_flag_usage_error(capsys, argv):
+    # the numerics settings are the library's own: invert runs 12 Stehfest
+    # terms, gamma-series its default, and sample draws from one stream
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -957,30 +948,25 @@ def test_sample_rows_are_the_library_draws(capsys, dist):
                                     for row in zip(*columns)]
 
 
-def _library_rows(draw, seed, n, streams):
-    """The CSV rows of ``n`` draws split over ``streams`` as ``sample`` splits
-    them, each cell ``repr`` of the draw as a float."""
-    columns = []
-    for i in range(streams):
-        count = n // streams + (1 if i < n % streams else 0)
-        draws = draw(smp.RandomStream(seed, i), count)
-        columns.append(draws if isinstance(draws, tuple) else (draws,))
-    return [",".join(repr(float(v)) for v in row)
-            for row in zip(*(np.concatenate(c) for c in zip(*columns)))]
+def _library_rows(draw, seed, n):
+    """The CSV rows of ``n`` draws from ``RandomStream(seed)``, each cell
+    ``repr`` of the draw as a float."""
+    draws = draw(smp.RandomStream(seed), n)
+    columns = draws if isinstance(draws, tuple) else (draws,)
+    return [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
 
 
-@pytest.mark.parametrize("streams", [1, 3])
+@pytest.mark.parametrize("block", [1, 3])
 @pytest.mark.parametrize("dist", sorted(_SAMPLE_DIRECT))
-def test_sample_rows_written_in_blocks(capsys, monkeypatch, dist, streams):
-    # 7 rows in blocks of 3 end one block short; stdout must be the rows
-    # written one at a time
-    monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
+def test_sample_rows_written_in_blocks(capsys, monkeypatch, dist, block):
+    # 7 rows in blocks of 1, and in blocks of 3, which end one block short;
+    # stdout must be the rows written one at a time
+    monkeypatch.setattr(cli, "_ROW_BLOCK", block)
     flags, draw = _SAMPLE_DIRECT[dist]
     code, out, _ = run(capsys, "sample", dist, "-n", "7", "--seed", "11",
-                       "--streams", str(streams),
                        *[f"--{name}={value!r}" for name, value in flags.items()])
     assert code == 0
-    assert out.splitlines()[1:] == _library_rows(draw, 11, 7, streams)
+    assert out.splitlines()[1:] == _library_rows(draw, 11, 7)
     assert out.endswith("\n") and not out.endswith("\n\n")
 
 
@@ -988,9 +974,9 @@ def test_sample_inf_rows_written_in_blocks(capsys, monkeypatch):
     # about half the hitting times at alpha = 1.001 pass the double range
     monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
     code, out, _ = run(capsys, "sample", "t-point", "--alpha", "1.001",
-                       "--a", "1", "-n", "7", "--seed", "7", "--streams", "3")
+                       "--a", "1", "-n", "7", "--seed", "7")
     want = _library_rows(
-        lambda s, n: smp.sample_hitting_time(1.001, 1.0, s, n), 7, 7, 3)
+        lambda s, n: smp.sample_hitting_time(1.001, 1.0, s, n), 7, 7)
     assert code == 0
     assert "inf" in want and any(row != "inf" for row in want)
     assert out == "\n".join(["draw", *want]) + "\n"
@@ -1025,6 +1011,35 @@ def test_cached_parser_keeps_no_state(capsys, monkeypatch):
     assert cli.build_parser() is not cli.build_parser()
 
 
+def test_numpy_warnings_stay_off_stderr():
+    # u_1's rule overflows at alpha = 0.1, w = 1e150 before its check fails;
+    # stderr holds the package's message alone
+    code, out, err = _fresh_process(["eval", "linnik", "--alpha", "0.1",
+                                     "--x", "1e150"])
+    assert (code, out) == (1, "alpha,x,value\n")
+    assert err.startswith("eval: u_1 rule and its half-step rule differ by ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_each_command_has_its_option_strings():
+    # every flag of every command; adding one means editing this list
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    got = {name: [s for action in sub._actions for s in action.option_strings]
+           for name, sub in commands.choices.items()}
+    assert got == {
+        "eval": ["-h", "--help", "--alpha", "--q", "--r", "--x", "--a", "--b",
+                 "--t", "--beta"],
+        "sample": ["-h", "--help", "--alpha", "--beta", "--gamma", "--a",
+                   "--b", "--t", "-n", "--seed", "--summary"],
+        "invert": ["-h", "--help", "--alpha", "--a", "--x", "--t"],
+        "verify": ["-h", "--help", "--alpha", "--seed", "--n", "--out"],
+    }
+    assert [s for action in parser._actions
+            for s in action.option_strings] == ["-h", "--help"]
+
+
 @pytest.mark.parametrize("command,table,offered", [
     ("eval", EVAL_KINDS, cli._EVAL_FLAGS),
     ("sample", SAMPLE_DISTS, cli._SAMPLE_FLAGS),
@@ -1032,7 +1047,7 @@ def test_cached_parser_keeps_no_state(capsys, monkeypatch):
 def test_unlisted_flag_usage_error(capsys, command, table, offered):
     # every kind with all its flags and one it does not list
     values = {"alpha": "1.5", "q": "1", "r": "2", "x": "0.5", "a": "1",
-              "b": "2", "t": "1", "beta": "0.5", "gamma": "0.5", "terms": "8"}
+              "b": "2", "t": "1", "beta": "0.5", "gamma": "0.5"}
     for kind, (required, optional, _) in table.items():
         listed = [*required, *optional]
         for extra in (f for f in offered if f not in listed):

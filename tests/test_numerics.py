@@ -206,6 +206,17 @@ class TestLaplaceInvertCdf:
             passed += 1
         assert passed >= 5
 
+    def test_rows_leave_the_transforms_warnings_to_the_caller(self):
+        # the transform runs under the caller's errstate; only the sums are
+        # silenced, so a silenced overflow ends as a non-finite estimate
+        phi = lambda q: np.exp(q * 1e4)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                _invert_cdf_rows(phi, [1.0], 12)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericInstability, match="non-finite"):
+                _invert_cdf_rows(phi, [1.0], 12)
+
     def test_bad_args(self):
         with pytest.raises(DomainError):
             laplace_invert_cdf(lambda q: 1.0, 0.0)

@@ -653,6 +653,18 @@ class TestLtTable:
         assert np.array_equal(
             draws, sample_from_lt(tanh, RandomStream(3), 1000))
 
+    def test_transform_overflow_past_the_bracket_is_silenced(self):
+        # exit times of [-1, 1] at scales 1 and 1e-6, half each: cosh
+        # overflows at the far nodes of both the bracket walk and the table
+        def phi(q):
+            return (0.5 / np.cosh(np.sqrt(2.0 * q))
+                    + 0.5 / np.cosh(np.sqrt(2e-6 * q)))
+
+        with np.errstate(over="raise"):
+            draws = sample_from_lt(phi, RandomStream(3), 1000)
+        assert np.isfinite(draws).all()
+        assert abs(np.mean(draws < 1e-3) - 0.5) < 0.1
+
     @pytest.mark.parametrize("bump,match", [(50.0, "terms differ"),
                                             (np.nan, "non-finite")])
     def test_failing_table_row_raises(self, bump, match):

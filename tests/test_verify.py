@@ -218,6 +218,16 @@ def test_run_all_suites_rejects_n_below_two(n, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_run_all_suites_rejects_a_negative_seed(tmp_path):
+    # numpy's SeedSequence takes no negative seed
+    proc = _run_all_suites("--seed", "-1", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: run_all_suites.py")
+    assert "argument --seed: must be >= 0, got -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 
 def _hitting_time_cdf(*args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
