@@ -54,7 +54,7 @@ def main():
         phi = lambda q: lt_hit_point(HittingQuery(args.alpha, float(q), a=args.a))
         print("t,inverted_cdf,empirical_cdf,abs_diff")
         for t in args.t:
-            inv = laplace_invert_cdf(phi, t, n_terms=12)
+            inv = laplace_invert_cdf(phi, t)
             emp = float(np.searchsorted(draws, t, side="right")) / args.n
             print(f"{t!r},{inv!r},{emp!r},{abs(inv - emp)!r}")
     except (DomainError, NonConvergence, NumericInstability) as exc:

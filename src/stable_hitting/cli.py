@@ -6,12 +6,10 @@ each other flag an array column over the product of the other grids, and
 prints the rows in the product order of the flags, as row-by-row evaluation
 would, one write per block of rows; ``meixner`` and ``z``, which take no
 alpha, are evaluated row by row.  ``invert`` calls its law once for the
-whole t grid, on the (len(t), 12) matrix of Stehfest nodes, through
-``numerics._invert_cdf_rows``.  Where such an array call fails (``_at_once``),
-the command makes the float calls instead, so that its output, message and
-exit code are always those of one call per row.  No command takes a
-numerics setting: ``invert`` runs the library's 12 Stehfest terms, and
-every sampler its own defaults.
+whole t grid, on the matrix of Stehfest nodes, through ``_invert_cdf_rows``.
+Where such an array call fails (``_at_once``), the command makes the float
+calls instead, so that its output, message and exit code are always those
+of one call per row.  No command takes or passes a numerics setting.
 
 Exit codes: 0 on success (and all checks passing for ``verify``), 1 on domain
 or numeric failure, 2 on usage errors.  Every command runs with numpy's
@@ -280,10 +278,9 @@ def _cmd_invert(args) -> int:
     params = _read_flags(args, [n for n in required if n != "q"], optional,
                          _INVERT_FLAGS)
     ts = sorted(args.t)
-    # the whole grid from one call of the law on its node matrix, at the
-    # library's 12 Stehfest terms, as the float calls below
+    # the whole grid from one call of the law on its node matrix
     grid = _at_once(_invert_cdf_rows,
-                    lambda q: fn(**params, q=q.astype(float)), ts, 12)
+                    lambda q: fn(**params, q=q.astype(float)), ts)
 
     def phi(q):
         return fn(**params, q=float(q))
@@ -292,8 +289,7 @@ def _cmd_invert(args) -> int:
     failed, best = False, 0.0
     for i, t in enumerate(ts):
         try:
-            p = (laplace_invert_cdf(phi, t, 12)
-                 if grid is None else float(grid[i]))
+            p = laplace_invert_cdf(phi, t) if grid is None else float(grid[i])
         except NumericInstability as exc:
             _emit([_fmt(t), "", f"unstable: {exc}"])
             failed = True

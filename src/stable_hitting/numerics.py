@@ -15,7 +15,7 @@ Three workhorses live here:
   grid of times: behind the table of ``sampling.sample_from_lt``, the
   ``invert`` command of ``cli`` and the ``inversion`` suite of ``verify``.
   Both hand the values to the one body ``_stehfest``, so they agree bit
-  for bit.
+  for bit, at the package's one term count ``_TERMS``.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ ABS_TOL = 1e-10
 REL_TOL = 1e-9
 MAX_PANELS = 400
 
-# Largest accepted gap between the Gaver-Stehfest estimates at n and n - 2
-# terms.
+# Gaver-Stehfest terms of the package's inversions, and the largest accepted
+# gap between the estimates at n and n - 2 terms.
+_TERMS = 12
 _DIVERGENCE_TOL = 0.1
 
 _LN2 = np.log(_LD(2))
@@ -160,7 +161,7 @@ def _stehfest(fill, ts, n_terms, stop=None):
     return probs[:i + 1]
 
 
-def laplace_invert_cdf(phi, t: float, n_terms: int = 12) -> float:
+def laplace_invert_cdf(phi, t: float, n_terms: int = _TERMS) -> float:
     """Gaver-Stehfest estimate of P(T < t) from phi(q) = E[e^{-qT}].
 
     The scheme inverts phi(q)/q at the real nodes q_k = k ln2 / t.  Nodes are
@@ -179,8 +180,8 @@ def laplace_invert_cdf(phi, t: float, n_terms: int = 12) -> float:
     return float(_stehfest(fill, (t,), n_terms)[0])
 
 
-def _invert_cdf_rows(phi, ts, n_terms: int, stop=None):
-    """``laplace_invert_cdf(phi, t, n_terms)`` at each t of the float array
+def _invert_cdf_rows(phi, ts, stop=None):
+    """``laplace_invert_cdf(phi, t)`` at each t of the float array
     ``ts``, from one call of ``phi`` on the matrix of nodes, over which it
     must broadcast.  The transform runs under the caller's ``np.errstate``:
     with ``stop`` (see ``_stehfest``) later rows may be invalid for it, and
@@ -189,4 +190,4 @@ def _invert_cdf_rows(phi, ts, n_terms: int, stop=None):
     def fill(nodes):
         return np.broadcast_to(np.asarray(phi(nodes), dtype=_LD), nodes.shape)
 
-    return _stehfest(fill, ts, n_terms, stop)
+    return _stehfest(fill, ts, _TERMS, stop)

@@ -338,12 +338,15 @@ def _u1_rule(alpha: float, w):
     root = max(1.0, 2.0 * alpha / (math.pi * (2.0 - alpha)))  # e^{logit v}
     if isinstance(w, np.ndarray):
         m = np.maximum(1.0 / np.sqrt(w * root), w / math.e)
+        w_cap = np.minimum(w, 746.0)
     else:
         m = max(1.0 / math.sqrt(w * root), w / math.e)
+        w_cap = min(w, 746.0)
     q = 1.0 + m * _TS_R
     v = 1.0 / q
     va = q ** -alpha
-    g = va * (v * v * np.exp(-w * v) + np.exp(-w * q)) / ((va + c) ** 2 + s * s)
+    far = np.exp(-w_cap * q)  # = e^{-w q}: 0 from w = 746 on, as q >= 1
+    g = va * (v * v * np.exp(-w * v) + far) / ((va + c) ** 2 + s * s)
     return m * s / math.pi, g
 
 

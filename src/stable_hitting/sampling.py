@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, TableBuildError, _alpha, _count,
-                     _finite, _inside, _nonzero, _point_alpha, _positive)
+from .errors import (DomainError, TableBuildError, _alpha, _finite, _inside,
+                     _nonzero, _point_alpha, _positive)
 from .numerics import _invert_cdf_rows
 
 
@@ -157,11 +157,15 @@ def sample_unilateral_stable(beta: float, stream: RandomStream, size=None):
     return np.exp(log_t)
 
 
+def _shape(size) -> tuple:
+    return () if size is None else (size if isinstance(size, tuple) else (size,))
+
+
 def _accepted(propose, size):
     """Draws of shape ``size`` by rejection: ``propose(m)`` returns m
     candidates and the mask of those accepted, and is called on at most
     ``_SERIES_BLOCK`` candidates at a time until enough are accepted."""
-    shape = () if size is None else (size if isinstance(size, tuple) else (size,))
+    shape = _shape(size)
     n = math.prod(shape)
     out = np.empty(n)
     filled = 0
@@ -347,23 +351,24 @@ def gamma_series_tail_gamma(a: float, t: float, n_terms: int):
 # (2 MiB of doubles), and the most candidates one pass of a rejection sampler
 # draws; a block is never less than one row of ``size`` draws.
 _SERIES_BLOCK = 2 ** 18
+_SERIES_TERMS = 256  # the head: terms drawn before the gamma tail
 
 
 def sample_gamma_series_subordinator(a: float, t: float, stream: RandomStream,
-                                     size=None, n_terms: int = 256):
+                                     size=None):
     """Draw of the subordinator (2/pi^2) sum_j gamma_j(t) / (j+a)^2 at time t:
     C_t at a = 1/2 and S_t at a = 1, with transforms cosh(z)^{-t} and
     (z/sinh z)^t at lambda = z^2/2 (Biane, Pitman and Yor, Bull. AMS 38, 2001).
 
-    The first n_terms terms are drawn explicitly, as gamma matrices of at
-    most ``_SERIES_BLOCK`` entries whose rows are summed against the
-    coefficients; the tail is one Gamma(k, theta) with the tail's mean and
-    variance (``gamma_series_tail_gamma``), a truncated sum with a tail
-    approximation as in Polson, Scott and Windle (JASA 2013).  At the
-    default 256 terms the Laplace transform of the sampled law is within
-    1.4e-13 of the closed forms over t in {0.5, 1, 2} and lambda in
-    [0.1, 20] (40-digit mpmath), against 2.1e-13 for 10,000 terms with the
-    tail replaced by its mean.
+    The first ``_SERIES_TERMS`` = 256 terms are drawn explicitly, as gamma
+    matrices of at most ``_SERIES_BLOCK`` entries whose rows are summed
+    against the coefficients; the tail is one Gamma(k, theta) with the
+    tail's mean and variance (``gamma_series_tail_gamma``), a truncated sum
+    with a tail approximation as in Polson, Scott and Windle (JASA 2013).
+    The Laplace transform of the sampled law is within 1.4e-13 of the
+    closed forms over t in {0.5, 1, 2} and lambda in [0.1, 20] (40-digit
+    mpmath), against 2.1e-13 for 10,000 terms with the tail replaced by its
+    mean.
 
     Below a = 3.36e-155 the first coefficient (2/pi^2)/a^2 overflows, which
     raises DomainError.  Just above, draws (of mean about t (2/pi^2)/a^2)
@@ -376,17 +381,15 @@ def sample_gamma_series_subordinator(a: float, t: float, stream: RandomStream,
         raise DomainError(f"gamma-series shape a = {a!r} is below "
                           f"{_SERIES_A_MIN:.3g}, where the first coefficient "
                           "(2/pi^2)/a^2 overflows")
-    n_terms = _count("n_terms", n_terms, 1)
-    rng = stream.rng
-    shape = () if size is None else (size if isinstance(size, tuple) else (size,))
+    shape = _shape(size)
     m = math.prod(shape)
-    k, theta = gamma_series_tail_gamma(a, t, n_terms)
-    acc = rng.gamma(k, theta, size=m)
-    coef = gamma_series_coefficient(a, np.arange(n_terms))
+    k, theta = gamma_series_tail_gamma(a, t, _SERIES_TERMS)
+    acc = stream.rng.gamma(k, theta, size=m)
+    coef = gamma_series_coefficient(a, np.arange(_SERIES_TERMS))
     rows = max(1, _SERIES_BLOCK // max(m, 1))
-    for j0 in range(0, n_terms, rows):
+    for j0 in range(0, _SERIES_TERMS, rows):
         # einsum, not @: a BLAS gemv would wake OpenBLAS's worker threads
-        block = rng.gamma(t, size=(min(rows, n_terms - j0), m))
+        block = stream.rng.gamma(t, size=(min(rows, _SERIES_TERMS - j0), m))
         acc += np.einsum("j,jm->m", coef[j0:j0 + rows], block)
     return float(acc[0]) if size is None else acc.reshape(shape)
 
@@ -411,13 +414,14 @@ def tanh_subordinator_lt(t: float = 1.0):
     return phi
 
 
-# Log-spaced CDF points in the table of ``sample_from_lt``, and the ladder
-# points of its quantile bracket inverted per call of the transform.
+# Log-spaced CDF points in the table of ``sample_from_lt``, ladder points of
+# its quantile bracket per call of the transform, and its tail probability.
 _LT_TABLE_SIZE = 512
 _BRACKET_BLOCK = 16
+_TAIL_P = 1e-5
 
 
-def sample_from_lt(phi, stream: RandomStream, size=None, n_terms: int = 12):
+def sample_from_lt(phi, stream: RandomStream, size=None):
     """Approximate draw of a positive law known only through its Laplace
     transform, a callable phi(q) = E[e^{-qT}]: Gaver-Stehfest CDF values on
     a log grid, inverse-sampled by monotone interpolation on
@@ -427,20 +431,17 @@ def sample_from_lt(phi, stream: RandomStream, size=None, n_terms: int = 12):
     ``phi`` is called on 2-d arrays of extended-precision ``q`` and must
     broadcast over them, as a transform written with np.* functions does:
     one call per ``_BRACKET_BLOCK`` points of the quantile bracket, and one
-    for the whole table.  ``n_terms`` must be even and at least 4, and is
-    checked before ``phi`` is called."""
-    log_grid, probs = _lt_table(phi, n_terms)
-    v = stream.rng.random(size)
-    v = np.clip(v, probs[0], probs[-1])
+    for the whole table."""
+    log_grid, probs = _lt_table(phi)
+    v = np.clip(stream.rng.random(size), probs[0], probs[-1])
     return np.exp(np.interp(v, probs, log_grid))
 
 
-def _lt_table(phi, n_terms: int):
-    t_lo, t_hi = _bracket_quantiles(phi, n_terms, 1e-5, 1.0 - 1e-5)
-    grid = np.geomspace(t_lo, t_hi, _LT_TABLE_SIZE)
+def _lt_table(phi):
+    grid = np.geomspace(*_bracket_quantiles(phi), _LT_TABLE_SIZE)
     # the transform may over- or underflow at the nodes of the outer points
     with np.errstate(all="ignore"):
-        probs = _invert_cdf_rows(phi, grid, n_terms)
+        probs = _invert_cdf_rows(phi, grid)
     # dips beyond the Gaver-Stehfest error scale mean the input was not a
     # valid transform; smaller wiggles are inversion noise and get flattened
     if np.any(np.diff(probs) < -1e-4):
@@ -449,13 +450,13 @@ def _lt_table(phi, n_terms: int):
     return np.log(grid), probs
 
 
-def _bracket_quantiles(phi, n_terms, p_lo, p_hi):
+def _bracket_quantiles(phi):
     """Step out from t = 1 by factors of 4, at most 200 times each way."""
-    return (_ladder(phi, n_terms, -2, lambda p: p <= p_lo, "lower"),
-            _ladder(phi, n_terms, 2, lambda p: p >= p_hi, "upper"))
+    return (_ladder(phi, -2, lambda p: p <= _TAIL_P, "lower"),
+            _ladder(phi, 2, lambda p: p >= 1.0 - _TAIL_P, "upper"))
 
 
-def _ladder(phi, n_terms, log2_step, crossed, side):
+def _ladder(phi, log2_step, crossed, side):
     """First t = 2^(log2_step i), i < 200, whose CDF value is ``crossed``,
     inverted ``_BRACKET_BLOCK`` points at a time; the points past it are
     never checked."""
@@ -464,7 +465,7 @@ def _ladder(phi, n_terms, log2_step, crossed, side):
         ts = np.ldexp(1.0, log2_step * steps)
         # the points past the crossing may be invalid for the transform
         with np.errstate(all="ignore"):
-            probs = _invert_cdf_rows(phi, ts, n_terms, stop=crossed)
+            probs = _invert_cdf_rows(phi, ts, stop=crossed)
         if crossed(probs[-1]):
             return float(ts[probs.size - 1])
     raise TableBuildError(f"{side} quantile bracket not found")

@@ -222,11 +222,9 @@ def _suite_inversion(idx_grid, seed, n_samples):
     draws = np.sort(smp.sample_hitting_time(al, 1.0, stream, size=n))
     ps = (0.10, 0.25, 0.50, 0.75, 0.90)
     ts = [float(draws[min(int(p * n), n - 1)]) for p in ps]
-    # one call of the law on all the nodes, each value equal to
-    # laplace_invert_cdf's at its t
-    cdf = _invert_cdf_rows(
-        lambda q: hl.lt_hit_point(hl.HittingQuery(al, q.astype(float), a=1.0)),
-        ts, 12)
+    # one law call on all the nodes; each value is laplace_invert_cdf's at its t
+    cdf = _invert_cdf_rows(lambda q: hl.lt_hit_point(
+        hl.HittingQuery(al, q.astype(float), a=1.0)), ts)
     for p, t_emp, inverted in zip(ps, ts, cdf.tolist()):
         noise = math.sqrt(p * (1 - p) / n)
         yield _check(f"hit_cdf_quantile/p={p}", inverted, p,

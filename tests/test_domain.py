@@ -85,13 +85,8 @@ NAN_CALLS = [
      lambda: hl.leg_decomposition_gap(1.5, 1.0, 1.0, NAN)),
     ("lt_hit_abs_series/n_terms",
      lambda: hl.lt_hit_abs_series(1.5, 1.0, 1.0, NAN)),
-    ("sample_gamma_series_subordinator/n_terms",
-     lambda: smp.sample_gamma_series_subordinator(1.0, 1.0, _stream(), 3,
-                                                  n_terms=NAN)),
     ("laplace_invert_cdf/n_terms",
      lambda: laplace_invert_cdf(_phi, 1.0, n_terms=NAN)),
-    ("sample_from_lt/n_terms",
-     lambda: smp.sample_from_lt(_phi, _stream(), 3, n_terms=NAN)),
 ]
 
 
@@ -131,17 +126,8 @@ OUTSIDE_CALLS = [
      lambda: hl.leg_decomposition_gap(1.5, 1.0, 1.0, 1.5)),
     ("lt_hit_abs_series/n_terms=2.5",
      lambda: hl.lt_hit_abs_series(1.5, 1.0, 1.0, 2.5)),
-    ("sample_gamma_series_subordinator/n_terms=2.5",
-     lambda: smp.sample_gamma_series_subordinator(1.0, 1.0, _stream(), 3,
-                                                  n_terms=2.5)),
     ("laplace_invert_cdf/n_terms=5",
      lambda: laplace_invert_cdf(_phi, 1.0, n_terms=5)),
-    ("sample_from_lt/n_terms=12.5",
-     lambda: smp.sample_from_lt(_phi, _stream(), 3, n_terms=12.5)),
-    ("sample_from_lt/n_terms=13",
-     lambda: smp.sample_from_lt(_phi, _stream(), 3, n_terms=13)),
-    ("sample_from_lt/n_terms=2",
-     lambda: smp.sample_from_lt(_phi, _stream(), 3, n_terms=2)),
 ]
 
 

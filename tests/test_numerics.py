@@ -166,7 +166,8 @@ class TestLaplaceInvertCdf:
         # the loop over terms that the array sums replaced is the reference:
         # terms added one at a time, k = 1, 2, ..., in extended precision.
         # The weights cancel in a smooth transform's values, so another
-        # order of the same terms shows in the rounded double from 12 terms
+        # order of the same terms shows in the rounded double from 12 terms.
+        # ``_invert_cdf_rows`` runs at the package's count only.
         ld = np.longdouble
         phi = lambda q: np.exp(-np.sqrt(q))
 
@@ -184,8 +185,9 @@ class TestLaplaceInvertCdf:
             est, check = loop_estimate(t, n_terms), loop_estimate(t, n_terms - 2)
             assert abs(est - check) <= 0.1
             want.append(min(1.0, max(0.0, est)))
-        assert _invert_cdf_rows(phi, ts, n_terms).tolist() == want
         assert [laplace_invert_cdf(phi, t, n_terms) for t in ts] == want
+        if n_terms == numerics._TERMS:
+            assert _invert_cdf_rows(phi, ts).tolist() == want
 
     @pytest.mark.parametrize("phi,match", [
         (lambda q: np.exp(-q) * (1.0 + 0.5 * np.sin(3.0 * q)), "terms differ"),
@@ -195,7 +197,7 @@ class TestLaplaceInvertCdf:
         # the walk down from t = 100 passes several points before failing
         ts = np.geomspace(100.0, 1e-2, 25)
         with pytest.raises(NumericInstability, match=match) as rows:
-            _invert_cdf_rows(phi, ts, 12)
+            _invert_cdf_rows(phi, ts)
         passed = 0
         for t in ts:
             try:
@@ -212,10 +214,10 @@ class TestLaplaceInvertCdf:
         phi = lambda q: np.exp(q * 1e4)
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                _invert_cdf_rows(phi, [1.0], 12)
+                _invert_cdf_rows(phi, [1.0])
         with np.errstate(all="ignore"):
             with pytest.raises(NumericInstability, match="non-finite"):
-                _invert_cdf_rows(phi, [1.0], 12)
+                _invert_cdf_rows(phi, [1.0])
 
     def test_bad_args(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from stable_hitting import sampling as smp
+from stable_hitting import numerics, sampling as smp
 from stable_hitting.errors import (DomainError, NumericInstability,
                                    TableBuildError)
 from stable_hitting.hitting_laws import HittingQuery, lt_hit_point
@@ -442,18 +442,18 @@ class TestExcursions:
 
 class TestGammaSeries:
     def test_mean(self):
-        a, t, terms = 0.5, 1.0, 400
-        draws = sample_gamma_series_subordinator(a, t, RandomStream(111), size=50_000,
-                                                 n_terms=terms)
+        a, t = 0.5, 1.0
+        draws = sample_gamma_series_subordinator(a, t, RandomStream(111),
+                                                 size=50_000)
         want = t * (2 / math.pi ** 2) * special.polygamma(1, a)
         ok, _ = within_4se(np.mean(draws), want, draws)
         assert ok
 
     def test_exact_product_transform(self):
         # E e^{-lam S} = prod_j (1 + lam c_j)^{-t}
-        a, t, lam, terms = 0.5, 1.0, 0.7, 400
-        draws = sample_gamma_series_subordinator(a, t, RandomStream(112), size=100_000,
-                                                 n_terms=terms)
+        a, t, lam = 0.5, 1.0, 0.7
+        draws = sample_gamma_series_subordinator(a, t, RandomStream(112),
+                                                 size=100_000)
         log_prod = -t * sum(math.log1p(lam * gamma_series_coefficient(a, j))
                             for j in range(200_000))
         log_prod -= lam * gamma_series_tail_mean(a, t, 200_000)
@@ -464,7 +464,7 @@ class TestGammaSeries:
     def test_hyperbolic_cosine_law(self):
         # a = 1/2, t = 1: E[e^{-(th^2/2) draw}] = 1/cosh(th)
         draws = sample_gamma_series_subordinator(0.5, 1.0, RandomStream(113),
-                                                 size=100_000, n_terms=400)
+                                                 size=100_000)
         th = 1.0
         vals = np.exp(-0.5 * th * th * draws)
         ok, _ = within_4se(np.mean(vals), 1 / math.cosh(th), vals)
@@ -473,7 +473,7 @@ class TestGammaSeries:
     def test_logistic_law(self):
         # a = 1, t = 1: E[e^{-(th^2/2) draw}] = th/sinh(th)
         draws = sample_gamma_series_subordinator(1.0, 1.0, RandomStream(114),
-                                                 size=100_000, n_terms=400)
+                                                 size=100_000)
         th = 1.0
         vals = np.exp(-0.5 * th * th * draws)
         ok, _ = within_4se(np.mean(vals), th / math.sinh(th), vals)
@@ -485,8 +485,7 @@ class TestGammaSeries:
         # the sampled law's transform, prod_{j<N} (1 + lam c_j)^{-t} times
         # (1 + lam theta)^{-k} for the gamma tail, against cosh(z)^{-t}
         # (a = 1/2) and (z/sinh z)^t (a = 1), z = sqrt(2 lam), at 40 digits
-        n_terms = inspect.signature(
-            sample_gamma_series_subordinator).parameters["n_terms"].default
+        n_terms = smp._SERIES_TERMS
         coef = gamma_series_coefficient(a, np.arange(n_terms))
         k, theta = gamma_series_tail_gamma(a, t, n_terms)
         with mp.workdps(40):
@@ -522,23 +521,29 @@ class TestGammaSeries:
         draws = sample_gamma_series_subordinator(0.5, 1.0, stream, size=(3, 5))
         assert draws.shape == (3, 5)
 
-    def test_size_beyond_one_block(self):
+    def test_size_beyond_one_block(self, monkeypatch):
         # more draws than one block holds: each block is a single row
+        monkeypatch.setattr(smp, "_SERIES_BLOCK", 1000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             draws = sample_gamma_series_subordinator(
-                1.0, 1.0, RandomStream(116), size=_SERIES_BLOCK + 1, n_terms=3)
-        assert draws.shape == (_SERIES_BLOCK + 1,)
+                1.0, 1.0, RandomStream(116), size=1001)
+        assert draws.shape == (1001,)
         assert np.all(draws > 0)
         ok, _ = within_4se(np.mean(draws), 1 / 3, draws)
         assert ok
 
     def test_one_term(self):
-        # the gamma tail matches the tail's mean and variance, so S_1 keeps
-        # its mean 1/3 and variance 2/45; a tail fixed at its mean would
-        # leave the variance of the first term alone, 7.6% short
+        # the gamma tail matches the tail's mean and variance, so even a
+        # series cut after one term keeps S_1's mean 1/3 and variance 2/45;
+        # a tail fixed at its mean would leave the variance of the first
+        # term alone, 7.6% short.  The sampler's draws have both moments
+        c0 = gamma_series_coefficient(1.0, 0)
+        k, theta = gamma_series_tail_gamma(1.0, 1.0, 1)
+        assert c0 + k * theta == pytest.approx(1 / 3, rel=1e-14)
+        assert c0 * c0 + k * theta * theta == pytest.approx(2 / 45, rel=1e-14)
         draws = sample_gamma_series_subordinator(1.0, 1.0, RandomStream(117),
-                                                 size=100_000, n_terms=1)
+                                                 size=100_000)
         ok, _ = within_4se(np.mean(draws), 1 / 3, draws)
         assert ok
         sq = (draws - 1 / 3) ** 2
@@ -555,7 +560,7 @@ class TestSampleFromLt:
     def test_tanh_law_mean(self):
         # E[T] = -phi'(0+) by finite difference; 2/3 for tanh(sqrt 2q)/sqrt 2q
         phi = tanh_subordinator_lt(1.0)
-        draws = sample_from_lt(phi, RandomStream(122), size=100_000, n_terms=16)
+        draws = sample_from_lt(phi, RandomStream(122), size=100_000)
         h = 1e-6
         want = (1.0 - float(phi(h))) / h
         assert want == pytest.approx(2 / 3, abs=1e-5)
@@ -565,7 +570,7 @@ class TestSampleFromLt:
     def test_plain_sqrt_q_variant_mean(self):
         # tanh(sqrt q)/sqrt q is the same law scaled by 1/2; mean 1/3
         phi = lambda q: np.tanh(np.sqrt(q)) / np.sqrt(q)
-        draws = sample_from_lt(phi, RandomStream(126), size=50_000, n_terms=16)
+        draws = sample_from_lt(phi, RandomStream(126), size=50_000)
         ok, _ = within_4se(np.mean(draws), 1 / 3, draws)
         assert ok
 
@@ -574,11 +579,11 @@ class TestSampleFromLt:
         # and logistic pieces in Laplace transform at lam = 1
         lam = 1.0
         c_draws = sample_gamma_series_subordinator(0.5, 1.0, RandomStream(123),
-                                                   size=100_000, n_terms=400)
+                                                   size=100_000)
         t_draws = sample_from_lt(tanh_subordinator_lt(1.0), RandomStream(124),
-                                 size=100_000, n_terms=16)
+                                 size=100_000)
         s_draws = sample_gamma_series_subordinator(1.0, 1.0, RandomStream(125),
-                                                   size=100_000, n_terms=400)
+                                                   size=100_000)
         lhs = np.exp(-lam * c_draws)
         rhs = np.exp(-lam * (t_draws + s_draws))
         se = math.hypot(np.std(lhs) / math.sqrt(lhs.size),
@@ -608,14 +613,18 @@ def _scalar_bracket(phi, n_terms):
 
 
 class TestLtTable:
+    # the table and the bracket hold no term count of their own: at the
+    # count numerics names, 12 or another, they equal the scalar inversions
     @pytest.mark.parametrize("n_terms", [12, 16])
     @pytest.mark.parametrize("label,phi", LT_LAWS, ids=[c[0] for c in LT_LAWS])
-    def test_rows_equal_scalar_inversion(self, label, phi, n_terms):
-        t_lo, t_hi = smp._bracket_quantiles(phi, n_terms, 1e-5, 1.0 - 1e-5)
+    def test_rows_equal_scalar_inversion(self, label, phi, n_terms,
+                                         monkeypatch):
+        monkeypatch.setattr(numerics, "_TERMS", n_terms)
+        t_lo, t_hi = smp._bracket_quantiles(phi)
         grid = np.geomspace(t_lo, t_hi, smp._LT_TABLE_SIZE)
         want = np.array([laplace_invert_cdf(phi, t, n_terms) for t in grid])
-        assert np.array_equal(_invert_cdf_rows(phi, grid, n_terms), want)
-        log_grid, probs = smp._lt_table(phi, n_terms)
+        assert np.array_equal(_invert_cdf_rows(phi, grid), want)
+        log_grid, probs = smp._lt_table(phi)
         assert np.array_equal(log_grid, np.log(grid))
         assert np.array_equal(probs, np.maximum.accumulate(want))
 
@@ -623,14 +632,14 @@ class TestLtTable:
     @pytest.mark.parametrize(
         "label,phi", LT_LAWS + [("tanh-0.5", tanh_subordinator_lt(0.5))],
         ids=[c[0] for c in LT_LAWS] + ["tanh-0.5"])
-    def test_bracket_equals_scalar_walk(self, label, phi, n_terms):
-        bracket = smp._bracket_quantiles(phi, n_terms, 1e-5, 1.0 - 1e-5)
-        assert bracket == _scalar_bracket(phi, n_terms)
+    def test_bracket_equals_scalar_walk(self, label, phi, n_terms,
+                                        monkeypatch):
+        monkeypatch.setattr(numerics, "_TERMS", n_terms)
+        assert smp._bracket_quantiles(phi) == _scalar_bracket(phi, n_terms)
 
     def test_long_lower_walk_spans_blocks(self):
         # at t = 0.5 the lower walk takes 35 steps, to 4^-34 = 3.4e-21
-        t_lo, _ = smp._bracket_quantiles(tanh_subordinator_lt(0.5), 12,
-                                         1e-5, 1.0 - 1e-5)
+        t_lo, _ = smp._bracket_quantiles(tanh_subordinator_lt(0.5))
         assert t_lo == 4.0 ** -34
         assert 34 > 2 * smp._BRACKET_BLOCK
 
@@ -648,7 +657,7 @@ class TestLtTable:
         block = np.ldexp(1.0, -2 * np.arange(smp._BRACKET_BLOCK,
                                              2 * smp._BRACKET_BLOCK))
         with pytest.raises(NumericInstability, match="non-finite"):
-            _invert_cdf_rows(phi, block, 12)
+            _invert_cdf_rows(phi, block)
         draws = sample_from_lt(phi, RandomStream(3), 1000)
         assert np.array_equal(
             draws, sample_from_lt(tanh, RandomStream(3), 1000))
@@ -689,8 +698,27 @@ class TestLtTable:
 
     @pytest.mark.parametrize("n_terms", [math.nan, 12.5, 13, 2])
     def test_bad_n_terms_raises_before_phi(self, n_terms):
+        # no term count is taken, of any value
         def phi(q):
             raise AssertionError("phi called")
 
-        with pytest.raises(DomainError, match="n_terms"):
+        with pytest.raises(TypeError, match="n_terms"):
             sample_from_lt(phi, RandomStream(3), 10, n_terms=n_terms)
+
+
+def test_signatures_take_no_term_count():
+    # as the CLI's option strings are pinned: a term count that comes back
+    # to a sampler, or leaves laplace_invert_cdf, shows here
+    got = {fn.__name__: str(inspect.signature(fn)) for fn in (
+        sample_from_lt, sample_gamma_series_subordinator, laplace_invert_cdf)}
+    assert got == {
+        "sample_from_lt": "(phi, stream: 'RandomStream', size=None)",
+        "sample_gamma_series_subordinator":
+            "(a: 'float', t: 'float', stream: 'RandomStream', size=None)",
+        "laplace_invert_cdf":
+            "(phi, t: 'float', n_terms: 'int' = 12) -> 'float'",
+    }
+    # sample_from_lt's refusal is test_bad_n_terms_raises_before_phi
+    with pytest.raises(TypeError, match="n_terms"):
+        sample_gamma_series_subordinator(1.0, 1.0, RandomStream(3), 10,
+                                         n_terms=256)

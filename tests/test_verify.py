@@ -70,9 +70,9 @@ class TestRunSuite:
         # laplace_invert_cdf's at that quantile, bit for bit
         calls = []
 
-        def counted(phi, ts, n_terms):
+        def counted(phi, ts):
             calls.append(len(ts))
-            return invert_rows(phi, ts, n_terms)
+            return invert_rows(phi, ts)
 
         invert_rows = verify._invert_cdf_rows
         monkeypatch.setattr(verify, "_invert_cdf_rows", counted)
@@ -88,7 +88,7 @@ class TestRunSuite:
             p = float(r.check_id.split("=")[1])
             t = float(draws[min(int(p * SMALL_N), SMALL_N - 1)])
             assert r.notes == f"t={t:.5f}"
-            assert r.lhs == laplace_invert_cdf(law, t, n_terms=12)
+            assert r.lhs == laplace_invert_cdf(law, t)
 
     def test_deterministic_reruns(self):
         a = run_suite("mc_vs_formula", idx_grid=[1.5], seed=9, n_samples=10_000)
@@ -245,7 +245,7 @@ def test_hitting_time_cdf_prints_one_row_per_t():
     for t in (0.5, 2.0):
         inv = laplace_invert_cdf(
             lambda q: hl.lt_hit_point(hl.HittingQuery(1.5, float(q), a=1.0)),
-            t, n_terms=12)
+            t)
         emp = float(np.searchsorted(draws, t, side="right")) / 2000
         rows.append(f"{t!r},{inv!r},{emp!r},{abs(inv - emp)!r}")
     assert proc.stdout.splitlines() == [
