@@ -16,8 +16,7 @@ import sys
 
 import numpy as np
 
-from stable_hitting.cli import _at_least
-from stable_hitting.errors import DomainError, NonConvergence, NumericInstability
+from stable_hitting.cli import _FAILURES, _at_least
 from stable_hitting.hitting_laws import HittingQuery, lt_hit_point
 from stable_hitting.numerics import laplace_invert_cdf
 from stable_hitting.sampling import RandomStream, sample_hitting_time
@@ -57,7 +56,7 @@ def main():
             inv = laplace_invert_cdf(phi, t)
             emp = float(np.searchsorted(draws, t, side="right")) / args.n
             print(f"{t!r},{inv!r},{emp!r},{abs(inv - emp)!r}")
-    except (DomainError, NonConvergence, NumericInstability) as exc:
+    except _FAILURES as exc:
         print(f"hitting_time_cdf: {exc}", file=sys.stderr)
         return 1
     return 0

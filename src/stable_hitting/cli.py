@@ -12,9 +12,12 @@ calls instead, so that its output, message and exit code are always those
 of one call per row.  No command takes or passes a numerics setting.
 
 Exit codes: 0 on success (and all checks passing for ``verify``), 1 on domain
-or numeric failure, 2 on usage errors.  Every command runs with numpy's
-floating-point warnings silenced, so stderr holds only the package's
-messages.  ``sample`` draws from the one stream ``RandomStream(--seed)``, so
+or numeric failure, 2 on usage errors.  A failure is an exception of
+``_FAILURES``, an ArithmeticError or a ValueError: every package error is
+one (``errors``), and so is every error of Python's float arithmetic, so
+``main`` prints one line for any of them, and ``_at_once`` falls back on
+the same ones.  Every command runs with numpy's floating-point warnings
+silenced, so stderr holds only the package's messages.  ``sample`` draws from the one stream ``RandomStream(--seed)``, so
 its output is reproducible for a fixed (seed, n).
 """
 
@@ -34,14 +37,11 @@ from . import sampling as smp
 from . import verify as vf
 from .distributions import (alpha_rayleigh_survival, linnik_density,
                             meixner_density, z_density)
-from .errors import (ConsistencyError, DegenerateDenominator, DomainError,
-                     NonConvergence, NumericInstability, TableBuildError)
+from .errors import NumericInstability
 from .numerics import _invert_cdf_rows, laplace_invert_cdf
 from .resolvent import potential_kernel, resolvent_density, transition_density
 
-_NUMERIC_ERRORS = (DomainError, NonConvergence, NumericInstability,
-                   ConsistencyError, DegenerateDenominator, TableBuildError,
-                   OverflowError)
+_FAILURES = (ArithmeticError, ValueError)
 
 
 def _fmt(v) -> str:
@@ -159,13 +159,14 @@ def _row_by_row(fn, grids):
 def _at_once(fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, one call that stands in for many float calls
     of a law, with floating-point overflow, division by zero and invalid
-    operations raised; None where it raises one of those or a package error.
-    The caller then makes the float calls, so that the rows printed before
-    a failing one, its message and the exit code are theirs."""
+    operations raised; None where it raises any of ``_FAILURES``, which
+    holds numpy's FloatingPointError and every package error.  The caller
+    then makes the float calls, so that the rows printed before a failing
+    one, its message and the exit code are theirs."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return fn(*args, **kwargs)
-    except (ArithmeticError, ValueError):
+    except _FAILURES:
         return None
 
 
@@ -408,7 +409,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"{args.command} {args.kind}: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
+    except _FAILURES as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
     finally:

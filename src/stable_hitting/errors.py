@@ -1,7 +1,14 @@
 """Exception types shared across the package, and the eight validators that
-every domain check of the package calls.  Each tests that the value lies
-inside its domain, so a NaN fails all of them, and returns the value; the
-name it is given is the one the CLI flag uses.
+every domain check of the package calls.
+
+Every exception type here is an ArithmeticError or a ValueError, the two
+families that Python's own float arithmetic raises, so a caller that
+catches those two catches every failure of the package; the CLI's
+``_FAILURES`` is that pair.
+
+Each validator tests that the value lies inside its domain, so a NaN
+fails all of them, and returns the value; the name it is given is the one
+the CLI flag uses.
 
 ``_positive``, ``_nonnegative``, ``_finite`` and ``_nonzero`` also take an
 array, the rates, points and levels of a function called on arrays, and
@@ -33,10 +40,11 @@ class ConsistencyError(ArithmeticError):
 
 
 class DegenerateDenominator(ArithmeticError):
-    """A denominator that should be strictly positive evaluated to ~0."""
+    """A denominator that should be strictly positive and finite evaluated
+    to ~0, or overflowed."""
 
 
-class TableBuildError(RuntimeError):
+class TableBuildError(ArithmeticError):
     """An inverse-CDF sampling table failed monotonicity or range checks."""
 
 

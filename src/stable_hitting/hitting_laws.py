@@ -103,20 +103,20 @@ def lt_hit_before(query: HittingQuery) -> float:
 
 
 def _u_gap(u0: float, ud: float, d: float) -> float:
-    """u_q(0)^2 - u_q(d)^2, or DegenerateDenominator where it rounds to 0
-    or below, as it does for |d| far below the scale q^{-1/alpha}."""
+    """u_q(0)^2 - u_q(d)^2, or DegenerateDenominator outside (0, inf): it
+    rounds to 0 at |d| far below q^{-1/alpha}, and overflows at a tiny q."""
     den = u0 * u0 - ud * ud
-    if _any(den <= 0.0):
+    if not _all((0.0 < den) & (den < inf)):
         raise DegenerateDenominator(
             f"u_q(0)^2 - u_q(d)^2 = {np.min(den)} for d = {d}")
     return den
 
 
-def _any(flags) -> bool:
-    """Whether a check fails: ``flags`` is a bool (numpy's, for a numpy
-    float q), or an array of them for an array of q, which fails where any
-    element does."""
-    return bool(flags.any()) if isinstance(flags, np.ndarray) else flags
+def _all(flags) -> bool:
+    """Whether a check passes: ``flags`` is a bool (numpy's, for a numpy
+    float q), or an array of them for an array of q, which passes where
+    every element does."""
+    return bool(flags.all()) if isinstance(flags, np.ndarray) else flags
 
 
 def prob_hit_before(alpha, x: float, a: float, b: float) -> float:
@@ -133,7 +133,7 @@ def lt_last_exit(alpha, q: float, a: float) -> float:
     """E[e^{-q G_a}] = (u(0)^2 - u(a)^2) / (2 h(a) u(0))."""
     u = _resolvent(alpha, q)
     u0, ua = u(0.0), u(_nonzero(a))
-    return (u0 * u0 - ua * ua) / (2.0 * potential_kernel(alpha, a) * u0)
+    return _u_gap(u0, ua, a) / (2.0 * potential_kernel(alpha, a) * u0)
 
 
 def lt_post_exit(alpha, q: float, a: float) -> float:
@@ -146,7 +146,16 @@ def lt_post_exit(alpha, q: float, a: float) -> float:
 def excursion_hit_mass(alpha, a: float) -> float:
     """Excursion-measure mass of paths reaching a: n(T_a < zeta) = 1/(2 h(a))."""
     alpha = _point_alpha(alpha)
-    return 1.0 / (2.0 * potential_kernel(alpha, _nonzero(a)))
+    return _mass(1.0 / (2.0 * potential_kernel(alpha, _nonzero(a))), a)
+
+
+def _mass(m, a: float) -> float:
+    """The excursion mass ``m`` at the level ``a``, or DegenerateDenominator
+    where it passes the double range, as its h denominator nears 0 at a
+    subnormal level and alpha near 2."""
+    if not _all(m < inf):
+        raise DegenerateDenominator(f"excursion mass = {np.max(m)} for a = {a}")
+    return m
 
 
 def _after_hit(alpha, r: Optional[float], a: float) -> float:
@@ -217,7 +226,7 @@ def leg_decomposition_gap(alpha, q: float, a: float, n: int) -> float:
     before = lt_hit_before(HittingQuery(alpha, q, x=0.0, a=(2 * n + 1) * a,
                                         b=(2 * n - 1) * a))
     routed = before * (1.0 - phi_2a * phi_2a)
-    if _any(abs(direct - routed) > 1e-9):
+    if not _all(abs(direct - routed) <= 1e-9):
         raise ConsistencyError(
             f"D_n routes disagree: {direct} vs {routed} at n={n}")
     return 0.5 * (direct + routed)
@@ -226,8 +235,10 @@ def leg_decomposition_gap(alpha, q: float, a: float, n: int) -> float:
 def _v_q(u0: float, ua: float, u2a: float) -> float:
     """V_q(a) from u(0), u(a) and u(2a) of u = u_q, at a level a != 0."""
     v = u0 * u0 + u0 * u2a - 2.0 * ua * ua
-    if _any(v <= 0.0):
-        raise DegenerateDenominator(f"V_q(a) = {np.min(v)} <= 0")
+    if not _all((0.0 < v) & (v < inf)):
+        v = np.min(v)
+        raise DegenerateDenominator(f"V_q(a) = {v} <= 0" if v <= 0.0
+                                    else f"V_q(a) = {v}: u_q overflows")
     return v
 
 
@@ -253,9 +264,13 @@ def lt_hit_pair_before_zero(alpha, q: float, x: float, a: float) -> float:
 
 
 def _h_combo(alpha, a: float) -> float:
-    """4 h(a) - h(2a), the |X| analogue of 2 h(a)."""
-    return (4.0 * potential_kernel(alpha, a)
-            - potential_kernel(alpha, 2.0 * a))
+    """4 h(a) - h(2a), the |X| analogue of 2 h(a), or DegenerateDenominator
+    outside (0, inf), as where h(a) rounds to 0 at a subnormal level."""
+    c = (4.0 * potential_kernel(alpha, a)
+         - potential_kernel(alpha, 2.0 * a))
+    if not _all((0.0 < c) & (c < inf)):
+        raise DegenerateDenominator(f"4 h(a) - h(2a) = {np.min(c)} for a = {a}")
+    return c
 
 
 def lt_last_exit_abs(alpha, q: float, a: float) -> float:
@@ -275,7 +290,7 @@ def lt_post_exit_abs(alpha, q: float, a: float) -> float:
 def excursion_hit_mass_abs(alpha, a: float) -> float:
     """m(T_a < zeta) for |X|: 2 / (4 h(a) - h(2a))."""
     alpha = _point_alpha(alpha)
-    return 2.0 / _h_combo(alpha, _nonzero(a))
+    return _mass(2.0 / _h_combo(alpha, _nonzero(a)), a)
 
 
 def excursion_hit_lt_abs(alpha, q: float, a: float, r: Optional[float] = None) -> float:

@@ -3,9 +3,11 @@ import contextlib
 import functools
 import inspect
 import io
+import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -199,6 +201,19 @@ class TestSample:
         draws = smp.sample_size_biased_stable(0.995, smp.RandomStream(0, 0), 3)
         assert code == 0
         assert out == "\n".join(["draw"] + [repr(float(v)) for v in draws]) + "\n"
+
+    @pytest.mark.parametrize("dist,flag,limit", [
+        ("size-biased", "--beta", "1e-12"), ("alpha-rayleigh", "--alpha", "2e-12"),
+    ])
+    def test_size_biased_index_limit(self, capsys, dist, flag, limit):
+        # below the limit the rejection loop would accept nothing and not end
+        with _time_limit(1.0):
+            code, out, err = run(capsys, "sample", dist, flag, "1e-300", "-n", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("sample: size-biased stable index beta = ")
+        assert "is below 1e-12" in err
+        code, out, _ = run(capsys, "sample", dist, flag, limit, "-n", "3")
+        assert code == 0 and len(rows(out)) == 3
 
     def test_size_biased_beta_one_exit_one(self, capsys):
         code, out, err = run(capsys, "sample", "size-biased", "--beta", "1",
@@ -569,6 +584,34 @@ def test_degenerate_denominator_exit_one(capsys):
     assert err == "eval: u_q(0)^2 - u_q(d)^2 = 0.0 for d = 1e-300\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    # u_q(0)^2 - u_q(a)^2 rounds to 0, and lt_last_exit reads it too
+    (("eval", "lt-G", "--alpha", "1.999", "--q", "1e300", "--a", "1e-300"),
+     "eval: u_q(0)^2 - u_q(d)^2 = 0.0 for d = 1e-300"),
+    (("invert", "lt-G", "--alpha", "1.999", "--a", "1e-300", "--t", "1e-300"),
+     "invert: u_q(0)^2 - u_q(d)^2 = 0.0 for d = 1e-300"),
+    # u_q(0)^2 overflows at the least rate
+    (("eval", "lt-G", "--alpha", "1.999", "--q", "5e-324", "--a", "5e-324"),
+     "eval: u_q(0)^2 - u_q(d)^2 = nan for d = 5e-324"),
+    # h(a) rounds to 0 at alpha = 2 and a subnormal level
+    (("eval", "exc-n", "--alpha", "2", "--a", "5e-324"), "eval: "),
+    (("eval", "exc-m", "--alpha", "2", "--a", "5e-324"),
+     "eval: 4 h(a) - h(2a) = -5e-324 for a = 5e-324"),
+    # 1 / (2 h(a)) passes the double range
+    (("eval", "exc-n", "--alpha", "1.999", "--a", "5e-324"),
+     "eval: excursion mass = inf for a = 5e-324"),
+    # the mean of the gamma tail underflows to 0
+    (("sample", "gamma-series", "--a", "1e308", "--t", "1e-300", "-n", "2"),
+     "sample: "),
+])
+def test_arithmetic_failure_exit_one(capsys, argv, message):
+    # Python's float errors and gaps outside (0, inf) are one line, exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "nan" not in out and "inf" not in out
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_huge_z_shape_against_mpmath(capsys):
     # the normaliser is a series from a = 30 on, finite up to 1.8e308; at
     # x = 0 the density is pi / (4^a B(a, a)), about sqrt(pi a)/2
@@ -654,6 +697,92 @@ def test_eval_edge_values_keep_exit_codes(capsys, kind):
                 if code == 0:
                     values = [float(row["value"]) for row in rows(out)]
                     assert all(math.isfinite(v) for v in values), argv
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the code under the block after ``seconds``
+    (``main`` catches none): a rejection loop is Python, so the alarm
+    interrupts it."""
+    def hang(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# the values the pairwise sweep sets each flag to, the alphas it runs each
+# eval and invert kind at, and the value of each flag it does not set
+_SWEEP_VALUES = ("0", "5e-324", "1e-300", "1e300", "-1e300", "-1")
+_SWEEP_ALPHAS = ("1.5", "1.999", "2")
+_SWEEP_BASE = {**_EDGE_BASE, "gamma": "0.5", "b": "2"}
+
+
+def _pairwise(argv, flags, swept, alphas=("1.5",)):
+    """``argv`` with ``flags`` given: for each alpha, each pair of the
+    ``swept`` flags over every two ``_SWEEP_VALUES``, the others at
+    ``_SWEEP_BASE``; a lone swept flag over each value."""
+    pairs = list(itertools.combinations(swept, 2)) or [tuple(swept)]
+    for alpha, pair in itertools.product(alphas, pairs):
+        for values in itertools.product(_SWEEP_VALUES, repeat=len(pair)):
+            params = {**_SWEEP_BASE, "alpha": alpha, **dict(zip(pair, values))}
+            yield argv + [f"--{name}={params[name]}" for name in flags]
+
+
+def _sweep_faults(argvs, check=lambda argv, out: []):
+    """Each argv that lets an exception out of ``main``, runs past 5 s,
+    exits other than 0, 1 or 2, prints a traceback, or, at exit 0, fails
+    ``check``."""
+    faults = []
+    for argv in argvs:
+        try:
+            with _time_limit(5.0):
+                code, out, err = _main_output(argv)
+        except Exception as exc:
+            faults.append((argv, repr(exc)))
+            continue
+        if code not in (0, 1, 2) or "Traceback" in err:
+            faults.append((argv, code, err))
+        elif code == 0:
+            faults += [(argv, fault) for fault in check(argv, out)]
+    return faults
+
+
+def _eval_value_faults(argv, out):
+    """The printed values that are not finite, or, for a transform in q,
+    outside [0, 1]."""
+    values = [float(row["value"]) for row in rows(out)]
+    lo, hi = (0.0, 1.0) if argv[1].startswith("lt-") else (-math.inf, math.inf)
+    return [v for v in values if not (math.isfinite(v) and lo <= v <= hi)]
+
+
+def test_pairwise_edge_sweep():
+    # every two flags of a command moved together: eval values stay finite
+    # (and in [0, 1] for a transform in q), and no command prints a
+    # traceback or, for sample, runs on; sample draws may be inf, as past
+    # the double range they are documented to be
+    evals = []
+    for kind, (required, optional, _) in sorted(EVAL_KINDS.items()):
+        # with its optional flags and without, as exc-n's mass
+        for flags in dict.fromkeys([required, (*required, *optional)]):
+            swept = [name for name in flags if name != "alpha"]
+            alphas = _SWEEP_ALPHAS if "alpha" in flags else ("1.5",)
+            evals += _pairwise(["eval", kind], flags, swept, alphas)
+    inverts = [argv for kind in cli._INVERT_CHOICES
+               for argv in _pairwise(["invert", kind], ["alpha", "a", "t"],
+                                     ["a", "t"], _SWEEP_ALPHAS)]
+    samples = [argv for dist, (required, optional, _) in SAMPLE_DISTS.items()
+               for argv in _pairwise(["sample", dist, "-n", "3"],
+                                     [*required, *optional],
+                                     [*required, *optional])]
+    assert (len(evals), len(inverts), len(samples)) == (2394, 648, 207)
+    assert _sweep_faults(evals, _eval_value_faults) == []
+    assert _sweep_faults(inverts) == []
+    assert _sweep_faults(samples) == []
 
 
 # each eval kind and the library call one of its rows stands for; a flag the
@@ -831,14 +960,10 @@ def _eval_argv(draw):
 
 
 def _main_output(argv):
-    """The exit code, stdout and stderr of ``main``; in place of the exit
-    code, the repr of an exception that ``main`` lets through."""
+    """The exit code, stdout and stderr of ``main``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except ArithmeticError as exc:
-            code = repr(exc)
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -896,13 +1021,16 @@ def test_failing_row_ends_the_output(capsys, kind, flags, printed):
 
 def test_overflowing_group_is_evaluated_row_by_row(capsys):
     # a q^{1/alpha} = 1e500 overflows in the array; the float path gives
-    # u_1(inf) = 0 with no warning
+    # u_1(inf) = 0 with no warning.  At q = 1e-300, a = 1, the fourth row,
+    # u_q(0)^2 - u_q(1)^2 rounds to 0, which ends the output
     code, out, err = run(capsys, "eval", "lt-G", "--alpha=1.5",
                          "--q=1e300,1e-300,1,2,3", "--a=1e300,1")
-    assert (code, err) == (0, "")
-    for row in rows(out):
+    got = rows(out)
+    assert code == 1 and len(got) == 3
+    for row in got:
         p = {k: float(v) for k, v in row.items() if k != "value"}
         assert row["value"] == repr(hl.lt_last_exit(p["alpha"], p["q"], p["a"]))
+    assert err == "eval: u_q(0)^2 - u_q(d)^2 = 0.0 for d = 1.0\n"
 
 
 # each sample dist, its flags, and the draws of one stream
@@ -1114,9 +1242,10 @@ def test_flag_without_value_stays_usage_error(capsys):
 
 
 def test_every_package_error_reaches_main_as_exit_one():
-    # a new error class fails here until ``main`` handles it; UnknownSuite
-    # is out of reach, since argparse's ``choices`` checks the suite name
+    # ``main`` and ``_at_once`` catch the one tuple ``_FAILURES``; every
+    # error class of the package falls in it, so none is a traceback
     defined = {obj for _, obj in inspect.getmembers(errors, inspect.isclass)
                if issubclass(obj, Exception)
                and obj.__module__ == errors.__name__}
-    assert defined - set(cli._NUMERIC_ERRORS) == {errors.UnknownSuite}
+    assert len(defined) == 7
+    assert all(issubclass(cls, cli._FAILURES) for cls in defined)

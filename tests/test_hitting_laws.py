@@ -388,6 +388,39 @@ class TestDegenerateDenominator:
         with pytest.raises(DegenerateDenominator, match=r"V_q\(a\) = 0.0 <= 0"):
             lt_post_exit_abs(1.5, 1.0, 1e-300)
 
+    def test_last_exit(self):
+        # the gap is the numerator here, where E[e^{-q G_1}] tends to 1
+        with pytest.raises(DegenerateDenominator,
+                           match=r"u_q\(0\)\^2 - u_q\(d\)\^2 = 0.0 for d = 1.0"):
+            lt_last_exit(1.5, 1e-300, 1.0)
+
+    @pytest.mark.parametrize("law,message", [
+        (lt_last_exit, r"u_q\(0\)\^2 - u_q\(d\)\^2 = nan"),
+        (lt_post_exit, r"u_q\(0\)\^2 - u_q\(d\)\^2 = nan"),
+        (excursion_hit_lt, r"u_q\(0\)\^2 - u_q\(d\)\^2 = nan"),
+        (lt_last_exit_abs, r"V_q\(a\) = nan: u_q overflows"),
+        (lt_post_exit_abs, r"V_q\(a\) = nan: u_q overflows"),
+        (excursion_hit_lt_abs, r"V_q\(a\) = nan: u_q overflows"),
+    ])
+    def test_overflowing_resolvent(self, law, message):
+        # u_q(0)^2 overflows at the least rate, and inf - inf is NaN
+        with pytest.raises(DegenerateDenominator, match=message):
+            law(1.999, 5e-324, 5e-324)
+
+    @pytest.mark.parametrize("law,alpha,message", [
+        (excursion_hit_mass, 1.999, "excursion mass = inf"),
+        (excursion_hit_mass_abs, 1.999, "excursion mass = inf"),
+        (excursion_hit_mass_abs, 2.0, r"4 h\(a\) - h\(2a\) = -5e-324"),
+    ])
+    def test_subnormal_level_mass(self, law, alpha, message):
+        # h(a) rounds to 0 or near it, and its reciprocal passes the range
+        with pytest.raises(DegenerateDenominator, match=message):
+            law(alpha, 5e-324)
+        # numpy's overflow warning stays off; the check still raises
+        with np.errstate(over="ignore"), pytest.raises(DegenerateDenominator,
+                                                       match=message):
+            law(alpha, np.array([1.0, 5e-324]))
+
 
 # every law in q, called with the rate q and the levels x, a, b and r of one
 # row (each law takes the ones it has)

@@ -236,6 +236,17 @@ class TestSizeBiasedStable:
         draws = sample_size_biased_stable(0.6, RandomStream(44), size=1000)
         assert np.all(draws > 0)
 
+    def test_index_limit(self):
+        # below the limit the acceptance would fall to 0 and the loop not end
+        limit = smp._SIZE_BIASED_BETA_MIN
+        assert sample_size_biased_stable(limit, RandomStream(46), size=3).shape == (3,)
+        for beta in (math.nextafter(limit, 0.0), 1e-300):
+            with pytest.raises(DomainError, match="is below 1e-12"):
+                sample_size_biased_stable(beta, RandomStream(46), size=3)
+        assert sample_alpha_rayleigh(2.0 * limit, RandomStream(46), size=3).shape == (3,)
+        with pytest.raises(DomainError, match="beta = 5e-301 is below 1e-12"):
+            sample_alpha_rayleigh(1e-300, RandomStream(46), size=3)
+
     @pytest.mark.parametrize("beta", [0.3, 0.75, 0.95, 0.995])
     def test_negative_moments(self, beta):
         # E[T'^q] = Gamma(3/2) Gamma(1 + 1/(2b) - q/b)

@@ -258,6 +258,8 @@ def test_hitting_time_cdf_prints_one_row_per_t():
     (("--t=-1",), 2, "argument --t: invalid time '-1'"),
     (("--t=0.1,nan",), 2, "argument --t: invalid time 'nan'"),
     (("--alpha", "0.5"), 1, "hitting_time_cdf: alpha=0.5: point hitting"),
+    # |a|^alpha overflows in the sampler, an OverflowError
+    (("--a", "1e300"), 1, "hitting_time_cdf: "),
 ])
 def test_hitting_time_cdf_rejects_bad_input(args, code, message):
     proc = _hitting_time_cdf("--n", "100", *args)
