@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the eight validators that
+"""Exception types shared across the package, and the ten validators that
 every domain check of the package calls.
 
 Every exception type here is an ArithmeticError or a ValueError, the two
@@ -8,13 +8,15 @@ catches those two catches every failure of the package; the CLI's
 
 Each validator tests that the value lies inside its domain, so a NaN
 fails all of them, and returns the value; the name it is given is the one
-the CLI flag uses.
+the CLI flag uses.  ``_nondegenerate`` checks a computed quantity, such as
+a hitting law's gap, and alone raises DegenerateDenominator; the other
+nine raise DomainError.
 
-``_positive``, ``_nonnegative``, ``_finite`` and ``_nonzero`` also take an
-array, the rates, points and levels of a function called on arrays, and
-fail where any element fails, with the float call's message.  A float pays
-nothing for that: an array is told by
-the ValueError that the truth value of its comparison raises, under a
+``_positive``, ``_nonnegative``, ``_finite``, ``_nonzero``,
+``_second_target`` and ``_nondegenerate`` also take an array, the rates,
+points, levels and gaps of a function called on arrays, and fail where any
+element fails.  A float pays nothing for that: an array is told by the
+ValueError that the truth value of its comparison raises, under a
 ``try`` that costs nothing unless it catches (Python 3.11 and later) and
 that wraps no raising check, since DomainError is a ValueError too."""
 
@@ -123,6 +125,39 @@ def _nonzero(a):
     if not np.all(abs(a) > 0.0):
         raise DomainError("target level a must be nonzero")
     return _finite("a", a)
+
+
+def _second_target(a, b):
+    """The second target ``b``, or DomainError where it is missing, equal to
+    ``a`` or NaN, or where either target is infinite; for arrays, where any
+    element is."""
+    if b is None:
+        raise DomainError("second target b required")
+    try:
+        if (abs(a - b) > 0.0 and -math.inf < a < math.inf
+                and -math.inf < b < math.inf):
+            return b
+    except ValueError:
+        pass
+    # an array, or floats that fail: the rules in order, for the message
+    if not np.all(abs(a - b) > 0.0):
+        raise DomainError("targets a and b must differ")
+    _finite("a", a)
+    return _finite("b", b)
+
+
+def _nondegenerate(value, what: str, name: str, level):
+    """``value``, or DegenerateDenominator "what = v for name = level"
+    outside (0, inf), v the value or an array's first element that fails."""
+    try:
+        if 0.0 < value < math.inf:
+            return value
+    except ValueError:
+        ok = (0.0 < value) & (value < math.inf)
+        if ok.all():
+            return value
+        value = value[~ok].flat[0]
+    raise DegenerateDenominator(f"{what} = {value} for {name} = {level}")
 
 
 def _count(name: str, value, least: int) -> int:

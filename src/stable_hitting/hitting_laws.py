@@ -21,6 +21,10 @@ point ``x`` must be finite, and so must every target.  A level ``a`` is
 checked by one rule, ``errors._nonzero``, also in the |X| laws, where u
 and h are even, so a level -a gives the value at a.
 
+The module holds only formulas: each parameter rule, and each check that
+a gap, V_q(a), 2 h(a), 4 h(a) - h(2a) or a mass lies in (0, inf)
+(``errors._nondegenerate``), is an ``errors`` validator.
+
 Every law in q broadcasts over all its arguments but ``alpha`` and the
 term counts: with q an array, each of x, a, b and r may be a float or an
 array of q's shape, and the law returns an array of q's shape whose
@@ -35,13 +39,12 @@ differ from numpy's square in the last bit.  The excursion masses and
 
 from __future__ import annotations
 
-from math import inf
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (ConsistencyError, DegenerateDenominator, DomainError,
-                     _count, _finite, _nonzero, _point_alpha, _positive)
+from .errors import (ConsistencyError, _count, _finite, _nondegenerate,
+                     _nonzero, _point_alpha, _positive, _second_target)
 from .resolvent import _pow, _resolvent, potential_kernel
 
 
@@ -55,24 +58,6 @@ class HittingQuery(NamedTuple):
     x: float = 0.0
     a: float = 1.0
     b: Optional[float] = None
-
-
-def _second_target(a: float, b: Optional[float]) -> float:
-    """The second target ``b``, or DomainError where it is missing, equal to
-    ``a`` or NaN, or where either target is infinite; for arrays, where any
-    element is, as in ``errors``."""
-    if b is None:
-        raise DomainError("second target b required")
-    try:
-        if abs(a - b) > 0.0 and -inf < a < inf and -inf < b < inf:
-            return b
-    except ValueError:
-        pass
-    # an array, or floats that fail: the rules in order, for the message
-    if not np.all(abs(a - b) > 0.0):
-        raise DomainError("targets a and b must differ")
-    _finite("a", a)
-    return _finite("b", b)
 
 
 def lt_hit_point(query: HittingQuery) -> float:
@@ -103,20 +88,9 @@ def lt_hit_before(query: HittingQuery) -> float:
 
 
 def _u_gap(u0: float, ud: float, d: float) -> float:
-    """u_q(0)^2 - u_q(d)^2, or DegenerateDenominator outside (0, inf): it
-    rounds to 0 at |d| far below q^{-1/alpha}, and overflows at a tiny q."""
-    den = u0 * u0 - ud * ud
-    if not _all((0.0 < den) & (den < inf)):
-        raise DegenerateDenominator(
-            f"u_q(0)^2 - u_q(d)^2 = {np.min(den)} for d = {d}")
-    return den
-
-
-def _all(flags) -> bool:
-    """Whether a check passes: ``flags`` is a bool (numpy's, for a numpy
-    float q), or an array of them for an array of q, which passes where
-    every element does."""
-    return bool(flags.all()) if isinstance(flags, np.ndarray) else flags
+    """u_q(0)^2 - u_q(d)^2, checked in (0, inf): it rounds to 0 at |d| far
+    below q^{-1/alpha}, and overflows at a tiny q."""
+    return _nondegenerate(u0 * u0 - ud * ud, "u_q(0)^2 - u_q(d)^2", "d", d)
 
 
 def prob_hit_before(alpha, x: float, a: float, b: float) -> float:
@@ -146,16 +120,9 @@ def lt_post_exit(alpha, q: float, a: float) -> float:
 def excursion_hit_mass(alpha, a: float) -> float:
     """Excursion-measure mass of paths reaching a: n(T_a < zeta) = 1/(2 h(a))."""
     alpha = _point_alpha(alpha)
-    return _mass(1.0 / (2.0 * potential_kernel(alpha, _nonzero(a))), a)
-
-
-def _mass(m, a: float) -> float:
-    """The excursion mass ``m`` at the level ``a``, or DegenerateDenominator
-    where it passes the double range, as its h denominator nears 0 at a
-    subnormal level and alpha near 2."""
-    if not _all(m < inf):
-        raise DegenerateDenominator(f"excursion mass = {np.max(m)} for a = {a}")
-    return m
+    h2 = _nondegenerate(2.0 * potential_kernel(alpha, _nonzero(a)),
+                        "2 h(a)", "a", a)
+    return _nondegenerate(1.0 / h2, "excursion mass", "a", a)
 
 
 def _after_hit(alpha, r: Optional[float], a: float) -> float:
@@ -226,20 +193,17 @@ def leg_decomposition_gap(alpha, q: float, a: float, n: int) -> float:
     before = lt_hit_before(HittingQuery(alpha, q, x=0.0, a=(2 * n + 1) * a,
                                         b=(2 * n - 1) * a))
     routed = before * (1.0 - phi_2a * phi_2a)
-    if not _all(abs(direct - routed) <= 1e-9):
+    if not np.all(abs(direct - routed) <= 1e-9):
         raise ConsistencyError(
             f"D_n routes disagree: {direct} vs {routed} at n={n}")
     return 0.5 * (direct + routed)
 
 
-def _v_q(u0: float, ua: float, u2a: float) -> float:
-    """V_q(a) from u(0), u(a) and u(2a) of u = u_q, at a level a != 0."""
-    v = u0 * u0 + u0 * u2a - 2.0 * ua * ua
-    if not _all((0.0 < v) & (v < inf)):
-        v = np.min(v)
-        raise DegenerateDenominator(f"V_q(a) = {v} <= 0" if v <= 0.0
-                                    else f"V_q(a) = {v}: u_q overflows")
-    return v
+def _v_q(u0: float, ua: float, u2a: float, a: float) -> float:
+    """V_q(a) from u(0), u(a) and u(2a) of u = u_q, at a level a != 0,
+    checked in (0, inf) as ``_u_gap`` is."""
+    return _nondegenerate(u0 * u0 + u0 * u2a - 2.0 * ua * ua,
+                          "V_q(a)", "a", a)
 
 
 def lt_hit_three(alpha, q: float, x: float, a: float) -> float:
@@ -247,7 +211,7 @@ def lt_hit_three(alpha, q: float, x: float, a: float) -> float:
     u = _resolvent(alpha, q)
     x = _finite("x", x)
     u0, ua, u2a = u(0.0), u(_nonzero(a)), u(2.0 * a)
-    v = _v_q(u0, ua, u2a)
+    v = _v_q(u0, ua, u2a, a)
     c_zero = (u0 + u2a - 2.0 * ua) / v
     c_side = (u0 - ua) / v
     return c_zero * u(x) + c_side * (u(x - a) + u(x + a))
@@ -260,37 +224,36 @@ def lt_hit_pair_before_zero(alpha, q: float, x: float, a: float) -> float:
     x = _finite("x", x)
     a = _nonzero(a)
     u0, side, ua = u(0.0), u(x - a) + u(x + a), u(a)
-    return (u0 * side - 2.0 * ua * u(x)) / _v_q(u0, ua, u(2.0 * a))
+    return (u0 * side - 2.0 * ua * u(x)) / _v_q(u0, ua, u(2.0 * a), a)
 
 
 def _h_combo(alpha, a: float) -> float:
-    """4 h(a) - h(2a), the |X| analogue of 2 h(a), or DegenerateDenominator
-    outside (0, inf), as where h(a) rounds to 0 at a subnormal level."""
-    c = (4.0 * potential_kernel(alpha, a)
-         - potential_kernel(alpha, 2.0 * a))
-    if not _all((0.0 < c) & (c < inf)):
-        raise DegenerateDenominator(f"4 h(a) - h(2a) = {np.min(c)} for a = {a}")
-    return c
+    """4 h(a) - h(2a), the |X| analogue of 2 h(a), checked in (0, inf): it
+    is not positive where h(a) rounds to 0 at a subnormal level."""
+    return _nondegenerate(4.0 * potential_kernel(alpha, a)
+                          - potential_kernel(alpha, 2.0 * a),
+                          "4 h(a) - h(2a)", "a", a)
 
 
 def lt_last_exit_abs(alpha, q: float, a: float) -> float:
     """E[e^{-q G_a(|X|)}] = 2 V_q(a) / ((u(0) + u(2a)) (4h(a) - h(2a)))."""
     u = _resolvent(alpha, q)
     u0, ua, u2a = u(0.0), u(_nonzero(a)), u(2.0 * a)
-    return 2.0 * _v_q(u0, ua, u2a) / ((u0 + u2a) * _h_combo(alpha, a))
+    return 2.0 * _v_q(u0, ua, u2a, a) / ((u0 + u2a) * _h_combo(alpha, a))
 
 
 def lt_post_exit_abs(alpha, q: float, a: float) -> float:
     """E[e^{-q (T_a - G_a)(|X|)}] = u(a) (4h(a) - h(2a)) / V_q(a)."""
     u = _resolvent(alpha, q)
     u0, ua, u2a = u(0.0), u(_nonzero(a)), u(2.0 * a)
-    return ua * _h_combo(alpha, a) / _v_q(u0, ua, u2a)
+    return ua * _h_combo(alpha, a) / _v_q(u0, ua, u2a, a)
 
 
 def excursion_hit_mass_abs(alpha, a: float) -> float:
     """m(T_a < zeta) for |X|: 2 / (4 h(a) - h(2a))."""
     alpha = _point_alpha(alpha)
-    return _mass(2.0 / _h_combo(alpha, _nonzero(a)), a)
+    return _nondegenerate(2.0 / _h_combo(alpha, _nonzero(a)),
+                          "excursion mass", "a", a)
 
 
 def excursion_hit_lt_abs(alpha, q: float, a: float, r: Optional[float] = None) -> float:
@@ -299,4 +262,4 @@ def excursion_hit_lt_abs(alpha, q: float, a: float, r: Optional[float] = None) -
     _nonzero(a)
     u = _resolvent(alpha, q)
     u0, ua, u2a = u(0.0), u(a), u(2.0 * a)
-    return 2.0 * ua / _v_q(u0, ua, u2a) * _after_hit(alpha, r, a)
+    return 2.0 * ua / _v_q(u0, ua, u2a, a) * _after_hit(alpha, r, a)

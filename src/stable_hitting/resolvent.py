@@ -39,6 +39,7 @@ every other domain check, live in ``errors``.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache, partial
 
 import numpy as np
@@ -178,17 +179,28 @@ def _p1(alpha: float, w: float) -> float:
     return _p1_sum(alpha, w, lw, c, _zolotarev_rule(alpha, lw, c))
 
 
+# Smallest alpha at which p_1(0) = Gamma(1 + 1/alpha)/pi is a finite double:
+# Gamma overflows past 171.6243769563027.
+_P1_ZERO_ALPHA_MIN = 1.0 / 170.6243769563027
+
+
 def _p1_closed(alpha: float, w: float):
     """p_1(w) where ``_p1`` takes a closed form or a series, None where it
     runs its rule: alpha = 2 is the Gaussian and alpha = 1 the Cauchy
-    density, w below 1e-9 (1e-300 for alpha < 1) is p_1(0), and far out it
-    is ``_far_field`` for alpha > 1 and ``_p1_series`` for alpha < 1."""
+    density, w below 1e-9 (1e-300 for alpha < 1) is p_1(0), which raises
+    DomainError below ``_P1_ZERO_ALPHA_MIN``, and far out it is
+    ``_far_field`` for alpha > 1 and ``_p1_series`` for alpha < 1."""
     if alpha == 2.0:
         return math.exp(-0.25 * w * w) / (2.0 * math.sqrt(math.pi))
     if alpha == 1.0:
         return 1.0 / (math.pi * (1.0 + w * w))
     if w < (1e-9 if alpha > 1.0 else 1e-300):
-        return math.gamma(1.0 + 1.0 / alpha) / math.pi
+        try:
+            return math.gamma(1.0 + 1.0 / alpha) / math.pi
+        except OverflowError:
+            raise DomainError(
+                f"alpha={alpha}: p_1(0) = Gamma(1 + 1/alpha)/pi overflows "
+                f"below alpha = {_P1_ZERO_ALPHA_MIN:.4g}") from None
     if alpha > 1.0:
         return _far_field(alpha, w)
     return _p1_series(alpha, math.log(w))
@@ -414,9 +426,17 @@ def u1_zero(alpha: float) -> float:
 def transition_density(alpha, t, x):
     """Density of X(t) at x, via p_t(x) = t^{-1/a} p_1(x t^{-1/a}), for
     floats t and x or, element by element and bit for bit, for arrays of
-    either: the power is ``_pow`` and p_1 comes from ``_p1_rows``."""
+    either: the power is ``_pow`` and p_1 comes from ``_p1_rows``.  Where
+    t^{-1/a} passes the double range, t <= DBL_MAX^{-alpha} (only for
+    alpha below about 1.049), this raises DomainError."""
     alpha = _alpha(alpha)
-    scale = _pow(_positive("t", t), -(1.0 / alpha))
+    try:
+        scale = _pow(_positive("t", t), -(1.0 / alpha))
+    except OverflowError:
+        raise DomainError(
+            f"density time t = {t} is not above DBL_MAX^(-alpha) = "
+            f"{math.exp(-alpha * math.log(sys.float_info.max)):.4g} at "
+            f"alpha = {alpha}, where t^(-1/alpha) overflows") from None
     w = abs(x) * scale
     if type(w) is np.ndarray:
         return scale * _p1_rows(alpha, w)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, TableBuildError, _alpha, _finite, _inside,
-                     _nonzero, _point_alpha, _positive)
+                     _nondegenerate, _nonzero, _point_alpha, _positive)
 from .numerics import _invert_cdf_rows
 
 
@@ -106,12 +106,25 @@ def sample_sym_stable(alpha: float, stream: RandomStream, size=None):
     return _stable_scaled(_alpha(alpha), stream, size)
 
 
+# Smallest index of ``_stable_scaled``.  Below it 1/alpha nears the double
+# range and the log-space form of a draw gives NaN: of 1e5 draws at seeds 3
+# and 4, sym-stable and Linnik gave no NaN from alpha = 1e-290 down to
+# 1e-307, then 1-9 at 5e-308, about 1,100 at 2e-308, 6,653-9,336 at 1e-308
+# and 11,501-18,475 at 7e-309 (1/alpha overflows below 5.56e-309).
+_STABLE_ALPHA_MIN = 1e-300
+
+
 def _stable_scaled(alpha: float, stream: RandomStream, size, e=None):
     """X(1) as ``sample_sym_stable`` draws it, times e^{1/alpha} for the
     exponentials ``e`` if given.  Below alpha of about 0.02 the factors of
     the product overflow or underflow apart, to NaN, +-inf or 0 where the
     draw is a normal double; such a draw is formed again from the log of
-    each factor, with the sign of u, and every other is the product."""
+    each factor, with the sign of u, and every other is the product.
+    Below alpha = ``_STABLE_ALPHA_MIN`` = 1e-300 this raises DomainError."""
+    if alpha < _STABLE_ALPHA_MIN:
+        raise DomainError(f"stable index alpha = {alpha!r} is below "
+                          f"{_STABLE_ALPHA_MIN:g}, where the log-space form "
+                          "of a draw gives NaN")
     rng = stream.rng
     if alpha == 2.0:
         x = math.sqrt(2.0) * rng.standard_normal(size)
@@ -269,10 +282,18 @@ def sample_hitting_time(alpha, a: float, stream: RandomStream, size=None):
 
     P(Y > y) decays only like y^{1/alpha - 1}, so near alpha = 1 a share of
     the draws passes the double range and comes back as inf: at a = 1, about
-    half of them at alpha = 1.001, 1e-3 at 1.01 and none in 1e5 at 1.05."""
+    half of them at alpha = 1.001, 1e-3 at 1.01 and none in 1e5 at 1.05.
+    Where |a|^alpha itself passes it, |a| >= DBL_MAX^(1/alpha), this raises
+    DomainError."""
     alpha = _point_alpha(alpha)
     k = 1.0 / alpha
-    scale = abs(_nonzero(a)) ** alpha
+    try:
+        scale = abs(_nonzero(a)) ** alpha
+    except OverflowError:
+        raise DomainError(
+            f"t-point level |a| = {abs(a)!r} is not below DBL_MAX^(1/alpha) "
+            f"= {sys.float_info.max ** k:.4g}, where |a|^alpha overflows"
+        ) from None
     stable = sample_unilateral_stable(k, stream, size)
     if alpha == 2.0:
         return scale * stable
@@ -363,9 +384,12 @@ def gamma_series_tail_variance(a: float, t: float, n_terms: int) -> float:
 def gamma_series_tail_gamma(a: float, t: float, n_terms: int):
     """(shape k, scale theta) of the Gamma law that stands in for the tail
     sum_{j>=n} c_j gamma_j(t): k = m^2/v and theta = v/m match its mean m
-    and variance v."""
+    and variance v.  The variance, of order t/(n + a)^3, underflows to 0 at
+    a tiny t or a huge a (t = 5e-324, or a = 1e300), which raises
+    DegenerateDenominator."""
     m = gamma_series_tail_mean(a, t, n_terms)
-    v = gamma_series_tail_variance(a, t, n_terms)
+    v = _nondegenerate(gamma_series_tail_variance(a, t, n_terms),
+                       "gamma-series tail variance", "(a, t)", (a, t))
     return m * m / v, v / m
 
 

@@ -594,18 +594,48 @@ def test_degenerate_denominator_exit_one(capsys):
     (("eval", "lt-G", "--alpha", "1.999", "--q", "5e-324", "--a", "5e-324"),
      "eval: u_q(0)^2 - u_q(d)^2 = nan for d = 5e-324"),
     # h(a) rounds to 0 at alpha = 2 and a subnormal level
-    (("eval", "exc-n", "--alpha", "2", "--a", "5e-324"), "eval: "),
+    (("eval", "exc-n", "--alpha", "2", "--a", "5e-324"),
+     "eval: 2 h(a) = 0.0 for a = 5e-324"),
     (("eval", "exc-m", "--alpha", "2", "--a", "5e-324"),
      "eval: 4 h(a) - h(2a) = -5e-324 for a = 5e-324"),
     # 1 / (2 h(a)) passes the double range
     (("eval", "exc-n", "--alpha", "1.999", "--a", "5e-324"),
      "eval: excursion mass = inf for a = 5e-324"),
-    # the mean of the gamma tail underflows to 0
+    # the variance of the gamma tail underflows to 0
     (("sample", "gamma-series", "--a", "1e308", "--t", "1e-300", "-n", "2"),
-     "sample: "),
+     "sample: gamma-series tail variance = 0.0 for (a, t) = (1e+308, 1e-300)"),
+    (("sample", "gamma-series", "--a", "1e300", "--t", "1", "-n", "3"),
+     "sample: gamma-series tail variance = 0.0 for (a, t) = (1e+300, 1.0)"),
+    (("sample", "gamma-series", "--a", "0.5", "--t", "5e-324", "-n", "3"),
+     "sample: gamma-series tail variance = 0.0 for (a, t) = (0.5, 5e-324)"),
+    # 1/alpha nears the double range, where a draw's log-space form is nan
+    (("sample", "sym-stable", "--alpha", "5e-324", "-n", "3"),
+     "sample: stable index alpha = 5e-324 is below 1e-300, where the "
+     "log-space form of a draw gives NaN"),
+    (("sample", "linnik", "--alpha", "5e-324", "-n", "3"),
+     "sample: stable index alpha = 5e-324 is below 1e-300, where the "
+     "log-space form of a draw gives NaN"),
+    # powers of a parameter past the double range
+    (("sample", "t-point", "--alpha", "1.5", "--a", "1e300"),
+     "sample: t-point level |a| = 1e+300 is not below DBL_MAX^(1/alpha) = "
+     "3.185e+205, where |a|^alpha overflows"),
+    (("eval", "density", "--alpha", "0.1", "--t", "1e-40", "--x", "1"),
+     "eval: density time t = 1e-40 is not above DBL_MAX^(-alpha) = "
+     "1.495e-31 at alpha = 0.1, where t^(-1/alpha) overflows"),
+    (("eval", "density", "--alpha", "0.005", "--t", "1", "--x", "0"),
+     "eval: alpha=0.005: p_1(0) = Gamma(1 + 1/alpha)/pi overflows below "
+     "alpha = 0.005861"),
+    (("eval", "rayleigh-survival", "--alpha", "0.005", "--x", "1"),
+     "eval: alpha=0.005: p_1(0) = Gamma(1 + 1/alpha)/pi overflows below "
+     "alpha = 0.005861"),
+    # the Levy exponent's cancellation passes 1e-9
+    (("eval", "meixner", "--beta", "0", "--t", "1e300", "--x", "0"),
+     "eval: Meixner time t = 1e+300 is above 300000, where the Levy "
+     "exponent's cancellation error passes 1e-9"),
 ])
 def test_arithmetic_failure_exit_one(capsys, argv, message):
-    # Python's float errors and gaps outside (0, inf) are one line, exit 1
+    # Python's float errors, gaps outside (0, inf) and nan draws are one
+    # line that names the limit, exit 1
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert "nan" not in out and "inf" not in out
@@ -733,10 +763,17 @@ def _pairwise(argv, flags, swept, alphas=("1.5",)):
             yield argv + [f"--{name}={params[name]}" for name in flags]
 
 
+# Python's own texts for a float error, which no exit-1 line may carry: a
+# failure names its limit in a package message instead
+_PYTHON_FLOAT_TEXTS = ("Numerical result out of range", "math range error",
+                       "division by zero", "math domain error",
+                       "encountered in")
+
+
 def _sweep_faults(argvs, check=lambda argv, out: []):
     """Each argv that lets an exception out of ``main``, runs past 5 s,
-    exits other than 0, 1 or 2, prints a traceback, or, at exit 0, fails
-    ``check``."""
+    exits other than 0, 1 or 2, prints a traceback or, at exit 1, Python's
+    own text for a float error, or, at exit 0, fails ``check``."""
     faults = []
     for argv in argvs:
         try:
@@ -745,7 +782,9 @@ def _sweep_faults(argvs, check=lambda argv, out: []):
         except Exception as exc:
             faults.append((argv, repr(exc)))
             continue
-        if code not in (0, 1, 2) or "Traceback" in err:
+        if (code not in (0, 1, 2) or "Traceback" in err
+                or code == 1 and any(text in err
+                                     for text in _PYTHON_FLOAT_TEXTS)):
             faults.append((argv, code, err))
         elif code == 0:
             faults += [(argv, fault) for fault in check(argv, out)]
@@ -760,17 +799,29 @@ def _eval_value_faults(argv, out):
     return [v for v in values if not (math.isfinite(v) and lo <= v <= hi)]
 
 
+def _nan_draws(argv, out):
+    """The sample rows that hold a nan cell."""
+    return [row for row in rows(out) if "nan" in row.values()]
+
+
+# the eval kinds whose alpha domain is (0, 2], swept at small alphas too
+_SMALL_ALPHA_KINDS = ("density", "linnik", "rayleigh-survival")
+
+
 def test_pairwise_edge_sweep():
     # every two flags of a command moved together: eval values stay finite
-    # (and in [0, 1] for a transform in q), and no command prints a
-    # traceback or, for sample, runs on; sample draws may be inf, as past
-    # the double range they are documented to be
+    # (and in [0, 1] for a transform in q), sample draws are never nan, and
+    # no command prints a traceback or Python's float-error text or, for
+    # sample, runs on; sample draws may be inf, as past the double range
+    # they are documented to be
     evals = []
     for kind, (required, optional, _) in sorted(EVAL_KINDS.items()):
         # with its optional flags and without, as exc-n's mass
         for flags in dict.fromkeys([required, (*required, *optional)]):
             swept = [name for name in flags if name != "alpha"]
             alphas = _SWEEP_ALPHAS if "alpha" in flags else ("1.5",)
+            if kind in _SMALL_ALPHA_KINDS:
+                alphas += ("0.1", "1e-300")
             evals += _pairwise(["eval", kind], flags, swept, alphas)
     inverts = [argv for kind in cli._INVERT_CHOICES
                for argv in _pairwise(["invert", kind], ["alpha", "a", "t"],
@@ -779,10 +830,10 @@ def test_pairwise_edge_sweep():
                for argv in _pairwise(["sample", dist, "-n", "3"],
                                      [*required, *optional],
                                      [*required, *optional])]
-    assert (len(evals), len(inverts), len(samples)) == (2394, 648, 207)
+    assert (len(evals), len(inverts), len(samples)) == (2490, 648, 207)
     assert _sweep_faults(evals, _eval_value_faults) == []
     assert _sweep_faults(inverts) == []
-    assert _sweep_faults(samples) == []
+    assert _sweep_faults(samples, _nan_draws) == []
 
 
 # each eval kind and the library call one of its rows stands for; a flag the

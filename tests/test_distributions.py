@@ -282,6 +282,25 @@ class TestMeixner:
         with pytest.raises(DomainError, match="Meixner density.*2.2e-308"):
             meixner_density(0.0, 1e-310, 1.0)
 
+    @pytest.mark.parametrize("t", [1e3, 1e4, 1e5, 3e5])
+    def test_large_time_against_mpmath(self, t):
+        # the normaliser is the z density's, with no t log 2 + log B(t/2,
+        # t/2) cancellation: at x = 0 only the last bits are lost; at one
+        # scale out the Levy exponent's cancellation stays below 1e-9
+        with mp.workdps(80):
+            tt = mp.mpf(t)
+            for x, rel in ((0.0, 1e-14), (math.sqrt(t) / 2, 1e-9)):
+                want = mp.exp(tt * mp.log(2) - mp.log(2 * mp.pi) - mp.loggamma(tt)
+                              + 2 * mp.re(mp.loggamma(tt / 2 + 1j * mp.mpf(x))))
+                assert meixner_density(0.0, t, x) == pytest.approx(
+                    float(want), rel=rel, abs=0)
+
+    def test_time_past_the_exponent_accuracy_raises(self):
+        assert meixner_density(0.0, 3e5, 0.0) > 0.0
+        with pytest.raises(DomainError,
+                           match=r"^Meixner time t = 300001.0 is above 300000"):
+            meixner_density(0.0, 300001.0, 0.0)
+
 
 class TestAlphaRayleighSurvival:
     def test_at_zero(self):

@@ -194,6 +194,17 @@ class TestSmallAlpha:
         assert x == pytest.approx(-1.2381659911249122e+79, rel=1e-10)
         assert y == pytest.approx(1.7602024379397282e-81, rel=1e-10)
 
+    @pytest.mark.parametrize("sampler", [sample_sym_stable, sample_linnik])
+    def test_index_limit(self, sampler):
+        # from 5e-308 down the log-space form gives NaN draws
+        limit = smp._STABLE_ALPHA_MIN
+        with np.errstate(all="ignore"):
+            draws = sampler(limit, RandomStream(3), 10_000)
+        assert not np.isnan(draws).any()
+        for alpha in (math.nextafter(limit, 0.0), 1e-308, 5e-324):
+            with pytest.raises(DomainError, match="is below 1e-300"):
+                sampler(alpha, RandomStream(3), 3)
+
 
 class TestUnilateralStable:
     @pytest.mark.parametrize("beta", [0.5, 0.6, 0.75, 0.9])
