@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the ten validators that
-every domain check of the package calls.
+"""Exception types shared across the package, and the eleven validators
+that every domain and consistency check of the package calls.
 
 Every exception type here is an ArithmeticError or a ValueError, the two
 families that Python's own float arithmetic raises, so a caller that
@@ -9,16 +9,18 @@ catches those two catches every failure of the package; the CLI's
 Each validator tests that the value lies inside its domain, so a NaN
 fails all of them, and returns the value; the name it is given is the one
 the CLI flag uses.  ``_nondegenerate`` checks a computed quantity, such as
-a hitting law's gap, and alone raises DegenerateDenominator; the other
-nine raise DomainError.
+a hitting law's gap, and alone raises DegenerateDenominator;
+``_consistent`` checks two routes to one quantity, and alone raises
+ConsistencyError; the other nine raise DomainError.
 
 ``_positive``, ``_nonnegative``, ``_finite``, ``_nonzero``,
-``_second_target`` and ``_nondegenerate`` also take an array, the rates,
-points, levels and gaps of a function called on arrays, and fail where any
-element fails.  A float pays nothing for that: an array is told by the
-ValueError that the truth value of its comparison raises, under a
-``try`` that costs nothing unless it catches (Python 3.11 and later) and
-that wraps no raising check, since DomainError is a ValueError too."""
+``_second_target``, ``_nondegenerate`` and ``_consistent`` also take an
+array, the rates, points, levels and gaps of a function called on arrays,
+and fail where any element fails.  A float pays nothing for that: an
+array is told by the ValueError that the truth value of its comparison
+raises, under a ``try`` that costs nothing unless it catches (Python 3.11
+and later) and that wraps no raising check, since DomainError is a
+ValueError too."""
 
 import math
 
@@ -158,6 +160,20 @@ def _nondegenerate(value, what: str, name: str, level):
             return value
         value = value[~ok].flat[0]
     raise DegenerateDenominator(f"{what} = {value} for {name} = {level}")
+
+
+def _consistent(first, second, tol: float, what: str, name: str, level):
+    """``first``, or ConsistencyError "what routes disagree: first vs second
+    at name=level" unless the two routes to one value are within ``tol``."""
+    gap = first - second
+    try:
+        if -tol <= gap <= tol:
+            return first
+    except ValueError:
+        if (abs(gap) <= tol).all():
+            return first
+    raise ConsistencyError(
+        f"{what} routes disagree: {first} vs {second} at {name}={level}")
 
 
 def _count(name: str, value, least: int) -> int:

@@ -21,9 +21,11 @@ point ``x`` must be finite, and so must every target.  A level ``a`` is
 checked by one rule, ``errors._nonzero``, also in the |X| laws, where u
 and h are even, so a level -a gives the value at a.
 
-The module holds only formulas: each parameter rule, and each check that
-a gap, V_q(a), 2 h(a), 4 h(a) - h(2a) or a mass lies in (0, inf)
-(``errors._nondegenerate``), is an ``errors`` validator.
+The module holds only formulas and raises nothing itself: each parameter
+rule, each check that a gap, V_q(a), 2 h(a), 4 h(a) - h(2a) or a mass lies
+in (0, inf) (``errors._nondegenerate``), and the check that the two routes
+of ``leg_decomposition_gap`` agree (``errors._consistent``), is an
+``errors`` validator.
 
 Every law in q broadcasts over all its arguments but ``alpha`` and the
 term counts: with q an array, each of x, a, b and r may be a float or an
@@ -43,7 +45,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (ConsistencyError, _count, _finite, _nondegenerate,
+from .errors import (_consistent, _count, _finite, _nondegenerate,
                      _nonzero, _point_alpha, _positive, _second_target)
 from .resolvent import _pow, _resolvent, potential_kernel
 
@@ -193,9 +195,7 @@ def leg_decomposition_gap(alpha, q: float, a: float, n: int) -> float:
     before = lt_hit_before(HittingQuery(alpha, q, x=0.0, a=(2 * n + 1) * a,
                                         b=(2 * n - 1) * a))
     routed = before * (1.0 - phi_2a * phi_2a)
-    if not np.all(abs(direct - routed) <= 1e-9):
-        raise ConsistencyError(
-            f"D_n routes disagree: {direct} vs {routed} at n={n}")
+    _consistent(direct, routed, 1e-9, "D_n", "n", n)
     return 0.5 * (direct + routed)
 
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -239,6 +240,19 @@ class TestSample:
         assert code == 1
         assert out == ""
         assert err == "sample: t must be positive\n"
+
+    @pytest.mark.parametrize("t,message", [
+        ("15", r"inverted CDF not monotone: it falls by 0\.0002 to 0\.9997\d* "
+               r"at t = 34\.\d+"),
+        ("0.05", r"lower quantile bracket not found: the walk stopped at "
+                 r"t = 1\.54904e-120, where the CDF is 0\.001\d*")])
+    def test_tanh_law_table_failure_names_where(self, capsys, t, message):
+        # the table builds for t from about 0.083 to 11.4; outside, the
+        # message says where the CDF falls or the walk stopped, and holds
+        # no object repr, whose address changes from run to run
+        code, out, err = run(capsys, "sample", "tanh-law", "--t", t, "-n", "2")
+        assert (code, out) == (1, "")
+        assert re.fullmatch(f"sample: {message}\n", err)
 
 
 # each invert kind and the hitting_laws transform it inverts
@@ -763,17 +777,19 @@ def _pairwise(argv, flags, swept, alphas=("1.5",)):
             yield argv + [f"--{name}={params[name]}" for name in flags]
 
 
-# Python's own texts for a float error, which no exit-1 line may carry: a
-# failure names its limit in a package message instead
-_PYTHON_FLOAT_TEXTS = ("Numerical result out of range", "math range error",
-                       "division by zero", "math domain error",
-                       "encountered in")
+# texts no exit-1 line may carry: Python's own for a float error, as a
+# failure names its limit in a package message instead, and the address in
+# an object's repr (" at 0x"), which changes from run to run
+_UNNAMED_FAILURE_TEXTS = ("Numerical result out of range", "math range error",
+                          "division by zero", "math domain error",
+                          "encountered in", " at 0x")
 
 
 def _sweep_faults(argvs, check=lambda argv, out: []):
     """Each argv that lets an exception out of ``main``, runs past 5 s,
     exits other than 0, 1 or 2, prints a traceback or, at exit 1, Python's
-    own text for a float error, or, at exit 0, fails ``check``."""
+    own text for a float error or an object's address, or, at exit 0, fails
+    ``check``."""
     faults = []
     for argv in argvs:
         try:
@@ -784,7 +800,7 @@ def _sweep_faults(argvs, check=lambda argv, out: []):
             continue
         if (code not in (0, 1, 2) or "Traceback" in err
                 or code == 1 and any(text in err
-                                     for text in _PYTHON_FLOAT_TEXTS)):
+                                     for text in _UNNAMED_FAILURE_TEXTS)):
             faults.append((argv, code, err))
         elif code == 0:
             faults += [(argv, fault) for fault in check(argv, out)]
@@ -811,9 +827,9 @@ _SMALL_ALPHA_KINDS = ("density", "linnik", "rayleigh-survival")
 def test_pairwise_edge_sweep():
     # every two flags of a command moved together: eval values stay finite
     # (and in [0, 1] for a transform in q), sample draws are never nan, and
-    # no command prints a traceback or Python's float-error text or, for
-    # sample, runs on; sample draws may be inf, as past the double range
-    # they are documented to be
+    # no command prints a traceback, Python's float-error text or an object
+    # address or, for sample, runs on; sample draws may be inf, as past the
+    # double range they are documented to be
     evals = []
     for kind, (required, optional, _) in sorted(EVAL_KINDS.items()):
         # with its optional flags and without, as exc-n's mass

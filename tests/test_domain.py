@@ -10,9 +10,10 @@ from stable_hitting import distributions as dist
 from stable_hitting import hitting_laws as hl
 from stable_hitting import resolvent
 from stable_hitting import sampling as smp
-from stable_hitting.errors import (DomainError, _alpha, _count, _finite,
-                                   _inside, _nonnegative, _nonzero,
-                                   _point_alpha, _positive)
+from stable_hitting.errors import (ConsistencyError, DomainError, _alpha,
+                                   _consistent, _count, _finite, _inside,
+                                   _nonnegative, _nonzero, _point_alpha,
+                                   _positive)
 from stable_hitting.numerics import laplace_invert_cdf
 
 NAN = math.nan
@@ -200,6 +201,17 @@ class TestValidators:
             _finite("x", value)
         with pytest.raises(DomainError, match="^x must be finite$"):
             _finite("x", np.array([0.5, value, -1.0]))
+
+    def test_consistent_names_both_routes(self):
+        assert _consistent(0.25, 0.25 + 5e-10, 1e-9, "D_n", "n", 2) == 0.25
+        for second in (0.25 + 2e-9, NAN, math.inf):
+            with pytest.raises(ConsistencyError,
+                               match=r"^D_n routes disagree: 0\.25 vs .* at n=2$"):
+                _consistent(0.25, second, 1e-9, "D_n", "n", 2)
+        good = np.array([0.25, -1.0])
+        assert _consistent(good, good - 5e-10, 1e-9, "D_n", "n", 2) is good
+        with pytest.raises(ConsistencyError, match="^D_n routes disagree: "):
+            _consistent(good, good + np.array([0.0, NAN]), 1e-9, "D_n", "n", 2)
 
     def test_arrays_pass_whole(self):
         good = np.array([-2.0, 0.5, 1e300])

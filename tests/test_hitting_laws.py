@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from stable_hitting import errors, hitting_laws, resolvent
-from stable_hitting.errors import DegenerateDenominator, DomainError
+from stable_hitting.errors import (ConsistencyError, DegenerateDenominator,
+                                   DomainError)
 from stable_hitting.hitting_laws import (HittingQuery, excursion_hit_lt,
                                          excursion_hit_lt_abs,
                                          excursion_hit_mass,
@@ -228,6 +229,17 @@ class TestLegDecompositionGap:
         # ConsistencyError inside would signal >1e-9 disagreement
         for n in (1, 2, 5):
             assert leg_decomposition_gap(alpha, q, a, n) > -1e-12
+
+    @pytest.mark.parametrize("q", [0.5, np.array([0.5, 2.0])],
+                             ids=["float", "array"])
+    def test_routes_that_disagree_raise(self, monkeypatch, q):
+        # the second route, moved by 2e-9, no longer agrees to 1e-9
+        before = hitting_laws.lt_hit_before
+        monkeypatch.setattr(hitting_laws, "lt_hit_before",
+                            lambda query: before(query) + 2e-9)
+        with pytest.raises(ConsistencyError,
+                           match=r"^D_n routes disagree: .* vs .* at n=3$"):
+            leg_decomposition_gap(1.5, q, 1.0, 3)
 
 
 class TestThreePoint:
