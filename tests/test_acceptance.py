@@ -24,6 +24,7 @@ from stable_hitting.resolvent import (one_minus_cos_integral,
                                       potential_kernel_at_one,
                                       resolvent_density, transition_density)
 from stable_hitting.sampling import (_SERIES_TERMS, RandomStream,
+                                     gamma_series_coefficient,
                                      gamma_series_tail_variance, ks_distance,
                                      sample_alpha_rayleigh,
                                      sample_excursion_age_duration,
@@ -201,7 +202,11 @@ def test_criterion_08_laplace_inversion():
 
 
 def test_criterion_09_gamma_series_laws():
-    # the bound adds the variance of the tail past the sampler's own terms
+    # the bound adds the transform error of the shifted gamma tail past the
+    # sampler's own terms.  With the tail's first three cumulants matched,
+    # it is at most lam^4/24 times the sum of the two laws' fourth central
+    # moments, kappa_4 + 3 kappa_2^2 each, and the gamma's kappa_4 is at
+    # most the tail's 6 t sum c_j^4 <= 6 c_n^2 kappa_2 (Cauchy-Schwarz)
     n_draws, n_terms = 200_000, _SERIES_TERMS
     worst_ratio = 0.0
     for i, (a, lt) in enumerate(
@@ -213,7 +218,9 @@ def test_criterion_09_gamma_series_laws():
             vals = np.exp(-lam * draws)
             mc = float(np.mean(vals))
             se = float(np.std(vals, ddof=1) / math.sqrt(n_draws))
-            trunc = 0.5 * lam * lam * gamma_series_tail_variance(a, 1.0, n_terms)
+            v = gamma_series_tail_variance(a, 1.0, n_terms)
+            c_n = gamma_series_coefficient(a, n_terms)
+            trunc = lam ** 4 / 4 * v * (2 * c_n * c_n + v)
             assert abs(mc - lt(lam)) <= 4 * se + trunc, (a, lam, mc, lt(lam))
             worst_ratio = max(worst_ratio, abs(mc - lt(lam)) / se)
     _report("criterion 9 gamma-series laws",

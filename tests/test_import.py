@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from stable_hitting import distributions, numerics, sampling, verify
+from stable_hitting import distributions, numerics, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -23,7 +23,6 @@ LAZY_CALLS = (
     "distributions.beta_prime_density(0.5, 2.0, 1.3)",
     "distributions.z_density(2.5, 0.3)",
     "distributions.meixner_density(0.5, 1.3, 0.4)",
-    "sampling.gamma_series_tail_gamma(0.5, 1.0, 256)",
     "verify._stieltjes_reference(1.0, 0.5, 0.25, 0.5)",
 )
 
@@ -58,13 +57,23 @@ def test_cli_eval_and_invert_load_no_scipy():
     assert loaded == []
 
 
+def test_cli_sample_gamma_series_loads_no_scipy():
+    code, loaded = _fresh(
+        "import json, sys\n"
+        "from stable_hitting import cli\n"
+        "code = cli.main(['sample', 'gamma-series', '--a', '0.5', '--t', '1',"
+        " '-n', '3', '--summary'])\n"
+        f"print(json.dumps([code, {_LOADED_SCIPY}]))")
+    assert code == 0
+    assert loaded == []
+
+
 def test_lazy_imports_give_in_process_values():
     fresh = _fresh("import json, math\n"
-                   "from stable_hitting import (distributions, numerics,"
-                   " sampling, verify)\n"
+                   "from stable_hitting import distributions, numerics, verify\n"
                    f"print(json.dumps([{', '.join(LAZY_CALLS)}]))")
     scope = {"math": math, "numerics": numerics, "distributions": distributions,
-             "sampling": sampling, "verify": verify}
+             "verify": verify}
     here = [eval(call, scope) for call in LAZY_CALLS]
     assert fresh == json.loads(json.dumps(here))
 

@@ -84,11 +84,12 @@ class TestSampleStats:
         assert math.isnan(stats.mean) and stats.variance == math.inf
 
     def test_sums_past_double_range(self):
-        # finite draws whose sums pass the double range: inf, with no warning
+        # finite draws whose sums pass the double range: a finite mean, and
+        # an inf variance, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stats = SampleStats.from_draws([1.0, 2.0, 1e308, 1e308])
-        assert stats.mean == math.inf
+        assert stats.mean == 5e307
         assert stats.variance == math.inf and stats.stderr == math.inf
 
 
@@ -517,18 +518,49 @@ class TestGammaSeries:
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_sampled_law_transform_at_default_terms(self, a, t):
         # the sampled law's transform, prod_{j<N} (1 + lam c_j)^{-t} times
-        # (1 + lam theta)^{-k} for the gamma tail, against cosh(z)^{-t}
-        # (a = 1/2) and (z/sinh z)^t (a = 1), z = sqrt(2 lam), at 40 digits
+        # e^{-lam shift} (1 + lam theta)^{-k} for the shifted gamma tail,
+        # against cosh(z)^{-t} (a = 1/2) and (z/sinh z)^t (a = 1),
+        # z = sqrt(2 lam), at 40 digits
         n_terms = smp._SERIES_TERMS
         coef = gamma_series_coefficient(a, np.arange(n_terms))
-        k, theta = gamma_series_tail_gamma(a, t, n_terms)
+        shift, k, theta = gamma_series_tail_gamma(a, t, n_terms)
         with mp.workdps(40):
             for lam in np.linspace(0.1, 20.0, 60):
                 got = math.exp(-t * math.fsum(np.log1p(lam * coef))
-                               - k * math.log1p(lam * theta))
+                               - lam * shift - k * math.log1p(lam * theta))
                 z = mp.sqrt(2 * mp.mpf(lam))
                 want = mp.cosh(z) ** -t if a == 0.5 else (z / mp.sinh(z)) ** t
-                assert got == pytest.approx(float(want), rel=0, abs=1e-12)
+                assert got == pytest.approx(float(want), rel=0, abs=5e-14)
+
+    @pytest.mark.parametrize("s", [2, 4, 6])
+    def test_scaled_zeta(self, s):
+        # x^(s-1) zeta(s, x) within a few ulp of 50-digit mpmath, on both
+        # sides of the Euler-Maclaurin cut at x = 64 and far past the point
+        # where zeta(s, x) underflows
+        xs = np.concatenate([np.linspace(1.0, 70.0, 139),
+                             np.geomspace(1.0, 1e300, 301)])
+        with mp.workdps(50):
+            for x in xs:
+                want = mp.mpf(x) ** (s - 1) * mp.zeta(s, mp.mpf(x))
+                got = smp._scaled_zeta(s, float(x))
+                assert abs(got - want) <= 4 * sys.float_info.epsilon * want, x
+
+    @pytest.mark.parametrize("a", [1e-150, 0.5, 1.0, 1e100])
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+    def test_tail_matches_three_cumulants(self, a, t):
+        # shift + k theta, k theta^2 and 2 k theta^3 against the tail's
+        # kappa_r = t (r-1)! (2/pi^2)^r zeta(2r, n + a) at 40 digits, in
+        # mpmath's exponent range: at a = 1e100 kappa_3 is about 1e-501
+        n_terms = smp._SERIES_TERMS
+        shift, k, theta = map(mp.mpf, gamma_series_tail_gamma(a, t, n_terms))
+        assert shift >= 0
+        with mp.workdps(40):
+            c, x = 2 / mp.pi ** 2, n_terms + mp.mpf(a)
+            kappa = [t * mp.factorial(r - 1) * c ** r * mp.zeta(2 * r, x)
+                     for r in (1, 2, 3)]
+            got = [shift + k * theta, k * theta ** 2, 2 * k * theta ** 3]
+            for g, want in zip(got, kappa):
+                assert abs(g - want) <= 1e-14 * want
 
     def test_tiny_shape_raises(self):
         # below about 3.4e-155 the first coefficient (2/pi^2)/a^2 overflows,
@@ -548,15 +580,24 @@ class TestGammaSeries:
             draws = sample_gamma_series_subordinator(4e-155, 5.0, RandomStream(116), size=3)
         assert np.all(np.isposinf(draws))
 
-    @pytest.mark.parametrize("a,t", [(0.5, 1e157), (0.5, 1e200), (0.5, 1e300),
-                                     (1.0, 1e300)])
+    @pytest.mark.parametrize("a,t", [(0.5, 1e28), (0.5, 1e157), (0.5, 1e200),
+                                     (0.5, 1e300), (1.0, 1e300), (1e60, 1e300),
+                                     (1e100, 1e250), (1e120, 1e300),
+                                     (1e156, 1e150)])
     def test_large_time_draws_are_finite(self, a, t):
-        # the tail shape m^2/v passed the double range once the tail mean m
-        # passed 1.3e154, and the draws were inf; E[C_t] = t at a = 1/2, and
-        # E[S_t] = t/3 at a = 1, with a relative spread of order t^{-1/2}
-        draws = sample_gamma_series_subordinator(a, t, RandomStream(118), size=3)
+        # the draws' mean is t (2/pi^2) zeta(2, a): t at a = 1/2 (C_t) and
+        # t/3 at a = 1 (S_t), with a relative spread of order t^{-1/2}.  The
+        # tail's shape k, about t (64 + a), passes 2^106 from t = 1e30 at
+        # a = 1/2, and the double range where t (64 + a) does, and the tail
+        # is then drawn as its mean; at (1e156, 1e150), where its scale is
+        # subnormal, too.  At (1e120, 1e300) the tail variance is about
+        # 1e-62, though zeta(4, 64 + a) underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sample_gamma_series_subordinator(a, t, RandomStream(118),
+                                                     size=3)
         want = t * (2 / math.pi ** 2) * special.polygamma(1, a)
-        assert draws == pytest.approx(np.full(3, want), rel=1e-12)
+        assert draws == pytest.approx(np.full(3, want), rel=1e-12, abs=0)
 
     def test_size_shapes(self):
         stream = RandomStream(115)
@@ -578,14 +619,17 @@ class TestGammaSeries:
         assert ok
 
     def test_one_term(self):
-        # the gamma tail matches the tail's mean and variance, so even a
-        # series cut after one term keeps S_1's mean 1/3 and variance 2/45;
-        # a tail fixed at its mean would leave the variance of the first
-        # term alone, 7.6% short.  The sampler's draws have both moments
+        # the shifted gamma tail matches the tail's first three cumulants,
+        # so even a series cut after one term keeps S_1's mean 1/3, variance
+        # 2/45 and third cumulant 16/945; a tail fixed at its mean would
+        # leave the variance of the first term alone, 7.6% short.  The
+        # sampler's draws have the first two moments
         c0 = gamma_series_coefficient(1.0, 0)
-        k, theta = gamma_series_tail_gamma(1.0, 1.0, 1)
-        assert c0 + k * theta == pytest.approx(1 / 3, rel=1e-14)
+        shift, k, theta = gamma_series_tail_gamma(1.0, 1.0, 1)
+        assert c0 + shift + k * theta == pytest.approx(1 / 3, rel=1e-14)
         assert c0 * c0 + k * theta * theta == pytest.approx(2 / 45, rel=1e-14)
+        assert (2 * c0 ** 3 + 2 * k * theta ** 3
+                == pytest.approx(16 / 945, rel=1e-14))
         draws = sample_gamma_series_subordinator(1.0, 1.0, RandomStream(117),
                                                  size=100_000)
         ok, _ = within_4se(np.mean(draws), 1 / 3, draws)
