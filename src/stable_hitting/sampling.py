@@ -54,18 +54,23 @@ class SampleStats:
         # no warning
         with np.errstate(over="ignore", invalid="ignore"):
             mean = float(np.mean(draws))
-            if math.isinf(mean) and np.isfinite(draws).all():
-                # the sum of finite draws passed the double range, not their
-                # mean: average them scaled down by a power of two
+            e = 0
+            if (n and not math.isfinite(mean)
+                    and np.isfinite(draws).all()):
+                # a sum of finite draws passed the double range, not their
+                # mean (NaN where numpy's pairwise sum overflows to inf and
+                # -inf): both moments come from the draws scaled down by a
+                # power of two
                 e = math.frexp(float(np.max(np.abs(draws))))[1]
-                mean = math.ldexp(float(np.mean(np.ldexp(draws, -e))), e)
+                draws = np.ldexp(draws, -e)
+                mean = math.ldexp(float(np.mean(draws)), e)
             if n < 2:
                 var = 0.0
             elif np.isinf(draws).any():
                 # draws past it (sample_hitting_time near alpha = 1)
                 var = math.inf
             else:
-                var = float(np.var(draws, ddof=1))
+                var = float(np.ldexp(np.var(draws, ddof=1), 2 * e))
         return cls(n=n, mean=mean, variance=var, stderr=math.sqrt(var / n))
 
 
@@ -459,6 +464,12 @@ def gamma_series_tail_gamma(a: float, t: float, n_terms: int):
 # draws; a block is never less than one row of ``size`` draws.
 _SERIES_BLOCK = 2 ** 18
 _SERIES_TERMS = 64  # the head: terms drawn before the shifted gamma tail
+# Least t (n + a) of the tail after a head of n terms: the head grows past
+# ``_SERIES_TERMS`` at a small t to reach it, up to ``_SERIES_TERMS_MAX``.
+# Below it the tail is a sum of a few large gamma draws, and the true law
+# puts visible mass below the shift, a floor the shifted gamma has.
+_TAIL_TX_MIN = 2.0
+_SERIES_TERMS_MAX = 2 ** 20
 # Tail shape above which the gamma's relative spread 1/sqrt(k) is below
 # 2^-53, so the tail is drawn as its mean: this keeps k = inf (at
 # (a, t) = (1e60, 1e300)) out of numpy's gamma, and a subnormal theta out of
@@ -472,24 +483,28 @@ def sample_gamma_series_subordinator(a: float, t: float, stream: RandomStream,
     C_t at a = 1/2 and S_t at a = 1, with transforms cosh(z)^{-t} and
     (z/sinh z)^t at lambda = z^2/2 (Biane, Pitman and Yor, Bull. AMS 38, 2001).
 
-    The first ``_SERIES_TERMS`` = 64 terms are drawn explicitly, as gamma
-    matrices of at most ``_SERIES_BLOCK`` entries whose rows are summed
-    against the coefficients; the tail is one shifted Gamma(k, theta) with
-    the tail's first three cumulants (``gamma_series_tail_gamma``), a
-    truncated sum with a tail approximation as in Polson, Scott and Windle
-    (JASA 2013), who match two.  The Laplace transform of the sampled law is
+    The first n = ``_SERIES_TERMS`` = 64 terms (more at a small t, below)
+    are drawn explicitly, as gamma matrices of at most ``_SERIES_BLOCK``
+    entries whose rows are summed against the coefficients; the tail is one
+    shifted Gamma(k, theta) with the tail's first three cumulants
+    (``gamma_series_tail_gamma``), a truncated sum with a tail
+    approximation as in Polson, Scott and Windle (JASA 2013), who match
+    two.  The Laplace transform of the sampled law is
     within 2.5e-14 of the closed forms over t in {0.5, 1, 2} and lambda in
     [0.1, 20] (40-digit mpmath), against 1.3e-13 for 256 terms with a
     two-cumulant gamma tail.  Where the tail's shape k passes
-    ``_TAIL_SHAPE_MAX`` (t x above about 1e32, x = 64 + a), its spread is
+    ``_TAIL_SHAPE_MAX`` (t x above about 1e32, x = n + a), its spread is
     below the double precision, and the tail is its mean.
 
-    The shift, 4/9 of the tail's mean for large x, is a floor the true law
-    lacks at a small t x: there the law puts mass of about
-    erfc(sqrt(5.55 t x)) below it, where the sampled law puts none.  At
-    a = 1/2 the Kolmogorov distance to the exact C_t law is 0.40 at
-    t = 1e-3, 0.14 at 3e-3 and 0.008 at 0.01, and within the noise of
-    2e5 draws from t = 0.02 up.
+    The tail's shift, 4/9 of its mean for large x, is a floor the true tail
+    lacks, and at a small t x the true law puts visible mass below it: with
+    64 terms, the Kolmogorov distance to the exact C_t law at a = 1/2 is
+    0.40 at t = 1e-3 and 0.008 at 0.01.  So where t is small the head runs
+    to n = ceil(2/t - a) terms, which keeps t x >= ``_TAIL_TX_MIN`` = 2,
+    and a draw costs about 2/t gamma draws; the distance is then within
+    the noise of 2e5 draws (0.003) from t = 1e-3 up.  Below
+    t = 2/(2^20 + a) the head would pass ``_SERIES_TERMS_MAX`` = 2^20
+    terms, which raises DomainError.
 
     Below a = 3.36e-155 the first coefficient (2/pi^2)/a^2 overflows, which
     raises DomainError.  Just above, draws (of mean about t (2/pi^2)/a^2)
@@ -502,18 +517,28 @@ def sample_gamma_series_subordinator(a: float, t: float, stream: RandomStream,
         raise DomainError(f"gamma-series shape a = {a!r} is below "
                           f"{_SERIES_A_MIN:.3g}, where the first coefficient "
                           "(2/pi^2)/a^2 overflows")
+    # the head length at which t (n + a) reaches _TAIL_TX_MIN, inf at
+    # t = 5e-324: a tail variance that underflows at the capped head raises
+    # DegenerateDenominator before the head limit is checked
+    need = _TAIL_TX_MIN / t - a
+    n = max(_SERIES_TERMS, math.ceil(min(need, _SERIES_TERMS_MAX)))
+    shift, k, theta = gamma_series_tail_gamma(a, t, n)
+    if need > _SERIES_TERMS_MAX:
+        raise DomainError(f"gamma-series time t = {t!r} is below "
+                          f"{_TAIL_TX_MIN / (_SERIES_TERMS_MAX + a):.3g} at "
+                          f"a = {a!r}, where the head would need more than "
+                          f"{_SERIES_TERMS_MAX} terms")
     shape = _shape(size)
     m = math.prod(shape)
-    shift, k, theta = gamma_series_tail_gamma(a, t, _SERIES_TERMS)
     if k < _TAIL_SHAPE_MAX:
         acc = stream.rng.gamma(k, theta, size=m) + shift
     else:
-        acc = np.full(m, gamma_series_tail_mean(a, t, _SERIES_TERMS))
-    coef = gamma_series_coefficient(a, np.arange(_SERIES_TERMS))
+        acc = np.full(m, gamma_series_tail_mean(a, t, n))
+    coef = gamma_series_coefficient(a, np.arange(n))
     rows = max(1, _SERIES_BLOCK // max(m, 1))
-    for j0 in range(0, _SERIES_TERMS, rows):
+    for j0 in range(0, n, rows):
         # einsum, not @: a BLAS gemv would wake OpenBLAS's worker threads
-        block = stream.rng.gamma(t, size=(min(rows, _SERIES_TERMS - j0), m))
+        block = stream.rng.gamma(t, size=(min(rows, n - j0), m))
         acc += np.einsum("j,jm->m", coef[j0:j0 + rows], block)
     return float(acc[0]) if size is None else acc.reshape(shape)
 

@@ -91,6 +91,18 @@ class TestSampleStats:
             stats = SampleStats.from_draws([1.0, 2.0, 1e308, 1e308])
         assert stats.mean == 5e307
         assert stats.variance == math.inf and stats.stderr == math.inf
+        # numpy's pairwise sum overflows to inf in one accumulator and -inf
+        # in another, a NaN sum of draws whose mean is 0
+        draws = np.zeros(16)
+        draws[[0, 8]], draws[[1, 9]] = 1e308, -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = SampleStats.from_draws(draws)
+        assert stats.mean == 0.0
+        assert stats.variance == math.inf and stats.stderr == math.inf
+        # equal draws whose sum overflows have no spread
+        stats = SampleStats.from_draws([1e308, 1e308])
+        assert stats.mean == 1e308 and stats.variance == 0.0
 
 
 class TestPrimitives:
@@ -561,6 +573,35 @@ class TestGammaSeries:
             got = [shift + k * theta, k * theta ** 2, 2 * k * theta ** 3]
             for g, want in zip(got, kappa):
                 assert abs(g - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("t,n", [(1e-3, 10_000), (1e-2, 200_000)])
+    def test_small_time_law(self, t, n):
+        # one-sample Kolmogorov distance to the exact C_t CDF,
+        # 2^t sum_k (-1)^k (t)_k/k! erfc((2k + t)/sqrt(2x)), under its 1%
+        # critical value.  The head grows so that t (n + a) >= 2; a 64-term
+        # head, whose tail's shift is a floor with visible C_t mass below
+        # it, gave 0.40 at t = 1e-3 and 0.008 at 1e-2
+        draws = sample_gamma_series_subordinator(0.5, t, RandomStream(119),
+                                                 size=n)
+
+        def cdf(x):
+            total = np.zeros_like(x)
+            for k in range(60):
+                coef = math.exp(special.gammaln(k + t) - special.gammaln(t)
+                                - special.gammaln(k + 1))
+                total += (-1) ** k * coef * special.erfc(
+                    (2 * k + t) / np.sqrt(2 * x))
+            return 2 ** t * total
+
+        assert ks_distance(draws, cdf) < 1.63 / math.sqrt(n)
+
+    def test_time_below_the_head_limit_raises(self):
+        # below t = 2/(2^20 + a) the head would need more than 2^20 terms;
+        # a large a carries a small t with no head past 64 terms
+        with pytest.raises(DomainError, match="below 1.91e-06 at a = 0.5"):
+            sample_gamma_series_subordinator(0.5, 1e-7, RandomStream(120), 3)
+        draws = sample_gamma_series_subordinator(2e7, 1e-7, RandomStream(120), 3)
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0)
 
     def test_tiny_shape_raises(self):
         # below about 3.4e-155 the first coefficient (2/pi^2)/a^2 overflows,
