@@ -7,18 +7,19 @@ prints the rows in the product order of the flags, as row-by-row evaluation
 would, one write per block of rows; ``meixner`` and ``z``, which take no
 alpha, are evaluated row by row.  ``invert`` calls its law once for the
 whole t grid, on the matrix of Stehfest nodes, through ``_invert_cdf_rows``.
-Where such an array call fails (``_at_once``), the command makes the float
-calls instead, so that its output, message and exit code are always those
-of one call per row.  No command takes or passes a numerics setting.
+Where such an array call raises, the command makes the float calls instead,
+so that its output, message and exit code are always those of one call per
+row.  No command takes or passes a numerics setting.
 
 Exit codes: 0 on success (and all checks passing for ``verify``), 1 on domain
 or numeric failure, 2 on usage errors.  A failure is an exception of
 ``_FAILURES``, an ArithmeticError or a ValueError: every package error is
 one (``errors``), and so is every error of Python's float arithmetic, so
-``main`` prints one line for any of them, and ``_at_once`` falls back on
+``main`` prints one line for any of them, and an array call falls back on
 the same ones.  Every command runs with numpy's floating-point warnings
-silenced, so stderr holds only the package's messages.  ``sample`` draws from the one stream ``RandomStream(--seed)``, so
-its output is reproducible for a fixed (seed, n).
+silenced, so stderr holds only the package's messages.  ``sample`` draws
+from the one stream ``RandomStream(--seed)``, so its output is reproducible
+for a fixed (seed, n).
 """
 
 from __future__ import annotations
@@ -156,20 +157,6 @@ def _row_by_row(fn, grids):
         yield fn(**dict(zip(grids, combo)))
 
 
-def _at_once(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, one call that stands in for many float calls
-    of a law, with floating-point overflow, division by zero and invalid
-    operations raised; None where it raises any of ``_FAILURES``, which
-    holds numpy's FloatingPointError and every package error.  The caller
-    then makes the float calls, so that the rows printed before a failing
-    one, its message and the exit code are theirs."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return fn(*args, **kwargs)
-    except _FAILURES:
-        return None
-
-
 def _by_alpha(fn, grids):
     """``_row_by_row``, from one call of ``fn`` per alpha, with every other
     flag an array column over the product of the other grids; alpha leads
@@ -177,17 +164,17 @@ def _by_alpha(fn, grids):
     order.
 
     Every function that takes alpha gives each element bit for bit as float
-    arguments do.  An alpha whose call fails (``_at_once``) gives its rows
-    by one call each."""
+    arguments do.  An alpha whose call raises one of ``_FAILURES`` gives its
+    rows by one call each."""
     rest = {name: grid for name, grid in grids.items() if name != "alpha"}
     columns = {name: np.array(column) for name, column
                in zip(rest, zip(*itertools.product(*rest.values())))}
     for alpha in grids["alpha"]:
-        values = _at_once(fn, alpha=alpha, **columns)
-        if values is None:
-            yield from _row_by_row(fn, {**grids, "alpha": [alpha]})
-        else:
-            yield from values.tolist()
+        try:
+            values = fn(alpha=alpha, **columns).tolist()
+        except _FAILURES:
+            values = _row_by_row(fn, {**grids, "alpha": [alpha]})
+        yield from values
 
 
 def _cmd_eval(args) -> int:
@@ -279,9 +266,12 @@ def _cmd_invert(args) -> int:
     params = _read_flags(args, [n for n in required if n != "q"], optional,
                          _INVERT_FLAGS)
     ts = sorted(args.t)
-    # the whole grid from one call of the law on its node matrix
-    grid = _at_once(_invert_cdf_rows,
-                    lambda q: fn(**params, q=q.astype(float)), ts)
+    # the whole grid from one call of the law on its node matrix, or, where
+    # that raises, one inversion per t
+    try:
+        grid = _invert_cdf_rows(lambda q: fn(**params, q=q.astype(float)), ts)
+    except _FAILURES:
+        grid = None
 
     def phi(q):
         return fn(**params, q=float(q))
@@ -403,7 +393,7 @@ def main(argv=None) -> int:
                "invert": _cmd_invert, "verify": _cmd_verify}[args.command]
     try:
         # numpy's warnings would print a source line on stderr before the
-        # package's message; the array attempts raise theirs in _at_once
+        # package's message
         with np.errstate(all="ignore"):
             return command(args)
     except _UsageError as exc:

@@ -329,18 +329,33 @@ def _u1(alpha: float, w: float) -> float:
     return _u1_sum(alpha, w, *_u1_rule(alpha, w))
 
 
+# Largest w at which the products of ``_u1_rule`` are finite doubles: past
+# it the exponent -746 q of e^{-w q} (w capped at 746), with
+# q = 1 + (w/e) _TS_R, overflows
+_U1_RULE_W_MAX = sys.float_info.max / (746.0 * float(_TS_R[0])) * math.e
+
+
 def _u1_closed(alpha: float, w: float):
     """u_1(w) where ``_u1`` takes a closed form, None where it runs its rule:
     w = 0 is ``u1_zero`` (infinite for alpha <= 1) and alpha = 2 is e^{-w}/2;
     for alpha > 1 and w <= 1e-12 it is u_1(0) - h(1) w^{alpha-1}, h(1) =
     ``potential_kernel_at_one``: within 3.8e-14 of 40-digit mpmath at
     w = 1e-12 for alpha in [1.01, 1.999], where the rule fails near 2, but
-    2.7e-12 off at w = 1e-9, alpha = 1.1; far out it is ``_far_field``."""
+    2.7e-12 off at w = 1e-9, alpha = 1.1; far out it is ``_far_field``.
+    Below alpha = 40 / log ``_U1_RULE_W_MAX`` (about 0.06) the far field
+    starts past the w where the rule overflows, and in between this raises
+    DomainError."""
     if alpha == 2.0:
         return 0.5 * math.exp(-w)
     if w == 0.0 or (alpha > 1.0 and w <= 1e-12):
         return u1_zero(alpha) - potential_kernel_at_one(alpha) * w ** (alpha - 1.0)
-    return _far_field(alpha, w)
+    value = _far_field(alpha, w)
+    if value is None and w > _U1_RULE_W_MAX:
+        raise DomainError(
+            f"u_1 at alpha={alpha}, w={w}: the rule overflows above "
+            f"w = {_U1_RULE_W_MAX:.4g}, and the far-field form holds only "
+            f"where alpha log w > 40")
+    return value
 
 
 def _u1_rule(alpha: float, w):

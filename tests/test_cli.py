@@ -1048,11 +1048,22 @@ def _main_output(argv):
 @example(["eval", "linnik", "--alpha=1.5,0.9", "--x=1,0,2"])
 @example(["eval", "getoor", "--alpha=1.5,0.9", "--x=0.5,1", "--a=1,2",
           "--b=-1,1"])
+# grids whose array call overflows, to the values the float calls give
+@example(["eval", "density", "--alpha=1.5,1.999", "--t=5e-324,1",
+          "--x=1e300,0.5"])
+@example(["eval", "lt-T", "--alpha=1.5,1.999", "--q=1e300,1",
+          "--a=1e300,0.5"])
+@example(["eval", "exc-n", "--alpha=1.5", "--a=1e300,1", "--q=1e300,1",
+          "--r=2"])
+@example(["eval", "resolvent", "--alpha=1.5,1.999", "--q=1e300,2",
+          "--x=1e300,0.5"])
+@example(["eval", "lt-Xi", "--alpha=1.5", "--q=1e300,1", "--a=1e300,1"])
+@example(["eval", "lt-G-abs", "--alpha=1.999", "--q=1e-300", "--a=1e300"])
 def test_eval_equals_row_by_row(argv):
     # the array calls of eval print what one call a row prints: its rows,
     # its message and its exit code
     at_once = _main_output(argv)
-    with mock.patch.object(cli, "_at_once", lambda *args, **kwargs: None):
+    with mock.patch.object(cli, "_by_alpha", cli._row_by_row):
         assert _main_output(argv) == at_once
 
 
@@ -1087,9 +1098,11 @@ def test_failing_row_ends_the_output(capsys, kind, flags, printed):
 
 
 def test_overflowing_group_is_evaluated_row_by_row(capsys):
-    # a q^{1/alpha} = 1e500 overflows in the array; the float path gives
-    # u_1(inf) = 0 with no warning.  At q = 1e-300, a = 1, the fourth row,
-    # u_q(0)^2 - u_q(1)^2 rounds to 0, which ends the output
+    # at q = 1e-300, a = 1, the fourth row, u_q(0)^2 - u_q(1)^2 rounds to 0,
+    # so the array call raises and the group falls back to one call a row,
+    # whose fourth call raises and ends the output.  The overflow of
+    # |a| q^{1/alpha} = 1e500 is no failure: it gives u_1(inf) = 0 on both
+    # paths
     code, out, err = run(capsys, "eval", "lt-G", "--alpha=1.5",
                          "--q=1e300,1e-300,1,2,3", "--a=1e300,1")
     got = rows(out)
@@ -1098,6 +1111,25 @@ def test_overflowing_group_is_evaluated_row_by_row(capsys):
         p = {k: float(v) for k, v in row.items() if k != "value"}
         assert row["value"] == repr(hl.lt_last_exit(p["alpha"], p["q"], p["a"]))
     assert err == "eval: u_q(0)^2 - u_q(d)^2 = 0.0 for d = 1.0\n"
+
+
+@pytest.mark.parametrize("argv,groups", [
+    (["eval", "density", "--alpha=1.5", "--t=5e-324", "--x=1e300"], 1),
+    (["eval", "density", "--alpha=1.5,1.999", "--t=5e-324,1",
+      "--x=1e300,0.5"], 2),
+    (["invert", "lt-G", "--alpha=1.5", "--a=1e300", "--t=1e-300"], 1),
+    (["invert", "lt-G", "--alpha=1.5", "--a=1e300", "--t=1e-300,1,1e300"], 1),
+])
+def test_grid_that_exits_zero_makes_no_float_call(capsys, monkeypatch, argv,
+                                                 groups):
+    # a grid whose array calls overflow but raise nothing calls its law once
+    # per alpha (eval) or once for the grid (invert, from
+    # _invert_cdf_rows), each time on arrays, and makes no float call
+    calls = _counted_law(monkeypatch, argv[1])
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == groups
+    assert all(any(isinstance(v, np.ndarray) for v in call.values())
+               for call in calls)
 
 
 # each sample dist, its flags, and the draws of one stream
@@ -1309,8 +1341,9 @@ def test_flag_without_value_stays_usage_error(capsys):
 
 
 def test_every_package_error_reaches_main_as_exit_one():
-    # ``main`` and ``_at_once`` catch the one tuple ``_FAILURES``; every
-    # error class of the package falls in it, so none is a traceback
+    # ``main`` and the array calls of eval and invert catch the one tuple
+    # ``_FAILURES``; every error class of the package falls in it, so none
+    # is a traceback
     defined = {obj for _, obj in inspect.getmembers(errors, inspect.isclass)
                if issubclass(obj, Exception)
                and obj.__module__ == errors.__name__}

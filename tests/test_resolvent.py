@@ -288,6 +288,25 @@ class TestU1Kernel:
                 value = _u1(alpha, float(w))
                 assert math.isfinite(value) and value >= 0.0
 
+    @pytest.mark.parametrize("alpha,w", [(0.05, 2e289), (0.05, 1e300),
+                                         (0.03, 1.5e289), (0.058, 1e295)])
+    def test_rule_overflow_names_its_limit(self, alpha, w):
+        # below alpha of about 0.06 the far field starts past the w where
+        # the rule's products overflow; there both kernels raise an error
+        # that names the limit, with no numpy warning
+        for u1 in (_u1, lambda alpha, w: _u1_rows(alpha, np.array([1.0, w]))):
+            with pytest.raises(DomainError, match=r"above w = 1\.137e\+289"), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                u1(alpha, w)
+        # the rule runs up to the limit
+        limit = resolvent._U1_RULE_W_MAX
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resolvent._u1_rule(alpha, limit)
+            with pytest.raises(DomainError):
+                _u1(alpha, math.nextafter(limit, math.inf))
+
 
 def _scalar_rows(alpha, w):
     """[_u1(alpha, x) for x in w], or the message of the first row that
